@@ -25,7 +25,7 @@ from .graph import (
     update_similarity,
 )
 from .selection import FeatureRanking, score_features, select_top, select_top_per_view
-from .simplex import project_offdiag_simplex, project_simplex
+from .simplex import project_offdiag_columns, project_offdiag_simplex, project_simplex
 from .solver import (
     Hyperparameters,
     SolverResult,

@@ -137,6 +137,8 @@ def validate_config(cfg: ExperimentConfig):
         errors.append("repeats must be at least 1")
     if cfg.workers < 1:
         errors.append("workers must be at least 1")
+    if cfg.knn < 1:
+        errors.append(f"knn={cfg.knn}: knn must be at least 1")
     return errors, warnings
 
 

@@ -9,7 +9,7 @@ construction; operations are pure given (inputs, seed).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -112,8 +112,8 @@ def nmi(y_true, y_pred) -> float:
     pp = joint.sum(axis=0)
     nz = joint > 0
     mi = float(np.sum(joint[nz] * np.log(joint[nz] / np.outer(pt, pp)[nz])))
-    h_true = -float(np.sum(pt * np.log(pt, where=pt > 0)))
-    h_pred = -float(np.sum(pp * np.log(pp, where=pp > 0)))
+    h_true = -float(np.sum(pt * np.log(pt, out=np.zeros_like(pt), where=pt > 0)))
+    h_pred = -float(np.sum(pp * np.log(pp, out=np.zeros_like(pp), where=pp > 0)))
     h_max = max(h_true, h_pred)
     if h_max <= 0.0:
         return 1.0 if pt.size == pp.size == 1 else 0.0

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .simplex import project_offdiag_simplex
+from .simplex import project_offdiag_columns
+# Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
+from .simplex import project_offdiag_simplex  # noqa: F401
 
 COLSUM_TOL = 1e-8
 
@@ -115,25 +117,19 @@ def update_similarity(
     The columns of the subproblem decouple; each column is the Euclidean
     projection of the corresponding column of the target matrix P onto the
     simplex with a pinned zero diagonal entry, which is the exact column
-    minimizer under the graph constraints.
+    minimizer under the graph constraints. P is a linear combination of the
+    graphs and h: P = (sum_{i != v} w_i S_i - ag_v h / 4) / denom with
+    w_i = ag_v r_iv + ag_i r_vi - sum_{k not in {v, i}} ag_k r_vk r_ik.
     """
     l = len(graphs)
-    n = graphs[0].shape[0]
     ag = np.asarray(alpha, dtype=float) ** gamma
     others = [k for k in range(l) if k != v]
     denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
     if denom <= 0.0:
         raise ValueError("vanishing alpha and coefficients: corrupted state")
-    b = sum(graphs[i] * r[i, v] for i in others)
-    q = ag[v] * (b - 0.25 * h)
-    for k in others:
-        n_k = graphs[k].copy()
-        for j in others:
-            if j != k:
-                n_k -= graphs[j] * r[j, k]
-        q += ag[k] * r[v, k] * n_k
-    p = q / denom
-    s = np.empty_like(p)
-    for c in range(n):
-        s[:, c] = project_offdiag_simplex(p[:, c], excluded=c)
-    return s
+    p = (-0.25 * ag[v]) * h
+    for i in others:
+        cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
+        p += (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) * graphs[i]
+    p /= denom
+    return project_offdiag_columns(p)

@@ -3,26 +3,24 @@
 One sweep updates, in order: the consensus indicator V (multiplicative, with a
 large orthogonality penalty), each view's factor U^(v) (multiplicative with
 l2,p reweighting), each view's similarity graph S^(v) (closed-form column
-update, Gauss-Seidel across views), the cross-view coefficients R (accelerated
-projected gradient on the off-diagonal simplex) and the view weights alpha
-(closed form on the simplex).
+update, Gauss-Seidel across views), the cross-view coefficients R (exact
+KKT support enumeration on the off-diagonal simplex) and the view weights
+alpha (closed form on the simplex).
 """
 
 from __future__ import annotations
 
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import MultiViewDataset, ViewWeights, build_view_weights, impute_missing
-from .graph import (
-    build_initial_similarity,
-    laplacian,
-    pairwise_sq_dists,
-    update_similarity,
-)
-from .simplex import project_offdiag_simplex
+from .graph import build_initial_similarity, pairwise_sq_dists, update_similarity
+# Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
+from .graph import laplacian  # noqa: F401
+from .simplex import project_offdiag_simplex  # noqa: F401
 
 DENOM_FLOOR = 1e-12
 
@@ -59,6 +57,8 @@ class Hyperparameters:
             raise ValueError("need at least 2 clusters")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
+        if self.knn < 1:
+            raise ValueError("knn must be at least 1")
 
 
 @dataclass
@@ -99,27 +99,17 @@ def objective(
     dataset: MultiViewDataset,
     weights: ViewWeights,
     hyper: Hyperparameters,
+    losses: np.ndarray | None = None,
 ) -> float:
-    """Full model objective; the ||R||_F^2 term rides inside every view's bracket."""
-    ag = state.alpha ** hyper.gamma
-    r_term = float(np.sum(state.r * state.r))
-    total = 0.0
-    for v in range(dataset.n_views):
-        x = dataset.views[v]
-        w = weights.vectors[v]
-        resid = (x - state.u[v] @ state.v.T) * w[None, :]
-        term = float(np.sum(resid * resid))
-        term += hyper.lam * l2p_norm_p(state.u[v], hyper.p)
-        l_s, _ = laplacian(state.s[v])
-        recon = state.s[v] - sum(
-            state.s[i] * state.r[i, v] for i in range(dataset.n_views) if i != v
-        )
-        term += hyper.beta * (
-            float(np.trace(state.v.T @ l_s @ state.v))
-            + float(np.sum(recon * recon))
-            + r_term
-        )
-        total += ag[v] * term
+    """Full model objective sum_v alpha_v^gamma (d_v + beta ||R||_F^2).
+
+    `losses` are the view losses d of the current state when the caller
+    already has them; otherwise they are computed.
+    """
+    if losses is None:
+        losses = view_losses(state, dataset, weights, hyper)
+    r_term = hyper.beta * float(np.vdot(state.r, state.r))
+    total = float(np.sum(state.alpha ** hyper.gamma * (losses + r_term)))
     if not np.isfinite(total):
         raise SolverDivergence("objective is non-finite")
     return total
@@ -169,64 +159,37 @@ def update_v(
 
 
 def update_r(state: SolverState, hyper: Hyperparameters) -> np.ndarray:
-    """Solve every column's ridge regression on the off-diagonal simplex.
+    """Solve every column's ridge regression on the off-diagonal simplex exactly.
 
-    The N^2 x l stacked similarity matrix is never materialized; the l x l
-    Gram matrix of Frobenius inner products drives the gradient, so each
-    inner iteration costs O(l^2). Columns are solved by projected gradient
-    with Nesterov momentum and monotone restarts.
+    The N^2 x l stacked similarity matrix is never materialized: column v
+    minimizes r'(G + I)r - 2 G[:, v]'r with r_v = 0 on the simplex, where G
+    is the l x l Gram matrix of Frobenius inner products. The problem is
+    strictly convex, so its minimizer is the best of the equality-constrained
+    minimizers over the 2^(l-1) - 1 candidate supports that come out
+    nonnegative.
     """
     l = len(state.s)
     gram = np.empty((l, l))
     for i in range(l):
         for j in range(i, l):
-            gram[i, j] = gram[j, i] = float(np.sum(state.s[i] * state.s[j]))
+            gram[i, j] = gram[j, i] = np.vdot(state.s[i], state.s[j])
     if not np.all(np.isfinite(gram)):
         raise SolverDivergence("non-finite Gram entries in the R update")
-    lip = 2.0 * (float(np.linalg.eigvalsh(gram)[-1]) + 1.0)
+    quad = gram + np.eye(l)
     r_new = np.zeros((l, l))
     for v in range(l):
-        r_new[:, v] = _solve_r_column(gram, v, state.r[:, v], lip)
+        free = [k for k in range(l) if k != v]
+        candidates = []
+        for size in range(1, l):
+            for idx in map(list, itertools.combinations(free, size)):
+                kkt = np.pad(quad[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+                kkt[size, size] = 0.0
+                r = np.linalg.solve(kkt, np.append(gram[idx, v], 1.0))[:size]
+                if np.all(r >= 0.0):
+                    candidates.append(np.zeros(l))
+                    candidates[-1][idx] = r
+        r_new[:, v] = min(candidates, key=lambda c: c @ quad @ c - 2.0 * gram[:, v] @ c)
     return r_new
-
-
-def _solve_r_column(
-    gram: np.ndarray,
-    v: int,
-    warm: np.ndarray,
-    lip: float,
-    grad_tol: float = 1e-8,
-    max_inner: int = 1000,
-) -> np.ndarray:
-    target = gram[:, v]
-
-    def grad(r):
-        return 2.0 * (gram @ r - target) + 2.0 * r
-
-    def value(r):
-        return float(r @ gram @ r - 2.0 * target @ r + r @ r)
-
-    r = project_offdiag_simplex(warm, v)
-    y = r.copy()
-    t = 1.0
-    f_prev = value(r)
-    for _ in range(max_inner):
-        r_next = project_offdiag_simplex(y - grad(y) / lip, v)
-        f_next = value(r_next)
-        if f_next > f_prev:  # momentum overshot: restart from the last iterate
-            y = r.copy()
-            t = 1.0
-            r_next = project_offdiag_simplex(y - grad(y) / lip, v)
-            f_next = value(r_next)
-        gap = lip * np.linalg.norm(
-            r_next - project_offdiag_simplex(r_next - grad(r_next) / lip, v)
-        )
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-        y = r_next + ((t - 1.0) / t_next) * (r_next - r)
-        r, t, f_prev = r_next, t_next, f_next
-        if gap <= grad_tol:
-            break
-    return r
 
 
 def view_losses(
@@ -235,23 +198,24 @@ def view_losses(
     weights: ViewWeights,
     hyper: Hyperparameters,
 ) -> np.ndarray:
-    """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term)."""
+    """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
+
+    The graph term uses tr(V'LV) = sum_i deg_i ||v_i||^2 - <V, SV> with deg
+    the row sums of S, so the Laplacian is never formed.
+    """
     l = dataset.n_views
+    row_sq = np.sum(state.v * state.v, axis=1)
     d = np.empty(l)
     for v in range(l):
-        x = dataset.views[v]
-        w = weights.vectors[v]
-        resid = (x - state.u[v] @ state.v.T) * w[None, :]
-        term = float(np.sum(resid * resid))
-        term += hyper.lam * l2p_norm_p(state.u[v], hyper.p)
-        l_s, _ = laplacian(state.s[v])
-        recon = state.s[v] - sum(
-            state.s[i] * state.r[i, v] for i in range(l) if i != v
+        s = state.s[v]
+        resid = (dataset.views[v] - state.u[v] @ state.v.T) * weights.vectors[v][None, :]
+        recon = s - sum(state.s[i] * state.r[i, v] for i in range(l) if i != v)
+        smooth = float(s.sum(axis=1) @ row_sq) - float(np.vdot(state.v, s @ state.v))
+        d[v] = (
+            float(np.vdot(resid, resid))
+            + hyper.lam * l2p_norm_p(state.u[v], hyper.p)
+            + hyper.beta * (smooth + float(np.vdot(recon, recon)))
         )
-        term += hyper.beta * (
-            float(np.trace(state.v.T @ l_s @ state.v)) + float(np.sum(recon * recon))
-        )
-        d[v] = term
     return d
 
 
@@ -287,7 +251,7 @@ def initialize(
     positive matrix the support-splitting required by V'V = I is a slow
     process during which the penalty drags the unpenalized objective upward.
     """
-    from .evaluation import kmeans  # deferred: evaluation is a sibling module
+    from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
     l = dataset.n_views
     if l < 2:
@@ -317,8 +281,11 @@ def sweep(
     dataset: MultiViewDataset,
     weights: ViewWeights,
     hyper: Hyperparameters,
-) -> None:
-    """One full alternating pass, in place: V, U^(v), S^(v), R, alpha."""
+) -> np.ndarray:
+    """One full alternating pass, in place: V, U^(v), S^(v), R, alpha.
+
+    Returns the view losses of the final state, from which alpha was set.
+    """
     state.v = update_v(state, dataset, weights, hyper)
     for k in range(dataset.n_views):
         state.u[k] = update_u(k, state, dataset, weights, hyper)
@@ -328,7 +295,9 @@ def sweep(
             k, state.s, state.r, state.alpha, hyper.gamma, h
         )
     state.r = update_r(state, hyper)
-    state.alpha = update_alpha(view_losses(state, dataset, weights, hyper), hyper.gamma)
+    d = view_losses(state, dataset, weights, hyper)
+    state.alpha = update_alpha(d, hyper.gamma)
+    return d
 
 
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
@@ -341,8 +310,8 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     converged = False
     iterations = 0
     for _ in range(hyper.max_iter):
-        sweep(state, dataset, weights, hyper)
-        trace.append(objective(state, dataset, weights, hyper))
+        d = sweep(state, dataset, weights, hyper)
+        trace.append(objective(state, dataset, weights, hyper, d))
         iterations += 1
         prev, cur = trace[-2], trace[-1]
         if abs(cur - prev) / max(1.0, prev) < hyper.rel_tol:

@@ -86,6 +86,11 @@ class TestValidateConfig:
         errors, _ = cli.validate_config(cli.ExperimentConfig())
         assert any("dataset" in e for e in errors)
 
+    def test_zero_knn_is_error(self):
+        cfg = cli.ExperimentConfig(dataset_path="x", knn=0)
+        errors, _ = cli.validate_config(cfg)
+        assert any("knn" in e for e in errors)
+
 
 class TestSynthCommand:
     def test_round_trip(self, tmp_path):

@@ -154,6 +154,47 @@ class TestUpdateSimilarity:
             oracle = _qp_oracle(v, graphs, r, alpha, gamma, h)
             assert np.max(np.abs(s - oracle)) <= 1e-6
 
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    def test_matches_loop_implementation(self, l):
+        rng = np.random.default_rng(20 + l)
+        n = 9
+        for trial in range(4):
+            graphs = [random_similarity(n, rng) for _ in range(l)]
+            if trial == 3:  # collapsed consensus: every view holds the same graph
+                graphs = [graphs[0].copy() for _ in range(l)]
+            r = random_coefficients(l, rng)
+            alpha = rng.dirichlet(np.ones(l))
+            h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+            for v in range(l):
+                s = update_similarity(v, graphs, r, alpha, 3.0, h)
+                expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, h)
+                assert np.max(np.abs(s - expect)) <= 1e-12
+
+
+def _loop_update_similarity(v, graphs, r, alpha, gamma, h):
+    """Reference S update: the target built from explicit cross-view residuals,
+    then projected one column at a time."""
+    from mvufs.simplex import project_offdiag_simplex
+
+    l = len(graphs)
+    n = graphs[0].shape[0]
+    ag = np.asarray(alpha, dtype=float) ** gamma
+    others = [k for k in range(l) if k != v]
+    denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
+    b = sum(graphs[i] * r[i, v] for i in others)
+    q = ag[v] * (b - 0.25 * h)
+    for k in others:
+        n_k = graphs[k].copy()
+        for j in others:
+            if j != k:
+                n_k -= graphs[j] * r[j, k]
+        q += ag[k] * r[v, k] * n_k
+    p = q / denom
+    s = np.empty_like(p)
+    for c in range(n):
+        s[:, c] = project_offdiag_simplex(p[:, c], excluded=c)
+    return s
+
 
 def _qp_oracle(v, graphs, r, alpha, gamma, h, iters=200000):
     """Plain projected gradient on the original per-column subproblem."""

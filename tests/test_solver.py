@@ -17,6 +17,7 @@ from mvufs.solver import (
     l2p_norm_p,
     objective,
     sparsity_reweight,
+    sweep,
     update_alpha,
     update_r,
     update_u,
@@ -54,6 +55,11 @@ class TestHyperparameters:
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):
             hyper(lam=-1.0)
+
+    def test_knn_must_be_positive(self):
+        with pytest.raises(ValueError, match="knn"):
+            hyper(knn=0)
+        assert hyper(knn=1).knn == 1
 
 
 class TestObjective:
@@ -96,6 +102,15 @@ class TestObjective:
         got = objective(state, ds, w, h)
         expect = _naive_objective(state, ds, w, h)
         assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_reuses_view_losses(self):
+        ds, w, h, state = make_problem(missing=0.2, seed=3)
+        d = sweep(state, ds, w, h)
+        assert np.allclose(d, view_losses(state, ds, w, h), rtol=1e-13, atol=0.0)
+        assert objective(state, ds, w, h, d) == objective(state, ds, w, h)
+        assert objective(state, ds, w, h) == pytest.approx(
+            _naive_objective(state, ds, w, h), rel=1e-10
+        )
 
 
 def _naive_objective(state, ds, w, h):
@@ -258,6 +273,84 @@ class TestUpdateR:
         ds, w, h, state = make_problem(l=4, seed=10)
         r = update_r(state, h)
         check_coefficients(r, tol=1e-12)
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 6])
+    def test_matches_kkt_and_projected_gradient_oracle(self, l):
+        rng = np.random.default_rng(30 + l)
+        n = 10
+        cases = []
+        for _ in range(3):
+            # sparse graphs, each pulled toward view 0 by a random amount
+            graphs = []
+            for k in range(l):
+                g = (rng.uniform(size=(n, n)) < 0.3) * rng.uniform(size=(n, n))
+                if k:
+                    keep = rng.uniform()
+                    g = (1.0 - keep) * g + keep * graphs[0]
+                np.fill_diagonal(g, 0.0)
+                g[(np.arange(n) + 1) % n, np.arange(n)] += 1e-3  # no empty column
+                graphs.append(g / g.sum(axis=0))
+            cases.append(graphs)
+        # cyclic-shift graphs with view 1 halfway between views 0 and 2, so
+        # column 0 puts no weight on view 2: the optimum sits on a face
+        shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
+        if l > 2:
+            shifts[1] = 0.5 * (shifts[0] + shifts[2])
+        cases.append(shifts)
+        # identical graphs: the rank-one Gram of a collapsed consensus
+        cases.append([cases[0][0].copy() for _ in range(l)])
+        for graphs in cases:
+            state = SolverState(u=[], v=np.empty((n, 2)), s=graphs,
+                                r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l))
+            r = update_r(state, hyper())
+            check_coefficients(r, tol=1e-12)
+            gram = np.array([[np.sum(a * b) for b in graphs] for a in graphs])
+            for v in range(l):
+                grad = 2.0 * (gram @ r[:, v] - gram[:, v]) + 2.0 * r[:, v]
+                free = np.arange(l) != v
+                on = free & (r[:, v] > 0)
+                # stationarity on the support, no descent direction off it
+                assert np.ptp(grad[on]) <= 1e-9 * (1.0 + np.abs(grad).max())
+                assert np.all(grad[free] >= grad[on].min() - 1e-9 * (1.0 + np.abs(grad).max()))
+                warm = np.where(free, 1.0 / (l - 1), 0.0)
+                oracle = _nesterov_r_column(gram, v, warm)
+                assert np.max(np.abs(r[:, v] - oracle)) <= 1e-8
+
+
+def _nesterov_r_column(gram, v, warm, grad_tol=1e-10, max_inner=20000):
+    """Reference R column: accelerated projected gradient with monotone restarts."""
+    from mvufs.simplex import project_offdiag_simplex
+
+    target = gram[:, v]
+    lip = 2.0 * (float(np.linalg.eigvalsh(gram)[-1]) + 1.0)
+
+    def grad(r):
+        return 2.0 * (gram @ r - target) + 2.0 * r
+
+    def value(r):
+        return float(r @ gram @ r - 2.0 * target @ r + r @ r)
+
+    r = project_offdiag_simplex(warm, v)
+    y = r.copy()
+    t = 1.0
+    f_prev = value(r)
+    for _ in range(max_inner):
+        r_next = project_offdiag_simplex(y - grad(y) / lip, v)
+        f_next = value(r_next)
+        if f_next > f_prev:  # momentum overshot: restart from the last iterate
+            y = r.copy()
+            t = 1.0
+            r_next = project_offdiag_simplex(y - grad(y) / lip, v)
+            f_next = value(r_next)
+        gap = lip * np.linalg.norm(
+            r_next - project_offdiag_simplex(r_next - grad(r_next) / lip, v)
+        )
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        y = r_next + ((t - 1.0) / t_next) * (r_next - r)
+        r, t, f_prev = r_next, t_next, f_next
+        if gap <= grad_tol:
+            break
+    return r
 
 
 class TestUpdateAlpha:
