@@ -14,7 +14,6 @@ import argparse
 import itertools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +39,6 @@ class ExperimentConfig:
     repeats: int = 30
     seed: int = 0
     knn: int = 5
-    workers: int = 1
     per_view: bool = False
     max_iter: int = 300
 
@@ -78,8 +76,6 @@ def parse_config(path: str) -> ExperimentConfig:
                     cfg.seed = int(vals[0])
                 elif key == "knn":
                     cfg.knn = int(vals[0])
-                elif key == "workers":
-                    cfg.workers = int(vals[0])
                 elif key == "max_iter":
                     cfg.max_iter = int(vals[0])
                 elif key == "per_view":
@@ -135,10 +131,12 @@ def validate_config(cfg: ExperimentConfig):
             warnings.append(f"feature ratio {f} outside the usual 10-50% range")
     if cfg.repeats < 1:
         errors.append("repeats must be at least 1")
-    if cfg.workers < 1:
-        errors.append("workers must be at least 1")
     if cfg.knn < 1:
         errors.append(f"knn={cfg.knn}: knn must be at least 1")
+    if cfg.clusters is not None and cfg.clusters < 2:
+        errors.append(f"clusters={cfg.clusters}: need at least 2 clusters")
+    if cfg.max_iter < 0:
+        errors.append(f"max_iter={cfg.max_iter}: max_iter must be nonnegative")
     return errors, warnings
 
 
@@ -198,32 +196,20 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         )
     )
     miss_index = {m: i for i, m in enumerate(cfg.missing_ratios)}
-
-    def work(args):
-        idx, cell = args
-        try:
-            return idx, _run_cell(cfg, base, c, idx, miss_index[cell[0]], cell), None
-        except Exception as exc:  # a divergent cell must not abort the sweep
-            return idx, None, f"{type(exc).__name__}: {exc}"
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(work, enumerate(cells)))
-    else:
-        outcomes = [work(a) for a in enumerate(cells)]
-
     report_lines = [
         "# missing_ratio feature_ratio lambda beta gamma p "
         "acc_mean acc_std nmi_mean nmi_std"
     ]
     failures = []
     best = {}
-    for idx, payload, err in outcomes:
-        cell = cells[idx]
-        if err is not None:
-            failures.append(f"cell {idx} {cell}: {err}")
+    for idx, cell in enumerate(cells):
+        try:
+            result, ranking, selected, report = _run_cell(
+                cfg, base, c, idx, miss_index[cell[0]], cell
+            )
+        except Exception as exc:  # a divergent cell must not abort the sweep
+            failures.append(f"cell {idx} {cell}: {type(exc).__name__}: {exc}")
             continue
-        result, ranking, selected, report = payload
         missing_ratio, feature_ratio, lam, beta, gamma, p = cell
         report_lines.append(
             f"{missing_ratio:g} {feature_ratio:g} {lam:g} {beta:g} {gamma:g} {p:g} "
@@ -266,7 +252,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=None)
     p_run.add_argument("--missing-ratios", type=float, nargs="+", default=None)
     p_run.add_argument("--feature-ratios", type=float, nargs="+", default=None)
 
@@ -301,8 +286,6 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        if args.workers is not None:
-            cfg.workers = args.workers
         if args.missing_ratios is not None:
             cfg.missing_ratios = args.missing_ratios
         if args.feature_ratios is not None:

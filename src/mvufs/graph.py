@@ -14,6 +14,9 @@ from .simplex import project_offdiag_columns
 from .simplex import project_offdiag_simplex  # noqa: F401
 
 COLSUM_TOL = 1e-8
+# Entries per row block when the S-update target is accumulated: a block of
+# scratch (256 KiB) stays in cache, so each graph is streamed from memory once.
+BLOCK_ENTRIES = 32768
 
 
 def check_similarity(s: np.ndarray, tol: float = COLSUM_TOL) -> None:
@@ -120,6 +123,10 @@ def update_similarity(
     minimizer under the graph constraints. P is a linear combination of the
     graphs and h: P = (sum_{i != v} w_i S_i - ag_v h / 4) / denom with
     w_i = ag_v r_iv + ag_i r_vi - sum_{k not in {v, i}} ag_k r_vk r_ik.
+
+    h is the matrix of squared distances between the rows of V, or any matrix
+    that differs from it by a constant per column: such a constant shifts a
+    column of P uniformly, which the projection ignores.
     """
     l = len(graphs)
     ag = np.asarray(alpha, dtype=float) ** gamma
@@ -127,9 +134,17 @@ def update_similarity(
     denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
     if denom <= 0.0:
         raise ValueError("vanishing alpha and coefficients: corrupted state")
-    p = (-0.25 * ag[v]) * h
+    terms = []
     for i in others:
         cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
-        p += (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) * graphs[i]
-    p /= denom
-    return project_offdiag_columns(p)
+        terms.append((graphs[i], (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) / denom))
+    p = np.multiply(h, -0.25 * ag[v] / denom)
+    n = p.shape[0]
+    rows = max(1, BLOCK_ENTRIES // n)
+    scratch = np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        block = p[start : start + rows]
+        tmp = scratch[: len(block)]
+        for graph, w in terms:
+            block += np.multiply(graph[start : start + rows], w, out=tmp)
+    return project_offdiag_columns(p, out=p)

@@ -33,7 +33,7 @@ def project_offdiag_simplex(y: np.ndarray, excluded: int) -> np.ndarray:
     return out
 
 
-def project_offdiag_columns(p: np.ndarray) -> np.ndarray:
+def project_offdiag_columns(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Project every column c of the square matrix p as project_offdiag_simplex(p[:, c], c).
 
     Batched threshold search (Michelot 1986): a column's support starts as its
@@ -41,25 +41,32 @@ def project_offdiag_columns(p: np.ndarray) -> np.ndarray:
     and coordinates at or below it leave the support until none do. The
     support only shrinks, so the search ends within N passes even when
     rounding ties an entry to its threshold. Non-finite entries raise
-    ValueError.
+    ValueError. The result goes to `out` when given, which may be p itself.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     if p.ndim != 2 or p.shape[1] != n or n < 2:
         raise ValueError("need a square matrix of order at least two")
-    support = ~np.eye(n, dtype=bool)
+    # The first support is every off-diagonal entry, so plain column sums
+    # give its threshold; any non-finite entry makes that threshold non-finite.
+    with np.errstate(invalid="ignore", over="ignore"):
+        theta = (p.sum(axis=0) - np.diagonal(p) - 1.0) / (n - 1)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("projection needs finite entries")
+    support = p > theta
+    np.fill_diagonal(support, False)
     count = np.full(n, n - 1)
     while True:
-        # einsum sums over an irregular mask several times faster than where=
-        theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
-        support &= p > theta
-        shrunk = np.count_nonzero(support, axis=0)
+        shrunk = support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
         if not shrunk.all():
-            raise ValueError("projection lost its support: non-finite or huge entries")
+            raise ValueError("projection lost its support: huge entries")
         if np.array_equal(shrunk, count):
             break
         count = shrunk
-    out = p - theta
+        # einsum sums over an irregular mask several times faster than where=
+        theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
+        support &= p > theta
+    out = np.subtract(p, theta, out=out)
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return out

@@ -6,6 +6,12 @@ l2,p reweighting), each view's similarity graph S^(v) (closed-form column
 update, Gauss-Seidel across views), the cross-view coefficients R (exact
 KKT support enumeration on the off-diagonal simplex) and the view weights
 alpha (closed form on the simplex).
+
+The sweep touches each N x N graph only a few times: the S update takes
+distances up to a per-column constant from one product V V', the l x l Gram
+matrix of the new graphs is computed once and shared by the R update and the
+view losses (whose reconstruction term it gives exactly), and no residual
+graph or Laplacian is ever formed.
 """
 
 from __future__ import annotations
@@ -17,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import MultiViewDataset, ViewWeights, build_view_weights, impute_missing
-from .graph import build_initial_similarity, pairwise_sq_dists, update_similarity
+from .graph import build_initial_similarity, update_similarity
 # Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
-from .graph import laplacian  # noqa: F401
+from .graph import laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
 
 DENOM_FLOOR = 1e-12
@@ -141,6 +147,8 @@ def update_v(
 ) -> np.ndarray:
     """Multiplicative update of the consensus indicator with orthogonality penalty."""
     v_mat = state.v
+    c = v_mat.shape[1]
+    v_one = np.column_stack([v_mat, np.ones(len(v_mat))])
     ag = state.alpha ** hyper.gamma
     e = np.zeros_like(v_mat)
     q = np.zeros_like(v_mat)
@@ -148,33 +156,42 @@ def update_v(
         x = dataset.views[k]
         w2 = weights.vectors[k] ** 2
         u = state.u[k]
-        s = state.s[k]
-        e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * (s @ v_mat))
-        d_row = s.sum(axis=1)
-        q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * d_row[:, None] * v_mat)
+        sv_deg = state.s[k] @ v_one  # SV and the row sums of S in one pass over S
+        e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * sv_deg[:, :c])
+        q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * sv_deg[:, c:] * v_mat)
     two_xi = 2.0 * hyper.xi
     num = e + two_xi * v_mat
     den = q + two_xi * (v_mat @ (v_mat.T @ v_mat))
     return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
 
 
-def update_r(state: SolverState, hyper: Hyperparameters) -> np.ndarray:
+def graph_gram(graphs) -> np.ndarray:
+    """l x l Gram matrix of Frobenius inner products <S_i, S_j> of the graphs."""
+    l = len(graphs)
+    gram = np.empty((l, l))
+    for i in range(l):
+        for j in range(i, l):
+            gram[i, j] = gram[j, i] = np.vdot(graphs[i], graphs[j])
+    if not np.all(np.isfinite(gram)):
+        raise SolverDivergence("non-finite Gram entries of the similarity graphs")
+    return gram
+
+
+def update_r(
+    state: SolverState, hyper: Hyperparameters, gram: np.ndarray | None = None
+) -> np.ndarray:
     """Solve every column's ridge regression on the off-diagonal simplex exactly.
 
     The N^2 x l stacked similarity matrix is never materialized: column v
     minimizes r'(G + I)r - 2 G[:, v]'r with r_v = 0 on the simplex, where G
-    is the l x l Gram matrix of Frobenius inner products. The problem is
-    strictly convex, so its minimizer is the best of the equality-constrained
-    minimizers over the 2^(l-1) - 1 candidate supports that come out
-    nonnegative.
+    is the l x l Gram matrix of Frobenius inner products (`gram`, computed
+    when not given). The problem is strictly convex, so its minimizer is the
+    best of the equality-constrained minimizers over the 2^(l-1) - 1
+    candidate supports that come out nonnegative.
     """
-    l = len(state.s)
-    gram = np.empty((l, l))
-    for i in range(l):
-        for j in range(i, l):
-            gram[i, j] = gram[j, i] = np.vdot(state.s[i], state.s[j])
-    if not np.all(np.isfinite(gram)):
-        raise SolverDivergence("non-finite Gram entries in the R update")
+    if gram is None:
+        gram = graph_gram(state.s)
+    l = len(gram)
     quad = gram + np.eye(l)
     r_new = np.zeros((l, l))
     for v in range(l):
@@ -197,24 +214,36 @@ def view_losses(
     dataset: MultiViewDataset,
     weights: ViewWeights,
     hyper: Hyperparameters,
+    gram: np.ndarray | None = None,
 ) -> np.ndarray:
     """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
 
     The graph term uses tr(V'LV) = sum_i deg_i ||v_i||^2 - <V, SV> with deg
-    the row sums of S, so the Laplacian is never formed.
+    the row sums of S, so the Laplacian is never formed; one product
+    S [V 1] gives both SV and deg. The reconstruction term is
+    ||S_v - sum_{i != v} r_iv S_i||^2 = e'Ge with e = e_v - R[:, v] and G the
+    Gram matrix of the graphs (`gram`, computed when not given), so no
+    residual graph is formed. Rounding can leave e'Ge slightly negative when
+    the graphs coincide; it is clamped at zero.
     """
+    if gram is None:
+        gram = graph_gram(state.s)
     l = dataset.n_views
+    c = state.v.shape[1]
     row_sq = np.sum(state.v * state.v, axis=1)
+    v_one = np.column_stack([state.v, np.ones(len(row_sq))])
     d = np.empty(l)
     for v in range(l):
-        s = state.s[v]
         resid = (dataset.views[v] - state.u[v] @ state.v.T) * weights.vectors[v][None, :]
-        recon = s - sum(state.s[i] * state.r[i, v] for i in range(l) if i != v)
-        smooth = float(s.sum(axis=1) @ row_sq) - float(np.vdot(state.v, s @ state.v))
+        e = -state.r[:, v]
+        e[v] += 1.0
+        recon = max(float(e @ gram @ e), 0.0)
+        sv_deg = state.s[v] @ v_one
+        smooth = float(sv_deg[:, c] @ row_sq) - float(np.vdot(state.v, sv_deg[:, :c]))
         d[v] = (
             float(np.vdot(resid, resid))
             + hyper.lam * l2p_norm_p(state.u[v], hyper.p)
-            + hyper.beta * (smooth + float(np.vdot(recon, recon)))
+            + hyper.beta * (smooth + recon)
         )
     return d
 
@@ -289,13 +318,18 @@ def sweep(
     state.v = update_v(state, dataset, weights, hyper)
     for k in range(dataset.n_views):
         state.u[k] = update_u(k, state, dataset, weights, hyper)
-    h = pairwise_sq_dists(state.v)
+    # Squared distances between the rows of V less |v_j|^2 in column j, a
+    # per-column constant that update_similarity ignores: one GEMM, no clamp
+    # or transpose.
+    h = (-2.0 * state.v) @ state.v.T
+    h += np.sum(state.v * state.v, axis=1)[:, None]
     for k in range(dataset.n_views):
         state.s[k] = update_similarity(
             k, state.s, state.r, state.alpha, hyper.gamma, h
         )
-    state.r = update_r(state, hyper)
-    d = view_losses(state, dataset, weights, hyper)
+    gram = graph_gram(state.s)
+    state.r = update_r(state, hyper, gram)
+    d = view_losses(state, dataset, weights, hyper, gram)
     state.alpha = update_alpha(d, hyper.gamma)
     return d
 

@@ -119,6 +119,17 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "error" in out and "gamma" in out
 
+    @pytest.mark.parametrize("line,code,message", [
+        ("clusters 1", 1, "error: clusters=1: need at least 2 clusters"),
+        ("clusters 2", 0, ""),
+        ("max_iter -1", 1, "error: max_iter=-1: max_iter must be nonnegative"),
+        ("max_iter 0", 0, ""),
+    ])
+    def test_cluster_count_and_sweep_cap(self, tmp_path, capsys, line, code, message):
+        cfg = write_config(tmp_path / "c.txt", f"dataset d\n{line}\n")
+        assert cli.main(["validate", "--config", cfg]) == code
+        assert capsys.readouterr().out.strip() == message
+
 
 SMALL_SWEEP = (
     "synthetic_n 30\n"
@@ -169,6 +180,19 @@ class TestRunCommand:
         cfg = write_config(tmp_path / "cfg.txt", SMALL_SWEEP + "gamma 1\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line,message", [
+        ("clusters 1", "need at least 2 clusters"),
+        ("max_iter -1", "max_iter must be nonnegative"),
+    ])
+    def test_invalid_cluster_count_or_sweep_cap_runs_nothing(
+        self, tmp_path, capsys, line, message
+    ):
+        cfg = write_config(tmp_path / "cfg.txt", SMALL_SWEEP + line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTraceCommand:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvufs import graph
 from mvufs.graph import (
     build_initial_similarity,
     check_coefficients,
@@ -169,6 +170,35 @@ class TestUpdateSimilarity:
                 s = update_similarity(v, graphs, r, alpha, 3.0, h)
                 expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, h)
                 assert np.max(np.abs(s - expect)) <= 1e-12
+
+
+    def test_row_blocks_match_loop_implementation(self, monkeypatch):
+        # 2-row blocks with a 1-row remainder: the target is accumulated in pieces
+        monkeypatch.setattr(graph, "BLOCK_ENTRIES", 20)
+        rng = np.random.default_rng(26)
+        n, l = 9, 3
+        graphs = [random_similarity(n, rng) for _ in range(l)]
+        r = random_coefficients(l, rng)
+        alpha = rng.dirichlet(np.ones(l))
+        h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+        for v in range(l):
+            s = update_similarity(v, graphs, r, alpha, 3.0, h)
+            expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, h)
+            assert np.max(np.abs(s - expect)) <= 1e-12
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_per_column_constant_in_h_is_ignored(self, l):
+        rng = np.random.default_rng(27 + l)
+        n = 11
+        graphs = [random_similarity(n, rng) for _ in range(l)]
+        r = random_coefficients(l, rng)
+        alpha = rng.dirichlet(np.ones(l))
+        h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+        shift = rng.normal(scale=10.0, size=n)
+        for v in range(l):
+            s = update_similarity(v, graphs, r, alpha, 3.0, h)
+            shifted = update_similarity(v, graphs, r, alpha, 3.0, h + shift[None, :])
+            assert np.max(np.abs(s - shifted)) <= 1e-12
 
 
 def _loop_update_similarity(v, graphs, r, alpha, gamma, h):

@@ -120,6 +120,16 @@ class TestProjectOffdiagColumns:
                 p[top[-1], c] = (p[top[:-1], c].sum() - 1.0) / 4
             assert_matches_reference(p)
 
+    def test_out_argument(self):
+        rng = np.random.default_rng(5)
+        p = rng.normal(size=(12, 12))
+        expect = column_reference(p)
+        out = np.empty_like(p)
+        assert project_offdiag_columns(p, out=out) is out
+        assert np.max(np.abs(out - expect)) <= 1e-12
+        assert project_offdiag_columns(p, out=p) is p  # in place
+        assert np.max(np.abs(p - expect)) <= 1e-12
+
     def test_order_two(self):
         out = project_offdiag_columns(np.array([[5.0, -3.0], [-1.0, 2.0]]))
         assert np.array_equal(out, [[0.0, 1.0], [1.0, 0.0]])

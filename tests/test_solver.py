@@ -8,11 +8,12 @@ from mvufs.datamodel import (
     generate_synthetic,
     simulate_missing,
 )
-from mvufs.graph import check_coefficients, check_similarity
+from mvufs.graph import check_coefficients, check_similarity, pairwise_sq_dists, update_similarity
 from mvufs.solver import (
     Hyperparameters,
     SolverState,
     fit,
+    graph_gram,
     initialize,
     l2p_norm_p,
     objective,
@@ -111,6 +112,82 @@ class TestObjective:
         assert objective(state, ds, w, h) == pytest.approx(
             _naive_objective(state, ds, w, h), rel=1e-10
         )
+
+
+class TestReconstructionTerm:
+    """view_losses takes ||S_v - sum_{i != v} r_iv S_i||^2 from the graphs' Gram matrix."""
+
+    @staticmethod
+    def losses(graphs, r, gram=None):
+        # zero data, factors and indicator leave beta * reconstruction as the only loss
+        l, n = len(graphs), graphs[0].shape[0]
+        ds = MultiViewDataset(tuple(np.zeros((3, n)) for _ in range(l)),
+                              np.ones((n, l), dtype=int))
+        state = SolverState(u=[np.zeros((3, 2)) for _ in range(l)], v=np.zeros((n, 2)),
+                            s=graphs, r=r, alpha=np.full(l, 1.0 / l))
+        return view_losses(state, ds, build_view_weights(ds),
+                           hyper(lam=0.0, beta=1.0, n_clusters=2), gram)
+
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    def test_matches_direct_residual(self, l):
+        rng = np.random.default_rng(40 + l)
+        n = 12
+        for _ in range(3):
+            graphs = [rng.uniform(size=(n, n)) for _ in range(l)]
+            for g in graphs:
+                np.fill_diagonal(g, 0.0)
+                g /= g.sum(axis=0)
+            r = rng.uniform(size=(l, l))
+            np.fill_diagonal(r, 0.0)
+            r /= r.sum(axis=0)
+            direct = np.array([
+                np.sum((graphs[v] - sum(r[i, v] * graphs[i] for i in range(l) if i != v)) ** 2)
+                for v in range(l)
+            ])
+            got = self.losses(graphs, r)
+            assert np.max(np.abs(got - direct) / direct) <= 1e-10
+            assert np.array_equal(self.losses(graphs, r, graph_gram(graphs)), got)
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 6])
+    def test_nonnegative_on_identical_graphs(self, l):
+        ds, w, h, state = make_problem(n=20, l=2, seed=15, missing=0.3)
+        for g in (state.s[0], state.s[1]):
+            r = np.full((l, l), 1.0 / (l - 1))
+            np.fill_diagonal(r, 0.0)
+            d = self.losses([g.copy() for _ in range(l)], r)
+            assert np.all(d >= 0.0)
+            assert np.all(d <= 1e-12 * np.sum(g * g))
+
+
+class TestSweep:
+    @pytest.mark.parametrize("l,missing", [(2, 0.0), (3, 0.3), (4, 0.5)])
+    def test_shifted_distances_match_exact_ones(self, l, missing):
+        ds, w, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
+        ref = SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
+                          s=[s.copy() for s in state.s], r=state.r.copy(),
+                          alpha=state.alpha.copy())
+        for _ in range(3):
+            d = sweep(state, ds, w, h)
+            d_ref = _reference_sweep(ref, ds, w, h)
+            assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
+            for a, b in zip(state.s, ref.s):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.max(np.abs(state.r - ref.r)) <= 1e-12
+            assert np.max(np.abs(state.alpha - ref.alpha)) <= 1e-12
+
+
+def _reference_sweep(state, ds, w, h):
+    """sweep with the exact distance matrix of V and no shared Gram matrix."""
+    state.v = update_v(state, ds, w, h)
+    for k in range(ds.n_views):
+        state.u[k] = update_u(k, state, ds, w, h)
+    dist = pairwise_sq_dists(state.v)
+    for k in range(ds.n_views):
+        state.s[k] = update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
+    state.r = update_r(state, h)
+    d = view_losses(state, ds, w, h)
+    state.alpha = update_alpha(d, h.gamma)
+    return d
 
 
 def _naive_objective(state, ds, w, h):
