@@ -66,12 +66,13 @@ def build_initial_similarity(
     m = present.size
     if k >= m:
         raise ValueError(f"k={k} must be smaller than the {m} present instances")
-    cols = x[:, present]
-    d2 = pairwise_sq_dists(cols.T)
-    order = np.argsort(d2, axis=1)
-    knn = order[:, 1 : k + 1]  # skip self
+    d2 = pairwise_sq_dists(x[:, present].T)
+    np.fill_diagonal(d2, np.inf)  # no instance is its own neighbor, even with duplicates
+    knn = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    rows = np.repeat(np.arange(m), k)
+    near = d2[rows, knn.ravel()]
     if bandwidth == "auto":
-        kth = np.sqrt(d2[np.arange(m), order[:, k]])
+        kth = np.sqrt(near.reshape(m, k).max(axis=1))
         sigma = float(kth.mean())
         if sigma <= 0.0:
             sigma = 1.0
@@ -79,24 +80,21 @@ def build_initial_similarity(
         sigma = float(bandwidth)
         if sigma <= 0.0:
             raise ValueError("bandwidth must be positive")
-    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
-    mask = np.zeros((m, m), dtype=bool)
-    rows = np.repeat(np.arange(m), k)
-    mask[rows, knn.ravel()] = True
-    mask |= mask.T
-    kernel = np.where(mask, kernel, 0.0)
-    np.fill_diagonal(kernel, 0.0)
-
+    # The kernel is evaluated on the kNN edges only; d2 is exactly symmetric,
+    # so an edge listed from both ends gets the same weight twice.
+    weight = np.exp(-near / (2.0 * sigma * sigma))
+    i, j = present[rows], present[knn.ravel()]
     s = np.zeros((n, n))
-    s[np.ix_(present, present)] = kernel
+    s[i, j] = weight
+    s[j, i] = weight
     absent = np.setdiff1d(np.arange(n), present)
     if absent.size:
         s[absent, :] = 1.0 / (n - 1)
         s[:, absent] = 1.0 / (n - 1)
-        np.fill_diagonal(s, 0.0)
+        s[absent, absent] = 0.0
     colsum = s.sum(axis=0)
     colsum[colsum == 0.0] = 1.0
-    s = s / colsum
+    s /= colsum
     np.clip(s, 0.0, 1.0, out=s)
     return s
 
@@ -114,6 +112,7 @@ def update_similarity(
     alpha: np.ndarray,
     gamma: float,
     h: np.ndarray,
+    thresholds: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal similarity matrix of view v given all other variables.
 
@@ -127,6 +126,9 @@ def update_similarity(
     h is the matrix of squared distances between the rows of V, or any matrix
     that differs from it by a constant per column: such a constant shifts a
     column of P uniformly, which the projection ignores.
+
+    `thresholds` are the projection's per-column threshold guesses, passed to
+    `project_offdiag_columns` and overwritten with the final thresholds.
     """
     l = len(graphs)
     ag = np.asarray(alpha, dtype=float) ** gamma
@@ -138,13 +140,14 @@ def update_similarity(
     for i in others:
         cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
         terms.append((graphs[i], (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) / denom))
-    p = np.multiply(h, -0.25 * ag[v] / denom)
-    n = p.shape[0]
+    scale = -0.25 * ag[v] / denom
+    n = h.shape[0]
+    p = np.empty((n, n))
     rows = max(1, BLOCK_ENTRIES // n)
     scratch = np.empty((min(rows, n), n))
     for start in range(0, n, rows):
-        block = p[start : start + rows]
+        block = np.multiply(h[start : start + rows], scale, out=p[start : start + rows])
         tmp = scratch[: len(block)]
         for graph, w in terms:
             block += np.multiply(graph[start : start + rows], w, out=tmp)
-    return project_offdiag_columns(p, out=p)
+    return project_offdiag_columns(p, out=p, thresholds=thresholds)

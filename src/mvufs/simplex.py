@@ -33,29 +33,50 @@ def project_offdiag_simplex(y: np.ndarray, excluded: int) -> np.ndarray:
     return out
 
 
-def project_offdiag_columns(p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def project_offdiag_columns(
+    p: np.ndarray, out: np.ndarray | None = None, thresholds: np.ndarray | None = None
+) -> np.ndarray:
     """Project every column c of the square matrix p as project_offdiag_simplex(p[:, c], c).
 
-    Batched threshold search (Michelot 1986): a column's support starts as its
-    off-diagonal coordinates, the threshold is (support sum - 1) / |support|,
-    and coordinates at or below it leave the support until none do. The
-    support only shrinks, so the search ends within N passes even when
-    rounding ties an entry to its threshold. Non-finite entries raise
-    ValueError. The result goes to `out` when given, which may be p itself.
+    Batched threshold search (Michelot 1986; Condat 2016). The threshold of a
+    set A of a column's off-diagonal coordinates, (sum_A - 1) / |A|, is a
+    Newton step on the threshold equation from any threshold whose support is
+    A, and it lands at or below the exact threshold; so the coordinates above
+    it hold the optimal support. Coordinates at or below the threshold then
+    leave the support until none do. The support only shrinks, so the search
+    ends within N passes even when rounding ties an entry to its threshold.
+
+    A starts as every off-diagonal coordinate. `thresholds`, when given,
+    holds one guess per column and receives the final thresholds: A starts
+    as the coordinates above the guess, and with the previous sweep's
+    thresholds the search usually ends after one check. A NaN guess, or one
+    above every off-diagonal coordinate, starts its column as without a
+    guess. The output depends only on the support the search ends at.
+    Non-finite entries raise ValueError. The result goes to `out` when given,
+    which may be p itself.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     if p.ndim != 2 or p.shape[1] != n or n < 2:
         raise ValueError("need a square matrix of order at least two")
-    # The first support is every off-diagonal entry, so plain column sums
-    # give its threshold; any non-finite entry makes that threshold non-finite.
+    if thresholds is None:
+        thresholds = np.full(n, np.nan)
+    support = p > thresholds  # a NaN guess compares False
+    np.fill_diagonal(support, False)
+    count = support.sum(axis=0, dtype=np.int32)
+    cold = count == 0
+    if cold.any():  # start these columns from every off-diagonal coordinate
+        support |= cold
+        np.fill_diagonal(support, False)
+        count[cold] = n - 1
+    # einsum sums over an irregular mask several times faster than where=, and
+    # an entry it masks out still turns a column's sum non-finite when it is.
     with np.errstate(invalid="ignore", over="ignore"):
-        theta = (p.sum(axis=0) - np.diagonal(p) - 1.0) / (n - 1)
+        theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
     if not np.all(np.isfinite(theta)):
         raise ValueError("projection needs finite entries")
-    support = p > theta
+    np.greater(p, theta, out=support)  # A and this are nested: equal counts, equal sets
     np.fill_diagonal(support, False)
-    count = np.full(n, n - 1)
     while True:
         shrunk = support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
         if not shrunk.all():
@@ -63,9 +84,9 @@ def project_offdiag_columns(p: np.ndarray, out: np.ndarray | None = None) -> np.
         if np.array_equal(shrunk, count):
             break
         count = shrunk
-        # einsum sums over an irregular mask several times faster than where=
         theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
         support &= p > theta
+    thresholds[...] = theta
     out = np.subtract(p, theta, out=out)
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)

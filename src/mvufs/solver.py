@@ -8,22 +8,26 @@ KKT support enumeration on the off-diagonal simplex) and the view weights
 alpha (closed form on the simplex).
 
 The sweep touches each N x N graph only a few times: the S update takes
-distances up to a per-column constant from one product V V', the l x l Gram
-matrix of the new graphs is computed once and shared by the R update and the
-view losses (whose reconstruction term it gives exactly), and no residual
-graph or Laplacian is ever formed.
+distances up to a per-column constant from one product V V', and one pass
+over the new graphs gives their l x l Gram matrix and every S_k [V 1]. The
+Gram matrix serves the R update and the view losses (whose reconstruction
+term it gives exactly), the products serve the losses and, because nothing
+changes V or the graphs in between, the next sweep's V update. `fit` also
+hands each sweep's final S-projection thresholds to the next as starting
+guesses (SweepCarry). No residual graph or Laplacian is ever formed.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .datamodel import MultiViewDataset, ViewWeights, build_view_weights, impute_missing
-from .graph import build_initial_similarity, update_similarity
+from .graph import BLOCK_ENTRIES, build_initial_similarity, update_similarity
 # Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
 from .graph import laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
@@ -74,6 +78,36 @@ class SolverState:
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
+
+
+@dataclass
+class SweepCarry:
+    """What a sweep leaves for the next sweep of the same state, O(l N c) numbers.
+
+    thresholds: per view, the S projection's final per-column thresholds,
+    the next sweep's starting guesses (NaN: start cold).
+    products: per view, S_k [V 1] for the V and graphs the last sweep left;
+    the next V update reuses them while the state still holds exactly those
+    arrays. `basis` refers to the arrays weakly: holding the replaced graphs
+    through the next sweep's S updates would double their memory.
+    """
+    thresholds: list
+    products: list | None = None
+    basis: tuple = ()
+
+    @classmethod
+    def start(cls, n_instances: int, n_views: int) -> "SweepCarry":
+        return cls([np.full(n_instances, np.nan) for _ in range(n_views)])
+
+    def keep(self, state: SolverState, products: list) -> None:
+        self.products = products
+        self.basis = tuple(weakref.ref(a) for a in (state.v, *state.s))
+
+    def products_for(self, state: SolverState) -> list | None:
+        held = (state.v, *state.s)
+        if len(held) != len(self.basis) or any(r() is not a for r, a in zip(self.basis, held)):
+            return None
+        return self.products
 
 
 @dataclass
@@ -144,8 +178,13 @@ def update_v(
     dataset: MultiViewDataset,
     weights: ViewWeights,
     hyper: Hyperparameters,
+    products: list | None = None,
 ) -> np.ndarray:
-    """Multiplicative update of the consensus indicator with orthogonality penalty."""
+    """Multiplicative update of the consensus indicator with orthogonality penalty.
+
+    `products` are the S_k [V 1] of the current state when the caller already
+    has them; otherwise each is formed here, one pass over each graph.
+    """
     v_mat = state.v
     c = v_mat.shape[1]
     v_one = np.column_stack([v_mat, np.ones(len(v_mat))])
@@ -156,7 +195,8 @@ def update_v(
         x = dataset.views[k]
         w2 = weights.vectors[k] ** 2
         u = state.u[k]
-        sv_deg = state.s[k] @ v_one  # SV and the row sums of S in one pass over S
+        # SV and the row sums of S in one pass over S
+        sv_deg = state.s[k] @ v_one if products is None else products[k]
         e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * sv_deg[:, :c])
         q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * sv_deg[:, c:] * v_mat)
     two_xi = 2.0 * hyper.xi
@@ -165,16 +205,39 @@ def update_v(
     return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
 
 
-def graph_gram(graphs) -> np.ndarray:
-    """l x l Gram matrix of Frobenius inner products <S_i, S_j> of the graphs."""
-    l = len(graphs)
-    gram = np.empty((l, l))
-    for i in range(l):
-        for j in range(i, l):
-            gram[i, j] = gram[j, i] = np.vdot(graphs[i], graphs[j])
+def graph_products(graphs, v: np.ndarray | None = None):
+    """The l x l Gram matrix of Frobenius inner products <S_i, S_j> of the
+    graphs and, given V, the list of S_k [V 1], from one pass over the graphs.
+
+    The pass runs over blocks of BLOCK_ENTRIES // N rows, so the l blocks
+    stay in cache while the inner products and the products with [V 1] read
+    them: each graph is streamed from memory once. Without V the products
+    are None.
+    """
+    l, n = len(graphs), len(graphs[0])
+    gram = np.zeros((l, l))
+    products = None
+    if v is not None:
+        v_one = np.column_stack([v, np.ones(n)])
+        products = [np.empty(v_one.shape) for _ in range(l)]
+    rows = max(1, BLOCK_ENTRIES // n)
+    for start in range(0, n, rows):
+        blocks = [g[start : start + rows] for g in graphs]
+        for i in range(l):
+            for j in range(i, l):
+                gram[i, j] += np.vdot(blocks[i], blocks[j])
+            if products is not None:
+                np.matmul(blocks[i], v_one, out=products[i][start : start + rows])
+    lower = np.tril_indices(l, -1)
+    gram[lower] = gram.T[lower]
     if not np.all(np.isfinite(gram)):
         raise SolverDivergence("non-finite Gram entries of the similarity graphs")
-    return gram
+    return gram, products
+
+
+def graph_gram(graphs) -> np.ndarray:
+    """l x l Gram matrix of Frobenius inner products <S_i, S_j> of the graphs."""
+    return graph_products(graphs)[0]
 
 
 def update_r(
@@ -215,6 +278,7 @@ def view_losses(
     weights: ViewWeights,
     hyper: Hyperparameters,
     gram: np.ndarray | None = None,
+    products: list | None = None,
 ) -> np.ndarray:
     """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
 
@@ -222,23 +286,23 @@ def view_losses(
     the row sums of S, so the Laplacian is never formed; one product
     S [V 1] gives both SV and deg. The reconstruction term is
     ||S_v - sum_{i != v} r_iv S_i||^2 = e'Ge with e = e_v - R[:, v] and G the
-    Gram matrix of the graphs (`gram`, computed when not given), so no
-    residual graph is formed. Rounding can leave e'Ge slightly negative when
-    the graphs coincide; it is clamped at zero.
+    Gram matrix of the graphs, so no residual graph is formed. Rounding can
+    leave e'Ge slightly negative when the graphs coincide; it is clamped at
+    zero. `gram` and `products` (the S_k [V 1]) come from `graph_products`;
+    unless both are given, both are computed.
     """
-    if gram is None:
-        gram = graph_gram(state.s)
+    if gram is None or products is None:
+        gram, products = graph_products(state.s, state.v)
     l = dataset.n_views
     c = state.v.shape[1]
     row_sq = np.sum(state.v * state.v, axis=1)
-    v_one = np.column_stack([state.v, np.ones(len(row_sq))])
     d = np.empty(l)
     for v in range(l):
         resid = (dataset.views[v] - state.u[v] @ state.v.T) * weights.vectors[v][None, :]
         e = -state.r[:, v]
         e[v] += 1.0
         recon = max(float(e @ gram @ e), 0.0)
-        sv_deg = state.s[v] @ v_one
+        sv_deg = products[v]
         smooth = float(sv_deg[:, c] @ row_sq) - float(np.vdot(state.v, sv_deg[:, :c]))
         d[v] = (
             float(np.vdot(resid, resid))
@@ -310,12 +374,17 @@ def sweep(
     dataset: MultiViewDataset,
     weights: ViewWeights,
     hyper: Hyperparameters,
+    carry: SweepCarry | None = None,
 ) -> np.ndarray:
     """One full alternating pass, in place: V, U^(v), S^(v), R, alpha.
 
     Returns the view losses of the final state, from which alpha was set.
+    `carry` holds what the previous sweep of this state left (see
+    SweepCarry) and receives what this one leaves; without it the V update
+    forms its own graph products and every projection starts cold.
     """
-    state.v = update_v(state, dataset, weights, hyper)
+    state.v = update_v(state, dataset, weights, hyper,
+                       None if carry is None else carry.products_for(state))
     for k in range(dataset.n_views):
         state.u[k] = update_u(k, state, dataset, weights, hyper)
     # Squared distances between the rows of V less |v_j|^2 in column j, a
@@ -325,12 +394,15 @@ def sweep(
     h += np.sum(state.v * state.v, axis=1)[:, None]
     for k in range(dataset.n_views):
         state.s[k] = update_similarity(
-            k, state.s, state.r, state.alpha, hyper.gamma, h
+            k, state.s, state.r, state.alpha, hyper.gamma, h,
+            None if carry is None else carry.thresholds[k],
         )
-    gram = graph_gram(state.s)
+    gram, products = graph_products(state.s, state.v)
     state.r = update_r(state, hyper, gram)
-    d = view_losses(state, dataset, weights, hyper, gram)
+    d = view_losses(state, dataset, weights, hyper, gram, products)
     state.alpha = update_alpha(d, hyper.gamma)
+    if carry is not None:
+        carry.keep(state, products)
     return d
 
 
@@ -341,10 +413,11 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     weights = build_view_weights(dataset)
     state = initialize(dataset, weights, hyper)
     trace = [objective(state, dataset, weights, hyper)]
+    carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     converged = False
     iterations = 0
     for _ in range(hyper.max_iter):
-        d = sweep(state, dataset, weights, hyper)
+        d = sweep(state, dataset, weights, hyper, carry)
         trace.append(objective(state, dataset, weights, hyper, d))
         iterations += 1
         prev, cur = trace[-2], trace[-1]

@@ -119,6 +119,75 @@ class TestBuildInitialSimilarity:
         s_perm = build_initial_similarity(x[:, perm], presence, k=3)
         assert np.allclose(s_perm, s[np.ix_(perm, perm)])
 
+    @pytest.mark.parametrize("bandwidth", ["auto", 0.7])
+    def test_matches_full_sort_implementation(self, bandwidth):
+        # tie-free inputs give bitwise the graph of the full-sort reference
+        rng = np.random.default_rng(8)
+        n = 30
+        x = rng.uniform(size=(4, n))
+        all_present = np.ones(n, dtype=int)
+        some_absent = all_present.copy()
+        some_absent[rng.choice(n, size=9, replace=False)] = 0
+        for presence in (all_present, some_absent):
+            m = int(presence.sum())
+            for k in (1, 3, m - 1):
+                s = build_initial_similarity(x, presence, k=k, bandwidth=bandwidth)
+                expect = _argsort_initial_similarity(x, presence, k=k, bandwidth=bandwidth)
+                assert np.array_equal(s, expect), (m, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_duplicate_instances(self, k):
+        # every instance has an identical twin, so its twin and itself are
+        # both at distance zero; it must still find k neighbors other than itself
+        rng = np.random.default_rng(9)
+        base = rng.uniform(size=(3, 8))
+        x = np.hstack([base, base])
+        presence = np.ones(16, dtype=int)
+        presence[3] = 0
+        s = build_initial_similarity(x, presence, k=k)
+        check_similarity(s)
+        present = np.flatnonzero(presence)
+        for i in present:
+            assert np.count_nonzero(s[present, i]) >= k
+        twins = (present + 8) % 16
+        paired = presence[twins] == 1
+        assert np.all(s[twins[paired], present[paired]] > 0)
+
+
+def _argsort_initial_similarity(x, presence, k=5, bandwidth="auto"):
+    """Reference kNN graph: full row sort, dense kernel and mask."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    present = np.flatnonzero(np.asarray(presence) == 1)
+    m = present.size
+    d2 = pairwise_sq_dists(x[:, present].T)
+    order = np.argsort(d2, axis=1)
+    knn = order[:, 1 : k + 1]  # skip self
+    if bandwidth == "auto":
+        sigma = float(np.sqrt(d2[np.arange(m), order[:, k]]).mean())
+        if sigma <= 0.0:
+            sigma = 1.0
+    else:
+        sigma = float(bandwidth)
+    kernel = np.exp(-d2 / (2.0 * sigma * sigma))
+    mask = np.zeros((m, m), dtype=bool)
+    mask[np.repeat(np.arange(m), k), knn.ravel()] = True
+    mask |= mask.T
+    kernel = np.where(mask, kernel, 0.0)
+    np.fill_diagonal(kernel, 0.0)
+    s = np.zeros((n, n))
+    s[np.ix_(present, present)] = kernel
+    absent = np.setdiff1d(np.arange(n), present)
+    if absent.size:
+        s[absent, :] = 1.0 / (n - 1)
+        s[:, absent] = 1.0 / (n - 1)
+        np.fill_diagonal(s, 0.0)
+    colsum = s.sum(axis=0)
+    colsum[colsum == 0.0] = 1.0
+    s = s / colsum
+    np.clip(s, 0.0, 1.0, out=s)
+    return s
+
 
 class TestUpdateSimilarity:
     def test_zero_target_gives_uniform(self):

@@ -145,3 +145,71 @@ class TestProjectOffdiagColumns:
                 p[where] = bad
                 with pytest.raises(ValueError):
                     project_offdiag_columns(p)
+
+
+def cold_projection(p):
+    thresholds = np.full(p.shape[0], np.nan)
+    return project_offdiag_columns(p, thresholds=thresholds), thresholds
+
+
+def warm_matrices():
+    rng = np.random.default_rng(6)
+    for n in (2, 7, 40):
+        for scale in (1e-3, 1.0, 30.0):
+            yield rng.normal(scale=scale, size=(n, n))
+    for n in (2, 6, 25):  # exact ties at and around the threshold
+        yield rng.integers(0, 3, size=(n, n)) / 4.0
+        yield np.where(rng.uniform(size=(n, n)) < 0.8, 0.0, 1.0 / 3.0)
+    yield np.full((9, 9), 0.7)  # every off-diagonal entry equal: absent instances
+
+
+class TestWarmStart:
+    """A threshold guess changes where the search starts, never its result."""
+
+    def test_cold_start_matches_no_guess(self):
+        for p in warm_matrices():
+            out, thresholds = cold_projection(p)
+            assert np.array_equal(out, project_offdiag_columns(p))
+            assert np.all(np.isfinite(thresholds))
+            assert np.max(np.abs(out - column_reference(p))) <= 1e-12 * max(1.0, np.abs(p).max())
+
+    def test_guesses_give_the_cold_result(self):
+        for p in warm_matrices():
+            expect, exact = cold_projection(p)
+            n = len(p)
+            above = p.max(axis=0) + 1.0
+            guesses = {
+                "exact": exact,
+                "+1e3": exact + 1e3,
+                "-1e3": exact - 1e3,
+                "nan": np.full(n, np.nan),
+                "above every entry": above,
+                "on an entry": p[(np.arange(n) + 1) % n, np.arange(n)],  # ties with the guess
+                "mixed": np.choose(np.arange(n) % 4, [exact, np.full(n, np.nan), above, exact - 1.0]),
+            }
+            for name, guess in guesses.items():
+                thresholds = guess.copy()
+                out = project_offdiag_columns(p, thresholds=thresholds)
+                assert np.array_equal(out, expect), name
+                assert np.array_equal(thresholds, exact), name
+
+    def test_previous_thresholds_on_a_moved_target(self):
+        # the use in the solver: last sweep's thresholds guess for a nearby target
+        rng = np.random.default_rng(7)
+        p = rng.normal(size=(60, 60))
+        _, previous = cold_projection(p)
+        for step in (1e-6, 1e-3, 1e-1, 10.0):
+            moved = p + rng.normal(scale=step, size=p.shape)
+            expect, exact = cold_projection(moved)
+            thresholds = previous.copy()
+            out = project_offdiag_columns(moved, out=moved.copy(), thresholds=thresholds)
+            assert np.array_equal(out, expect)
+            assert np.array_equal(thresholds, exact)
+
+    def test_non_finite_entries_rejected_with_a_guess(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for where in ((1, 0), (0, 0)):
+                p = np.zeros((3, 3))
+                p[where] = bad
+                with pytest.raises(ValueError):
+                    project_offdiag_columns(p, thresholds=np.full(3, -0.5))

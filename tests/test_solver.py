@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvufs import solver
 from mvufs.datamodel import (
     MultiViewDataset,
     SyntheticSpec,
@@ -11,9 +12,12 @@ from mvufs.datamodel import (
 from mvufs.graph import check_coefficients, check_similarity, pairwise_sq_dists, update_similarity
 from mvufs.solver import (
     Hyperparameters,
+    SolverDivergence,
     SolverState,
+    SweepCarry,
     fit,
     graph_gram,
+    graph_products,
     initialize,
     l2p_norm_p,
     objective,
@@ -163,9 +167,7 @@ class TestSweep:
     @pytest.mark.parametrize("l,missing", [(2, 0.0), (3, 0.3), (4, 0.5)])
     def test_shifted_distances_match_exact_ones(self, l, missing):
         ds, w, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
-        ref = SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
-                          s=[s.copy() for s in state.s], r=state.r.copy(),
-                          alpha=state.alpha.copy())
+        ref = copy_state(state)
         for _ in range(3):
             d = sweep(state, ds, w, h)
             d_ref = _reference_sweep(ref, ds, w, h)
@@ -174,6 +176,69 @@ class TestSweep:
                 assert np.max(np.abs(a - b)) <= 1e-12
             assert np.max(np.abs(state.r - ref.r)) <= 1e-12
             assert np.max(np.abs(state.alpha - ref.alpha)) <= 1e-12
+
+    @pytest.mark.parametrize("l,missing", [(2, 0.2), (3, 0.3), (5, 0.4)])
+    def test_carry_matches_sweeps_without_one(self, l, missing):
+        ds, w, h, state = make_problem(n=24, l=l, seed=30 + l, missing=missing)
+        ref = copy_state(state)
+        carry = SweepCarry.start(ds.n_instances, l)
+        for _ in range(4):
+            d = sweep(state, ds, w, h, carry)
+            d_ref = _reference_sweep(ref, ds, w, h)
+            assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
+            assert np.max(np.abs(state.v - ref.v)) <= 1e-12
+            for a, b in zip(state.s, ref.s):
+                assert np.max(np.abs(a - b)) <= 1e-12
+            assert np.max(np.abs(state.r - ref.r)) <= 1e-12
+            assert np.max(np.abs(state.alpha - ref.alpha)) <= 1e-12
+            assert all(np.all(np.isfinite(t)) for t in carry.thresholds)
+
+    def test_carried_products_only_for_the_state_they_came_from(self):
+        ds, w, h, state = make_problem(n=20, seed=35, missing=0.2)
+        carry = SweepCarry.start(ds.n_instances, ds.n_views)
+        assert carry.products_for(state) is None
+        sweep(state, ds, w, h, carry)
+        products = carry.products_for(state)
+        for s, prod in zip(state.s, products):
+            v_one = np.column_stack([state.v, np.ones(len(state.v))])
+            assert np.max(np.abs(prod - s @ v_one)) <= 1e-12
+        state.v = state.v.copy()
+        assert carry.products_for(state) is None
+        ref = copy_state(state)
+        d = sweep(state, ds, w, h, carry)  # stale products are not used
+        assert np.max(np.abs(d - _reference_sweep(ref, ds, w, h)) / d) <= 1e-12
+
+
+class TestGraphProducts:
+    @pytest.mark.parametrize("block_entries", [20, 32768])
+    def test_matches_direct_products(self, monkeypatch, block_entries):
+        # 20 entries: 2-row blocks with a 1-row remainder at N=9
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(36)
+        for l in (2, 3, 5):
+            graphs = [rng.uniform(size=(9, 9)) for _ in range(l)]
+            v = rng.uniform(size=(9, 3))
+            gram, products = graph_products(graphs, v)
+            direct = np.array([[np.vdot(a, b) for b in graphs] for a in graphs])
+            assert np.max(np.abs(gram - direct) / direct) <= 1e-14
+            assert np.array_equal(gram, gram.T)
+            v_one = np.column_stack([v, np.ones(9)])
+            for g, prod in zip(graphs, products):
+                assert np.max(np.abs(prod - g @ v_one)) <= 1e-14
+            assert np.array_equal(graph_gram(graphs), gram)
+            assert graph_products(graphs)[1] is None
+
+    def test_non_finite_graph_diverges(self):
+        graphs = [np.eye(4), np.eye(4)]
+        graphs[1][2, 3] = np.nan
+        with pytest.raises(SolverDivergence):
+            graph_products(graphs, np.ones((4, 2)))
+
+
+def copy_state(state):
+    return SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
+                       s=[s.copy() for s in state.s], r=state.r.copy(),
+                       alpha=state.alpha.copy())
 
 
 def _reference_sweep(state, ds, w, h):
@@ -521,3 +586,46 @@ class TestInitializeAndFit:
         check_coefficients(st.r)
         assert all(np.all(u >= 0) for u in st.u)
         assert np.all(st.v >= 0)
+
+
+def _property_cases():
+    """Small seeded datasets at the solver's degenerate corners."""
+    def synthetic(n, l, seed):
+        spec = SyntheticSpec(n, l, 3, tuple([6] * l), tuple([2] * l), 0.2, seed)
+        return generate_synthetic(spec)[0]
+
+    yield "two views", simulate_missing(synthetic(30, 2, 60), 0.3, seed=61)
+    half = synthetic(16, 3, 62)
+    twins = MultiViewDataset(tuple(np.hstack([x, x]) for x in half.views),
+                             np.vstack([half.presence, half.presence]))
+    yield "duplicate instances", simulate_missing(twins, 0.2, seed=63)
+    flat = synthetic(30, 3, 64)
+    views = [x.copy() for x in flat.views]
+    views[0][0] = 2.5  # a constant feature
+    views[1][1] = 0.0  # an all-zero feature
+    yield "constant and zero features", MultiViewDataset(tuple(views), flat.presence)
+    full = synthetic(30, 3, 65)
+    presence = np.ones((30, 3), dtype=int)
+    presence[4, 0] = 0  # exactly one absent instance in view 0
+    presence[np.random.default_rng(66).permutation(30)[:15], 1] = 0  # half of view 1
+    yield "one and half absent", MultiViewDataset(full.views, presence)
+
+
+@pytest.mark.parametrize("name,ds", list(_property_cases()))
+def test_degenerate_inputs_stay_feasible_and_monotone(name, ds):
+    h = hyper()
+    w = build_view_weights(ds)
+    state = initialize(ds, w, h)
+    carry = SweepCarry.start(ds.n_instances, ds.n_views)
+    prev = objective(state, ds, w, h)
+    for _ in range(40):
+        d = sweep(state, ds, w, h, carry)
+        cur = objective(state, ds, w, h, d)
+        assert np.isfinite(cur) and cur <= prev * (1.0 + 1e-6), name
+        for s in state.s:
+            check_similarity(s)
+        check_coefficients(state.r)
+        assert abs(state.alpha.sum() - 1.0) <= 1e-12 and np.all(state.alpha >= 0.0)
+        assert np.all(np.isfinite(state.v)) and np.all(state.v >= 0.0)
+        assert all(np.all(np.isfinite(u)) and np.all(u >= 0.0) for u in state.u)
+        prev = cur
