@@ -31,14 +31,20 @@ def _kmeanspp_centers(points: np.ndarray, c: int, rng) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((c, points.shape[1]))
     centers[0] = points[rng.integers(n)]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
-    for j in range(1, c):
-        total = d2.sum()
-        if total <= 0:
-            centers[j] = points[rng.integers(n)]
-            continue
-        centers[j] = points[rng.choice(n, p=d2 / total)]
-        d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
+    with np.errstate(over="ignore"):
+        d2 = np.sum((points - centers[0]) ** 2, axis=1)
+        for j in range(1, c):
+            total = d2.sum()
+            if not np.isfinite(total):
+                raise ValueError(
+                    "k-means++ seeding overflowed: the squared distances between "
+                    "instances exceed the floating-point range; rescale the data"
+                )
+            if total <= 0:
+                centers[j] = points[rng.integers(n)]
+                continue
+            centers[j] = points[rng.choice(n, p=d2 / total)]
+            d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
 
 

@@ -3,22 +3,26 @@
 One sweep updates, in order: the consensus indicator V (multiplicative, with a
 large orthogonality penalty), each view's factor U^(v) (multiplicative with
 l2,p reweighting), each view's similarity graph S^(v) (closed-form column
-update, Gauss-Seidel across views), the cross-view coefficients R (exact
-KKT support enumeration on the off-diagonal simplex) and the view weights
-alpha (closed form on the simplex).
+update, Gauss-Seidel across views), the cross-view coefficients R (exact:
+every candidate support of every column from one batched KKT solve) and the
+view weights alpha (closed form on the simplex).
 
 The sweep touches each N x N graph only a few times: the S update takes
 distances up to a per-column constant from one product V V', and one pass
 over the new graphs gives their l x l Gram matrix and every S_k [V 1]. The
 Gram matrix serves the R update and the view losses (whose reconstruction
 term it gives exactly), the products serve the losses and, because nothing
-changes V or the graphs in between, the next sweep's V update. `fit` also
+changes V or the graphs in between, the next sweep's V update; `fit` seeds
+the first sweep with the products of the initial objective's pass. `fit` also
 hands each sweep's final S-projection thresholds to the next as starting
-guesses (SweepCarry). No residual graph or Laplacian is ever formed.
+guesses (SweepCarry). No residual graph or Laplacian is ever formed. Each
+sweep checks that V, U and the view losses stay finite and raises
+SolverDivergence naming the first that does not.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 import weakref
@@ -240,36 +244,52 @@ def graph_gram(graphs) -> np.ndarray:
     return graph_products(graphs)[0]
 
 
+@functools.lru_cache(maxsize=None)
+def _candidate_supports(l: int) -> np.ndarray:
+    """member[a, k]: whether view k is in candidate support a.
+
+    The supports are every nonempty proper subset of the l views, by size and
+    then lexicographically, so for each column the ones that leave its own
+    view out come in the order itertools.combinations gives over the others.
+    """
+    member = np.array([[k in idx for k in range(l)]
+                       for size in range(1, l) for idx in itertools.combinations(range(l), size)])
+    member.flags.writeable = False
+    return member
+
+
 def update_r(
     state: SolverState, hyper: Hyperparameters, gram: np.ndarray | None = None
 ) -> np.ndarray:
     """Solve every column's ridge regression on the off-diagonal simplex exactly.
 
     The N^2 x l stacked similarity matrix is never materialized: column v
-    minimizes r'(G + I)r - 2 G[:, v]'r with r_v = 0 on the simplex, where G
-    is the l x l Gram matrix of Frobenius inner products (`gram`, computed
-    when not given). The problem is strictly convex, so its minimizer is the
-    best of the equality-constrained minimizers over the 2^(l-1) - 1
-    candidate supports that come out nonnegative.
+    minimizes r'Qr - 2 G[:, v]'r, Q = G + I, with r_v = 0 on the simplex,
+    where G is the l x l Gram matrix of Frobenius inner products (`gram`,
+    computed when not given). The problem is strictly convex, so its
+    minimizer is the best of the equality-constrained minimizers over the
+    supports A without v that come out nonnegative. The KKT matrix
+    [[Q_AA, 1], [1', 0]] depends on A alone, so one batched solve covers all
+    2^l - 2 supports and every column's right-hand side [G[A, v]; 1]: each
+    system is padded to order l + 1 by r_k = 0 for k outside A. The
+    candidates are scored at once, those with v in A or a negative weight
+    are discarded, and each column takes the first best one.
     """
     if gram is None:
         gram = graph_gram(state.s)
     l = len(gram)
+    member = _candidate_supports(l)
     quad = gram + np.eye(l)
-    r_new = np.zeros((l, l))
-    for v in range(l):
-        free = [k for k in range(l) if k != v]
-        candidates = []
-        for size in range(1, l):
-            for idx in map(list, itertools.combinations(free, size)):
-                kkt = np.pad(quad[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
-                kkt[size, size] = 0.0
-                r = np.linalg.solve(kkt, np.append(gram[idx, v], 1.0))[:size]
-                if np.all(r >= 0.0):
-                    candidates.append(np.zeros(l))
-                    candidates[-1][idx] = r
-        r_new[:, v] = min(candidates, key=lambda c: c @ quad @ c - 2.0 * gram[:, v] @ c)
-    return r_new
+    kkt = np.zeros((len(member), l + 1, l + 1))
+    kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
+    kkt[:, :l, l] = kkt[:, l, :l] = member
+    rhs = np.ones((len(member), l + 1, l))
+    rhs[:, :l] = member[:, :, None] * gram
+    cand = np.linalg.solve(kkt, rhs)[:, :l]  # cand[a, :, v]: support a's minimizer for column v
+    score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
+    score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
+    best = np.argmin(score, axis=0)
+    return np.take_along_axis(cand, best[None, None], axis=0)[0]
 
 
 def view_losses(
@@ -369,6 +389,12 @@ def initialize(
     return SolverState(u=u, v=v, s=s, r=r, alpha=alpha)
 
 
+def _finite(values: np.ndarray, source: str) -> np.ndarray:
+    if not np.all(np.isfinite(values)):
+        raise SolverDivergence(f"non-finite values from {source}")
+    return values
+
+
 def sweep(
     state: SolverState,
     dataset: MultiViewDataset,
@@ -383,10 +409,10 @@ def sweep(
     SweepCarry) and receives what this one leaves; without it the V update
     forms its own graph products and every projection starts cold.
     """
-    state.v = update_v(state, dataset, weights, hyper,
-                       None if carry is None else carry.products_for(state))
+    products = None if carry is None else carry.products_for(state)
+    state.v = _finite(update_v(state, dataset, weights, hyper, products), "the V update")
     for k in range(dataset.n_views):
-        state.u[k] = update_u(k, state, dataset, weights, hyper)
+        state.u[k] = _finite(update_u(k, state, dataset, weights, hyper), "the U update")
     # Squared distances between the rows of V less |v_j|^2 in column j, a
     # per-column constant that update_similarity ignores: one GEMM, no clamp
     # or transpose.
@@ -399,7 +425,7 @@ def sweep(
         )
     gram, products = graph_products(state.s, state.v)
     state.r = update_r(state, hyper, gram)
-    d = view_losses(state, dataset, weights, hyper, gram, products)
+    d = _finite(view_losses(state, dataset, weights, hyper, gram, products), "the view losses")
     state.alpha = update_alpha(d, hyper.gamma)
     if carry is not None:
         carry.keep(state, products)
@@ -412,8 +438,11 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     start = time.perf_counter()
     weights = build_view_weights(dataset)
     state = initialize(dataset, weights, hyper)
-    trace = [objective(state, dataset, weights, hyper)]
+    gram, products = graph_products(state.s, state.v)
+    d = view_losses(state, dataset, weights, hyper, gram, products)
+    trace = [objective(state, dataset, weights, hyper, d)]
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
+    carry.keep(state, products)  # the first V update reuses the initial products
     converged = False
     iterations = 0
     for _ in range(hyper.max_iter):

@@ -58,6 +58,12 @@ class TestKMeans:
         with pytest.raises(ValueError):
             kmeans(np.ones((2, 3)), 4, seed=0)
 
+    def test_seeding_overflow_is_named(self):
+        # differences up to 3e154: their squares leave the float range
+        data = np.array([[0.0, 1e154, 2e154, 3e154]] * 3)
+        with pytest.raises(ValueError, match="k-means\\+\\+ seeding overflowed"):
+            kmeans(data, 2, seed=0)
+
 
 class TestAcc:
     def test_identical(self):

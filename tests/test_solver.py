@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,23 @@ class TestSweep:
         ref = copy_state(state)
         d = sweep(state, ds, w, h, carry)  # stale products are not used
         assert np.max(np.abs(d - _reference_sweep(ref, ds, w, h)) / d) <= 1e-12
+
+    @pytest.mark.parametrize("l,missing", [(2, 0.2), (3, 0.3)])
+    def test_initial_products_seed_the_first_sweep(self, l, missing):
+        # what fit does: the initial objective's graph pass seeds the carry
+        ds, w, h, state = make_problem(n=24, l=l, seed=37 + l, missing=missing)
+        ref = copy_state(state)
+        gram, products = graph_products(state.s, state.v)
+        carry = SweepCarry.start(ds.n_instances, l)
+        carry.keep(state, products)
+        assert carry.products_for(state) is products
+        d = sweep(state, ds, w, h, carry)
+        d_ref = _reference_sweep(ref, ds, w, h)
+        assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
+        assert np.max(np.abs(state.v - ref.v)) <= 1e-12
+        for a, b in zip(state.s, ref.s):
+            assert np.max(np.abs(a - b)) <= 1e-12
+        assert np.max(np.abs(state.r - ref.r)) <= 1e-12
 
 
 class TestGraphProducts:
@@ -458,6 +477,55 @@ class TestUpdateR:
                 oracle = _nesterov_r_column(gram, v, warm)
                 assert np.max(np.abs(r[:, v] - oracle)) <= 1e-8
 
+    @pytest.mark.parametrize("l", [2, 3, 4, 6])
+    def test_matches_per_column_enumeration(self, l):
+        rng = np.random.default_rng(70 + l)
+        n = 10
+        grams = []
+        for scale in (1e-3, 1.0, 1e3):
+            for width in (1, l, 3 * l):  # rank-deficient to full-rank Grams
+                a = rng.uniform(size=(l, width)) * scale
+                a[rng.uniform(size=a.shape) < 0.3] = 0.0
+                grams.append(a @ a.T)
+        # identical graphs: a rank-one Gram on which every column is symmetric
+        g = rng.uniform(size=(n, n))
+        grams.append(np.full((l, l), np.vdot(g, g)))
+        # cyclic shifts with view 1 halfway between views 0 and 2: the
+        # optimum of column 0 sits on a face
+        shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
+        if l > 2:
+            shifts[1] = 0.5 * (shifts[0] + shifts[2])
+        grams.append(graph_gram(shifts))
+        for gram in grams:
+            r = update_r(None, hyper(), gram)
+            check_coefficients(r, tol=1e-12)
+            assert r.flags.c_contiguous
+            # both solve the same KKT systems stably, so they agree to rounding
+            # times the condition of Q = G + I: 1e-12 up to a condition of 1e3
+            # (Grams of column-stochastic graphs), more on the 1e3-scaled ones
+            tol = max(1e-12, 1e-15 * np.linalg.cond(gram + np.eye(l)))
+            assert np.max(np.abs(r - _enumerate_r_reference(gram))) <= tol
+
+
+def _enumerate_r_reference(gram):
+    """update_r column by column: one KKT solve per candidate support."""
+    l = len(gram)
+    quad = gram + np.eye(l)
+    r_new = np.zeros((l, l))
+    for v in range(l):
+        free = [k for k in range(l) if k != v]
+        candidates = []
+        for size in range(1, l):
+            for idx in map(list, itertools.combinations(free, size)):
+                kkt = np.pad(quad[np.ix_(idx, idx)], (0, 1), constant_values=1.0)
+                kkt[size, size] = 0.0
+                r = np.linalg.solve(kkt, np.append(gram[idx, v], 1.0))[:size]
+                if np.all(r >= 0.0):
+                    candidates.append(np.zeros(l))
+                    candidates[-1][idx] = r
+        r_new[:, v] = min(candidates, key=lambda c: c @ quad @ c - 2.0 * gram[:, v] @ c)
+    return r_new
+
 
 def _nesterov_r_column(gram, v, warm, grad_tol=1e-10, max_inner=20000):
     """Reference R column: accelerated projected gradient with monotone restarts."""
@@ -573,6 +641,33 @@ class TestInitializeAndFit:
         assert res.converged
         tr = res.trace
         assert np.all(tr[1:] <= tr[:-1] * (1 + 1e-6))
+
+    def test_fit_forms_each_graph_pass_once(self, monkeypatch):
+        calls = []
+        passes = []
+        monkeypatch.setattr(solver, "graph_products",
+                            lambda *a: passes.append(1) or graph_products(*a))
+        monkeypatch.setattr(solver, "update_v",
+                            lambda *a: calls.append(a[4] is not None) or update_v(*a))
+        ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 5))
+        res = fit(ds, hyper(max_iter=3, rel_tol=0.0))
+        assert res.iterations == 3
+        assert calls == [True] * 3  # every V update reuses carried products
+        assert len(passes) == 1 + res.iterations
+
+    @pytest.mark.parametrize("update", ["update_v", "update_u", "update_alpha"])
+    def test_non_finite_update_raises_divergence(self, monkeypatch, update):
+        original = getattr(solver, update)
+        monkeypatch.setattr(solver, update, lambda *a: np.full_like(original(*a), np.inf))
+        ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 6))
+        with pytest.raises(SolverDivergence, match="non-finite"):
+            fit(ds, hyper(max_iter=3))
+
+    def test_overflowing_data_gets_a_clear_error(self):
+        ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 7))
+        huge = MultiViewDataset(tuple(x * 1e300 for x in ds.views), ds.presence)
+        with pytest.raises(ValueError, match="k-means\\+\\+ seeding overflowed"):
+            fit(huge, hyper())
 
     def test_constraints_after_fit(self):
         spec = SyntheticSpec(30, 3, 3, (6, 6, 6), (2, 2, 2), 0.1, 2)
