@@ -252,8 +252,10 @@ def _candidate_supports(l: int) -> np.ndarray:
     then lexicographically, so for each column the ones that leave its own
     view out come in the order itertools.combinations gives over the others.
     """
-    member = np.array([[k in idx for k in range(l)]
-                       for size in range(1, l) for idx in itertools.combinations(range(l), size)])
+    member = np.zeros((2**l - 2, l), dtype=bool)
+    supports = (idx for size in range(1, l) for idx in itertools.combinations(range(l), size))
+    for a, idx in enumerate(supports):
+        member[a, list(idx)] = True
     member.flags.writeable = False
     return member
 
@@ -273,23 +275,38 @@ def update_r(
     2^l - 2 supports and every column's right-hand side [G[A, v]; 1]: each
     system is padded to order l + 1 by r_k = 0 for k outside A. The
     candidates are scored at once, those with v in A or a negative weight
-    are discarded, and each column takes the first best one.
+    are discarded, and each column takes the first best one. The supports go
+    through in chunks of about BLOCK_ENTRIES KKT entries, so memory stays
+    bounded as 2^l grows; a later chunk replaces a column's best only with a
+    strictly smaller score. At l <= 8 one chunk covers every support.
     """
     if gram is None:
         gram = graph_gram(state.s)
     l = len(gram)
-    member = _candidate_supports(l)
     quad = gram + np.eye(l)
-    kkt = np.zeros((len(member), l + 1, l + 1))
-    kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
-    kkt[:, :l, l] = kkt[:, l, :l] = member
-    rhs = np.ones((len(member), l + 1, l))
-    rhs[:, :l] = member[:, :, None] * gram
-    cand = np.linalg.solve(kkt, rhs)[:, :l]  # cand[a, :, v]: support a's minimizer for column v
-    score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
-    score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
-    best = np.argmin(score, axis=0)
-    return np.take_along_axis(cand, best[None, None], axis=0)[0]
+    supports = _candidate_supports(l)
+    step = max(1, BLOCK_ENTRIES // (l + 1) ** 2)
+    r_new = best = None
+    for start in range(0, len(supports), step):
+        member = supports[start:start + step]
+        kkt = np.zeros((len(member), l + 1, l + 1))
+        kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
+        kkt[:, :l, l] = kkt[:, l, :l] = member
+        rhs = np.ones((len(member), l + 1, l))
+        rhs[:, :l] = member[:, :, None] * gram
+        cand = np.linalg.solve(kkt, rhs)[:, :l]  # cand[a, :, v]: support a's minimizer for column v
+        score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
+        score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
+        first = np.argmin(score, axis=0)
+        pick = np.take_along_axis(cand, first[None, None], axis=0)[0]
+        top = score[first, range(l)]
+        if r_new is None:
+            r_new, best = pick, top
+        else:
+            better = top < best
+            r_new[:, better] = pick[:, better]
+            best[better] = top[better]
+    return r_new
 
 
 def view_losses(

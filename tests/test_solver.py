@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,32 +480,72 @@ class TestUpdateR:
 
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
     def test_matches_per_column_enumeration(self, l):
-        rng = np.random.default_rng(70 + l)
-        n = 10
-        grams = []
-        for scale in (1e-3, 1.0, 1e3):
-            for width in (1, l, 3 * l):  # rank-deficient to full-rank Grams
-                a = rng.uniform(size=(l, width)) * scale
-                a[rng.uniform(size=a.shape) < 0.3] = 0.0
-                grams.append(a @ a.T)
-        # identical graphs: a rank-one Gram on which every column is symmetric
-        g = rng.uniform(size=(n, n))
-        grams.append(np.full((l, l), np.vdot(g, g)))
-        # cyclic shifts with view 1 halfway between views 0 and 2: the
-        # optimum of column 0 sits on a face
-        shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
-        if l > 2:
-            shifts[1] = 0.5 * (shifts[0] + shifts[2])
-        grams.append(graph_gram(shifts))
-        for gram in grams:
+        for gram in _r_test_grams(l, np.random.default_rng(70 + l)):
             r = update_r(None, hyper(), gram)
             check_coefficients(r, tol=1e-12)
             assert r.flags.c_contiguous
-            # both solve the same KKT systems stably, so they agree to rounding
-            # times the condition of Q = G + I: 1e-12 up to a condition of 1e3
-            # (Grams of column-stochastic graphs), more on the 1e3-scaled ones
-            tol = max(1e-12, 1e-15 * np.linalg.cond(gram + np.eye(l)))
-            assert np.max(np.abs(r - _enumerate_r_reference(gram))) <= tol
+            assert_r_matches_enumeration(r, gram)
+
+    @pytest.mark.parametrize("l,step", [(2, 1), (3, 1), (3, 4), (5, 1), (5, 7), (8, 1)])
+    def test_chunked_supports_match_enumeration(self, l, step, monkeypatch):
+        # `step` supports per chunk, so several chunks run
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", step * (l + 1) ** 2)
+        for gram in _r_test_grams(l, np.random.default_rng(80 + l)):
+            r = update_r(None, hyper(), gram)
+            check_coefficients(r, tol=1e-12)
+            assert r.flags.c_contiguous
+            assert_r_matches_enumeration(r, gram)
+
+    def test_one_chunk_at_three_views(self, monkeypatch):
+        gram = _r_test_grams(3, np.random.default_rng(90))[4]
+        whole = update_r(None, hyper(), gram)
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", 1)
+        assert np.max(np.abs(update_r(None, hyper(), gram) - whole)) <= 1e-14
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", 6 * 16)  # exactly one chunk
+        assert np.array_equal(update_r(None, hyper(), gram), whole)
+
+    @pytest.mark.parametrize("l", [12, 14])
+    def test_memory_stays_bounded_at_many_views(self, l):
+        rng = np.random.default_rng(l)
+        a = rng.uniform(size=(l, 40))
+        gram = a @ a.T
+        tracemalloc.start()
+        try:
+            r = update_r(None, hyper(), gram)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        check_coefficients(r, tol=1e-10)
+        # one stack of every support would take 25 MB at l=12, 136 MB at l=14
+        assert peak < 4 * 2**20
+
+
+def _r_test_grams(l, rng):
+    n = 10
+    grams = []
+    for scale in (1e-3, 1.0, 1e3):
+        for width in (1, l, 3 * l):  # rank-deficient to full-rank Grams
+            a = rng.uniform(size=(l, width)) * scale
+            a[rng.uniform(size=a.shape) < 0.3] = 0.0
+            grams.append(a @ a.T)
+    # identical graphs: a rank-one Gram on which every column is symmetric
+    g = rng.uniform(size=(n, n))
+    grams.append(np.full((l, l), np.vdot(g, g)))
+    # cyclic shifts with view 1 halfway between views 0 and 2: the optimum of
+    # column 0 sits on a face
+    shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
+    if l > 2:
+        shifts[1] = 0.5 * (shifts[0] + shifts[2])
+    grams.append(graph_gram(shifts))
+    return grams
+
+
+def assert_r_matches_enumeration(r, gram):
+    # both solve the same KKT systems stably, so they agree to rounding times
+    # the condition of Q = G + I: 1e-12 up to a condition of 1e3 (Grams of
+    # column-stochastic graphs), more on the 1e3-scaled ones
+    tol = max(1e-12, 1e-15 * np.linalg.cond(gram + np.eye(len(gram))))
+    assert np.max(np.abs(r - _enumerate_r_reference(gram))) <= tol
 
 
 def _enumerate_r_reference(gram):
