@@ -175,6 +175,16 @@ def simulate_missing(
     )
 
 
+def present_means(x: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Mean of each row of x over the present instances.
+
+    The sum runs in instance order (a running sum), so a row's mean is the
+    same to the bit whichever other rows x holds; a reduction's summation
+    order depends on the shape of the array it reduces.
+    """
+    return np.cumsum(x[:, present], axis=1)[:, -1] / np.count_nonzero(present)
+
+
 def impute_missing(dataset: MultiViewDataset) -> list:
     """Replace absent columns of each view by the per-feature mean over present ones."""
     out = []
@@ -183,8 +193,7 @@ def impute_missing(dataset: MultiViewDataset) -> list:
         present = col == 1
         filled = x.copy()
         if not np.all(present):
-            means = x[:, present].mean(axis=1)
-            filled[:, ~present] = means[:, None]
+            filled[:, ~present] = present_means(x, present)[:, None]
         out.append(filled)
     return out
 

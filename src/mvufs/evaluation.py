@@ -15,7 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .datamodel import MultiViewDataset, impute_missing
+from .datamodel import MultiViewDataset, present_means
+# Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
+from .datamodel import impute_missing  # noqa: F401
 
 # Bound on the entries (repeats x instances x features) that the k-means
 # repeats of one protocol chunk stack up: about 2 MB per stacked array.
@@ -203,12 +205,17 @@ def nmi(y_true, y_pred) -> float:
 
 
 def selected_feature_matrix(dataset: MultiViewDataset, selected) -> np.ndarray:
-    """Stack the selected rows of the imputed views into one h x N matrix."""
+    """Stack the selected rows of the views into one h x N matrix, each
+    absent entry filled with its feature's mean over the present instances
+    (impute_missing's fill, for the selected rows only)."""
     if len(selected) == 0:
         raise ValueError("no features were selected: nothing to cluster")
-    imputed = impute_missing(dataset)
-    rows = [imputed[v][f] for v, f in selected]
-    return np.vstack(rows)
+    rows = np.array([dataset.views[v][f] for v, f in selected])
+    for i, (v, _) in enumerate(selected):
+        present = dataset.presence[:, v] == 1
+        if not present.all():
+            rows[i, ~present] = present_means(rows[i : i + 1], present)[0]
+    return rows
 
 
 def run_protocol(

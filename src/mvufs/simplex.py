@@ -34,7 +34,10 @@ def project_offdiag_simplex(y: np.ndarray, excluded: int) -> np.ndarray:
 
 
 def project_offdiag_columns(
-    p: np.ndarray, out: np.ndarray | None = None, thresholds: np.ndarray | None = None
+    p: np.ndarray,
+    out: np.ndarray | None = None,
+    thresholds: np.ndarray | None = None,
+    extra: tuple | None = None,
 ) -> np.ndarray:
     """Project every column c of the square matrix p as project_offdiag_simplex(p[:, c], c).
 
@@ -54,6 +57,11 @@ def project_offdiag_columns(
     guess. The output depends only on the support the search ends at.
     Non-finite entries raise ValueError. The result goes to `out` when given,
     which may be p itself.
+
+    `extra`, when given, is a pair (cols, values) of further coordinates
+    that p does not hold: values[e] is one more coordinate of column
+    cols[e]. They take part in the search like the entries of p, and
+    `values` is overwritten with their projections.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
@@ -61,32 +69,55 @@ def project_offdiag_columns(
         raise ValueError("need a square matrix of order at least two")
     if thresholds is None:
         thresholds = np.full(n, np.nan)
+    cols, values = extra if extra is not None else (None, None)
+
+    def size(support, on):
+        count = support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
+        if extra is not None:
+            count += np.bincount(cols[on], minlength=n)
+        return count
+
+    def threshold(support, on, count):
+        # einsum sums over an irregular mask several times faster than where=,
+        # and an entry it masks out still turns a column's sum non-finite.
+        total = np.einsum("ij,ij->j", p, support)
+        if extra is not None:
+            total += np.bincount(cols, values * on, minlength=n)
+        return (total - 1.0) / count
+
     support = p > thresholds  # a NaN guess compares False
     np.fill_diagonal(support, False)
-    count = support.sum(axis=0, dtype=np.int32)
+    on = None if extra is None else values > thresholds[cols]
+    count = size(support, on)
     cold = count == 0
     if cold.any():  # start these columns from every off-diagonal coordinate
         support |= cold
         np.fill_diagonal(support, False)
-        count[cold] = n - 1
-    # einsum sums over an irregular mask several times faster than where=, and
-    # an entry it masks out still turns a column's sum non-finite when it is.
+        if extra is not None:
+            on |= cold[cols]
+        count = size(support, on)
     with np.errstate(invalid="ignore", over="ignore"):
-        theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
+        theta = threshold(support, on, count)
     if not np.all(np.isfinite(theta)):
         raise ValueError("projection needs finite entries")
     np.greater(p, theta, out=support)  # A and this are nested: equal counts, equal sets
     np.fill_diagonal(support, False)
+    if extra is not None:
+        on = values > theta[cols]
     while True:
-        shrunk = support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
+        shrunk = size(support, on)
         if not shrunk.all():
             raise ValueError("projection lost its support: huge entries")
         if np.array_equal(shrunk, count):
             break
         count = shrunk
-        theta = (np.einsum("ij,ij->j", p, support) - 1.0) / count
+        theta = threshold(support, on, count)
         support &= p > theta
+        if extra is not None:
+            on &= values > theta[cols]
     thresholds[...] = theta
+    if extra is not None:
+        np.maximum(values - theta[cols], 0.0, out=values)
     out = np.subtract(p, theta, out=out)
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)

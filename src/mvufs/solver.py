@@ -16,8 +16,18 @@ changes V or the graphs in between, the next sweep's V update; `fit` seeds
 the first sweep with the products of the initial objective's pass. `fit` also
 hands each sweep's final S-projection thresholds to the next as starting
 guesses (SweepCarry). No residual graph or Laplacian is ever formed. Each
-sweep checks that V, U and the view losses stay finite and raises
-SolverDivergence naming the first that does not.
+sweep checks that V, U, the S updates and the view losses stay finite and
+raises SolverDivergence naming the first that does not.
+
+V acts as a cluster indicator, so the repaired graphs concentrate on V's
+clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `fit` sorts the
+instances by the initial V's labels, and while the labels stay sorted runs
+of two or more members, a sweep updates each graph in place on the diagonal
+blocks of the runs plus the few off-block entries that the other graphs
+list (graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads
+only those. A per-column check proves that the dense update would give the
+same graph; a view that fails it, graphs with too many off-block entries,
+unsorted labels and singleton clusters take the dense update.
 """
 
 from __future__ import annotations
@@ -31,7 +41,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import MultiViewDataset, ViewWeights, build_view_weights, impute_missing
-from .graph import BLOCK_ENTRIES, build_initial_similarity, update_similarity
+from .graph import (
+    BLOCK_ENTRIES,
+    BLOCK_MIN_ENTRIES,
+    ClusterBlocks,
+    build_initial_similarity,
+    cluster_bounds,
+    update_similarity,
+)
 # Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
 from .graph import laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
@@ -93,15 +110,33 @@ class SweepCarry:
     products: per view, S_k [V 1] for the V and graphs the last sweep left;
     the next V update reuses them while the state still holds exactly those
     arrays. `basis` refers to the arrays weakly: holding the replaced graphs
-    through the next sweep's S updates would double their memory.
+    through the next sweep's S updates would double their memory. A sweep
+    replaces V before any S update writes a graph in place, so products
+    never outlive the graphs they came from.
+    blocks: the ClusterBlocks of the last sweep's labels with the graphs'
+    off-block lists, kept while the labels stay the same and the state
+    holds the arrays the last sweep left.
+    block_updates: how many S updates have run on the blocks.
     """
     thresholds: list
     products: list | None = None
     basis: tuple = ()
+    blocks: ClusterBlocks | None = None
+    block_updates: int = 0
 
     @classmethod
     def start(cls, n_instances: int, n_views: int) -> "SweepCarry":
         return cls([np.full(n_instances, np.nan) for _ in range(n_views)])
+
+    def blocks_for(self, v: np.ndarray) -> ClusterBlocks | None:
+        """The ClusterBlocks of V's labels, set at V; None when the graphs
+        are too small or the labels are unsorted or have a singleton."""
+        edges = cluster_bounds(v) if len(v) ** 2 >= BLOCK_MIN_ENTRIES else None
+        if edges is None:
+            self.blocks = None
+        elif self.blocks is None or not np.array_equal(self.blocks.edges, edges):
+            self.blocks = ClusterBlocks(edges, len(self.thresholds))
+        return None if self.blocks is None else self.blocks.at(v)
 
     def keep(self, state: SolverState, products: list) -> None:
         self.products = products
@@ -209,14 +244,16 @@ def update_v(
     return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
 
 
-def graph_products(graphs, v: np.ndarray | None = None):
+def graph_products(graphs, v: np.ndarray | None = None, blocks: ClusterBlocks | None = None):
     """The l x l Gram matrix of Frobenius inner products <S_i, S_j> of the
     graphs and, given V, the list of S_k [V 1], from one pass over the graphs.
 
-    The pass runs over blocks of BLOCK_ENTRIES // N rows, so the l blocks
-    stay in cache while the inner products and the products with [V 1] read
-    them: each graph is streamed from memory once. Without V the products
-    are None.
+    The pass runs over chunks of BLOCK_ENTRIES entries in whole rows, so the
+    l chunks stay in cache while the inner products and the products with
+    [V 1] read them: each graph is streamed from memory once. Without V the
+    products are None. Given `blocks` whose lists cover every graph, the pass
+    reads only the rows of the diagonal blocks within them and then the
+    listed off-block entries.
     """
     l, n = len(graphs), len(graphs[0])
     gram = np.zeros((l, l))
@@ -224,14 +261,29 @@ def graph_products(graphs, v: np.ndarray | None = None):
     if v is not None:
         v_one = np.column_stack([v, np.ones(n)])
         products = [np.empty(v_one.shape) for _ in range(l)]
-    rows = max(1, BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        blocks = [g[start : start + rows] for g in graphs]
-        for i in range(l):
-            for j in range(i, l):
-                gram[i, j] += np.vdot(blocks[i], blocks[j])
-            if products is not None:
-                np.matmul(blocks[i], v_one, out=products[i][start : start + rows])
+    listed = None if blocks is None else [blocks.entries_of(k, g) for k, g in enumerate(graphs)]
+    if listed is None or any(e is False for e in listed):
+        listed, spans = [], [(0, n)]
+    else:
+        spans = blocks.spans
+    for b0, b1 in spans:
+        step = max(1, BLOCK_ENTRIES // (b1 - b0))
+        for start in range(b0, b1, step):
+            stop = min(start + step, b1)
+            chunk = [np.ascontiguousarray(g[start:stop, b0:b1]) for g in graphs]
+            for i in range(l):
+                for j in range(i, l):
+                    gram[i, j] += np.vdot(chunk[i], chunk[j])
+                if products is not None:
+                    np.matmul(chunk[i], v_one[b0:b1], out=products[i][start:stop])
+    for i, at in enumerate(listed):
+        values = graphs[i].take(at)
+        for j in range(i, l):
+            gram[i, j] += values @ graphs[j].take(at)
+        if products is not None:
+            rows, cols = np.divmod(at, n)
+            for q in range(v_one.shape[1]):
+                products[i][:, q] += np.bincount(rows, values * v_one[cols, q], n)
     lower = np.tril_indices(l, -1)
     gram[lower] = gram.T[lower]
     if not np.all(np.isfinite(gram)):
@@ -426,21 +478,34 @@ def sweep(
     SweepCarry) and receives what this one leaves; without it the V update
     forms its own graph products and every projection starts cold.
     """
-    products = None if carry is None else carry.products_for(state)
+    products = None
+    if carry is not None:
+        products = carry.products_for(state)
+        if products is None:  # the graphs are not the ones the carry's lists describe
+            carry.blocks = None
     state.v = _finite(update_v(state, dataset, weights, hyper, products), "the V update")
     for k in range(dataset.n_views):
         state.u[k] = _finite(update_u(k, state, dataset, weights, hyper), "the U update")
-    # Squared distances between the rows of V less |v_j|^2 in column j, a
-    # per-column constant that update_similarity ignores: one GEMM, no clamp
-    # or transpose.
-    h = (-2.0 * state.v) @ state.v.T
-    h += np.sum(state.v * state.v, axis=1)[:, None]
+    blocks = None if carry is None else carry.blocks_for(state.v)
+    if blocks is None:
+        # Squared distances between the rows of V less |v_j|^2 in column j, a
+        # per-column constant that update_similarity ignores: one GEMM, no
+        # clamp or transpose.
+        h = (-2.0 * state.v) @ state.v.T
+        h += np.sum(state.v * state.v, axis=1)[:, None]
+    else:
+        h = blocks  # the same distances, formed per block
     for k in range(dataset.n_views):
-        state.s[k] = update_similarity(
-            k, state.s, state.r, state.alpha, hyper.gamma, h,
-            None if carry is None else carry.thresholds[k],
-        )
-    gram, products = graph_products(state.s, state.v)
+        try:
+            state.s[k] = update_similarity(
+                k, state.s, state.r, state.alpha, hyper.gamma, h,
+                None if carry is None else carry.thresholds[k],
+            )
+        except ValueError as exc:
+            raise SolverDivergence(f"the S update of view {k} failed: {exc}") from exc
+        if blocks is not None and blocks.entries[k] is not None:
+            carry.block_updates += 1
+    gram, products = graph_products(state.s, state.v, blocks)
     state.r = update_r(state, hyper, gram)
     d = _finite(view_losses(state, dataset, weights, hyper, gram, products), "the view losses")
     state.alpha = update_alpha(d, hyper.gamma)
@@ -449,12 +514,40 @@ def sweep(
     return d
 
 
+def _permuted(dataset: MultiViewDataset, weights: ViewWeights, order: np.ndarray):
+    """The dataset and weights with their instances in `order`."""
+    labels = None if dataset.labels is None else dataset.labels[order]
+    views = tuple(x[:, order] for x in dataset.views)
+    return (MultiViewDataset(views, dataset.presence[order], labels, dataset.feature_names),
+            ViewWeights(tuple(w[order] for w in weights.vectors)))
+
+
+def _permute_state(state: SolverState, order: np.ndarray) -> None:
+    """Put the instances of V and the graphs in `order`, the graphs in place."""
+    state.v = state.v[order]
+    rows = np.empty_like(state.s[0])
+    for s in state.s:
+        np.take(s, order, axis=0, out=rows, mode="clip")  # "raise" would buffer
+        np.take(rows, order, axis=1, out=s, mode="clip")
+
+
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
-    rel_tol or max_iter sweeps elapse."""
+    rel_tol or max_iter sweeps elapse.
+
+    Graphs of at least BLOCK_MIN_ENTRIES entries are fitted with the
+    instances sorted by the initial V's labels, so that the sweeps can work
+    on the labels' blocks; the result is in the dataset's order.
+    """
     start = time.perf_counter()
     weights = build_view_weights(dataset)
     state = initialize(dataset, weights, hyper)
+    order = None
+    if dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES:
+        # V's clusters as contiguous runs let the sweeps work on their blocks
+        order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
+        dataset, weights = _permuted(dataset, weights, order)
+        _permute_state(state, order)
     gram, products = graph_products(state.s, state.v)
     d = view_losses(state, dataset, weights, hyper, gram, products)
     trace = [objective(state, dataset, weights, hyper, d)]
@@ -470,6 +563,8 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         if abs(cur - prev) / max(1.0, prev) < hyper.rel_tol:
             converged = True
             break
+    if order is not None:
+        _permute_state(state, np.argsort(order))
     return SolverResult(
         state=state,
         trace=np.asarray(trace),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mvufs import evaluation
-from mvufs.datamodel import MultiViewDataset
+from mvufs.datamodel import MultiViewDataset, impute_missing
 from mvufs.evaluation import (
     _acc_from_table,
     _contingency,
@@ -398,3 +398,31 @@ class TestRunProtocol:
         ds = MultiViewDataset((np.ones((2, 4)),), np.ones((4, 1), dtype=int))
         with pytest.raises(ValueError, match="labels"):
             run_protocol(ds, [(0, 0)], 2)
+
+
+class TestSelectedFeatureMatrix:
+    @pytest.mark.parametrize("n", [5, 17, 120, 1000])
+    def test_rows_of_the_imputed_views(self, n):
+        rng = np.random.default_rng(n)
+        views = tuple(rng.uniform(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, 1))
+                      for d in (1, 2, 7))
+        presence = (rng.uniform(size=(n, 3)) > 0.4).astype(int)
+        presence[presence.sum(axis=1) == 0, 2] = 1
+        presence[0] = 1  # every view keeps a present instance
+        ds = MultiViewDataset(views, presence)
+        imputed = impute_missing(ds)
+        for selected in ([(2, 3)], [(1, 0), (2, 6), (2, 1), (0, 0)], [(2, f) for f in range(7)]):
+            expect = np.vstack([imputed[v][f] for v, f in selected])
+            assert np.array_equal(evaluation.selected_feature_matrix(ds, selected), expect)
+
+    def test_fills_only_the_selected_rows(self, monkeypatch):
+        def whole_views(dataset):
+            raise AssertionError("imputed every view")
+
+        monkeypatch.setattr(evaluation, "impute_missing", whole_views)
+        presence = np.array([[1, 1], [0, 1], [1, 0], [1, 1]])
+        ds = MultiViewDataset((np.arange(8.0).reshape(2, 4), np.ones((3, 4))), presence,
+                              np.array([0, 0, 1, 1]))
+        data = evaluation.selected_feature_matrix(ds, [(0, 1), (1, 2)])
+        assert data.tolist() == [[4.0, 17.0 / 3.0, 6.0, 7.0], [1.0, 1.0, 1.0, 1.0]]
+        run_protocol(ds, [(0, 1)], 2, repeats=2)

@@ -3,13 +3,16 @@ import pytest
 
 from mvufs import graph
 from mvufs.graph import (
+    ClusterBlocks,
     build_initial_similarity,
     check_coefficients,
     check_similarity,
+    cluster_bounds,
     laplacian,
     pairwise_sq_dists,
     update_similarity,
 )
+from mvufs.solver import graph_products
 
 
 def random_similarity(n, rng):
@@ -268,6 +271,167 @@ class TestUpdateSimilarity:
             s = update_similarity(v, graphs, r, alpha, 3.0, h)
             shifted = update_similarity(v, graphs, r, alpha, 3.0, h + shift[None, :])
             assert np.max(np.abs(s - shifted)) <= 1e-12
+
+
+def block_problem(sizes, l, rng, off_block=6):
+    """Sorted cluster indicator V with clusters of `sizes` (zeros allowed),
+    graphs that are block diagonal but for `off_block` shared off-block
+    entries large enough to survive an update, coefficients and weights."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    n = len(labels)
+    v = 0.01 * rng.uniform(size=(n, len(sizes))) / np.sqrt(n)
+    v[np.arange(n), labels] += 1.0 / np.sqrt(np.asarray(sizes)[labels])
+    same = labels[:, None] == labels[None, :]
+    graphs = []
+    for _ in range(l):
+        g = rng.uniform(size=(n, n)) * same
+        np.fill_diagonal(g, 0.0)
+        graphs.append(g)
+    rows, cols = np.nonzero(~same)
+    pick = rng.choice(len(rows), size=off_block, replace=False)
+    for g in graphs:
+        g[rows[pick], cols[pick]] = 3.0
+        g /= g.sum(axis=0)
+    r = random_coefficients(l, rng)
+    alpha = rng.dirichlet(np.ones(l))
+    return v, graphs, r, alpha
+
+
+def shifted_dists(v):
+    """The h that sweeps pass: squared distances less |v_j|^2 in column j."""
+    return ClusterBlocks(np.array([0, len(v)]), 0).at(v).h(slice(None), slice(None))
+
+
+def off_block(s, edges):
+    off = s != 0
+    for b0, b1 in zip(edges[:-1], edges[1:]):
+        off[b0:b1, b0:b1] = False
+    return np.flatnonzero(off)
+
+
+class TestClusterBounds:
+    def test_runs_of_sorted_labels(self):
+        v = np.eye(3)[[0, 0, 2, 2, 2]]  # cluster 1 is empty
+        assert cluster_bounds(v).tolist() == [0, 2, 5]
+
+    def test_unsorted_labels(self):
+        assert cluster_bounds(np.eye(2)[[0, 1, 1, 0]]) is None
+
+    def test_singleton_cluster(self):
+        assert cluster_bounds(np.eye(3)[[0, 0, 1, 2, 2]]) is None
+
+
+class TestBlockUpdate:
+    @pytest.fixture(autouse=True)
+    def cheap_candidates(self, monkeypatch):
+        # at this size the measured candidate cost would leave no room for any
+        monkeypatch.setattr(graph, "EXTRA_COST", 1)
+
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    @pytest.mark.parametrize("sizes", [(7, 7, 7), (3, 14, 5), (6, 0, 9, 4)],
+                             ids=["balanced", "unbalanced", "empty-cluster"])
+    def test_matches_dense_update(self, l, sizes):
+        rng = np.random.default_rng(40 + l + len(sizes))
+        v, graphs, r, alpha = block_problem(sizes, l, rng)
+        edges = cluster_bounds(v)
+        blocks = ClusterBlocks(edges, l).at(v)
+        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        kept = 0
+        for k in range(l):
+            thresholds, expect_thresholds = np.full(len(v), np.nan), np.full(len(v), np.nan)
+            s = update_similarity(k, graphs, r, alpha, 3.0, blocks, thresholds)
+            expect = update_similarity(k, dense, r, alpha, 3.0, h, expect_thresholds)
+            assert s is graphs[k]  # written in place: the block path ran
+            assert np.max(np.abs(s - expect)) <= 1e-12
+            assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
+            assert np.array_equal(np.sort(blocks.entries[k]), off_block(s, edges))
+            kept += len(blocks.entries[k])
+            dense[k] = expect
+            check_similarity(s)
+        assert kept > 0  # listed entries of the other graphs survived off the blocks
+        for with_v in (None, v):
+            gram, products = graph_products(graphs, with_v, blocks)
+            expect_gram, expect_products = graph_products(dense, with_v)
+            assert np.max(np.abs(gram - expect_gram) / expect_gram) <= 1e-12
+            if with_v is not None:
+                for a, b in zip(products, expect_products):
+                    assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_warm_thresholds_and_shrinking_lists(self):
+        rng = np.random.default_rng(47)
+        v, graphs, r, alpha = block_problem((8, 6, 9), 3, rng, off_block=10)
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        thresholds = [np.full(len(v), np.nan) for _ in range(3)]
+        expect_thresholds = [np.full(len(v), np.nan) for _ in range(3)]
+        for _ in range(4):  # later sweeps start warm from the lists the last one left
+            for k in range(3):
+                s = update_similarity(k, graphs, r, alpha, 3.0, blocks, thresholds[k])
+                dense[k] = update_similarity(k, dense, r, alpha, 3.0, h, expect_thresholds[k])
+                assert s is graphs[k]
+                assert np.max(np.abs(s - dense[k])) <= 1e-12
+                assert np.max(np.abs(thresholds[k] - expect_thresholds[k])) <= 1e-12
+
+    def test_failed_check_falls_back_to_dense(self):
+        rng = np.random.default_rng(48)
+        v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng, off_block=0)
+        # small distances and light graphs: the blocks cannot hold a column's mass
+        v *= 1e-4
+        graphs = [0.01 * g for g in graphs]
+        h = shifted_dists(v)
+        for k in range(3):
+            trial = [g.copy() for g in graphs]
+            blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+            s = update_similarity(k, trial, r, alpha, 3.0, blocks)
+            expect = update_similarity(k, graphs, r, alpha, 3.0, h)
+            assert blocks.entries[k] is None  # the dense update ran
+            assert np.max(np.abs(s - expect)) <= 1e-12
+            assert np.any(s[8:, :8] > 0.0)  # off-block entries that no graph listed
+
+    def test_loose_bound_settled_by_exact_minimum(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        v, graphs, r, alpha = block_problem((7, 9, 6), 3, rng)
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        blocks.inner()
+        blocks.off_bound[:] = -1e3  # every column left to the exact minimum
+        monkeypatch.setattr(blocks, "inner", lambda: blocks._inner)
+        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        for k in range(3):
+            s = update_similarity(k, graphs, r, alpha, 3.0, blocks)
+            dense[k] = update_similarity(k, dense, r, alpha, 3.0, h)
+            assert s is graphs[k]
+            assert np.max(np.abs(s - dense[k])) <= 1e-12
+
+    @pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
+    def test_off_bound_is_a_tight_lower_bound(self, signs):
+        rng = np.random.default_rng(51)
+        v = block_problem((5, 9, 2, 6), 2, rng)[0]
+        if signs == "mixed":
+            v -= 0.5 * rng.uniform(size=v.shape) * v.max()
+        edges = np.array([0, 5, 14, 16, 22])
+        blocks = ClusterBlocks(edges, 2).at(v)
+        blocks.inner()
+        h = shifted_dists(v)
+        exact = np.array([np.min(np.delete(h[:, j], np.arange(b0, b1)))
+                          for b0, b1 in zip(edges[:-1], edges[1:]) for j in range(b0, b1)])
+        assert np.all(blocks.off_bound <= exact + 1e-15)
+        for b0, b1 in zip(edges[:-1], edges[1:]):
+            cols = np.arange(b0, b1)
+            assert np.allclose(blocks.off_min(b0, b1, cols), exact[b0:b1], rtol=0, atol=1e-15)
+        if signs == "nonnegative":  # near one-hot V: the bound is nearly the minimum
+            assert np.max(exact - blocks.off_bound) <= 0.02 * np.max(np.abs(exact))
+
+    def test_too_many_off_block_entries_run_dense(self):
+        rng = np.random.default_rng(50)
+        v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng)
+        graphs = [random_similarity(24, rng) for _ in range(3)]  # dense everywhere
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        s = update_similarity(0, graphs, r, alpha, 3.0, blocks)
+        assert blocks.entries[1] is False and blocks.entries[0] is None
+        expect = update_similarity(0, graphs, r, alpha, 3.0, pairwise_sq_dists(v))
+        assert np.max(np.abs(s - expect)) <= 1e-12
+        gram, _ = graph_products(graphs, v, blocks)
+        assert np.max(np.abs(gram - graph_products(graphs, v)[0])) <= 1e-12
 
 
 def _loop_update_similarity(v, graphs, r, alpha, gamma, h):

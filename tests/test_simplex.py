@@ -213,3 +213,48 @@ class TestWarmStart:
                 p[where] = bad
                 with pytest.raises(ValueError):
                     project_offdiag_columns(p, thresholds=np.full(3, -0.5))
+
+
+class TestExtraCoordinates:
+    """Further coordinates of some columns, given apart from the matrix."""
+
+    @staticmethod
+    def reference(p, cols, values):
+        """Each column with its extras appended, projected on its own."""
+        out, extra = np.empty_like(p), np.empty_like(values)
+        for c in range(p.shape[1]):
+            mine = np.flatnonzero(cols == c)
+            y = project_offdiag_simplex(np.concatenate([p[:, c], values[mine]]), c)
+            out[:, c], extra[mine] = y[: len(p)], y[len(p):]
+        return out, extra
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_appended_columns(self, seed):
+        rng = np.random.default_rng(60 + seed)
+        n = int(rng.integers(2, 9))
+        p = rng.normal(size=(n, n))
+        cols = rng.integers(n, size=int(rng.integers(0, 3 * n)))
+        values = rng.normal(size=len(cols)) + rng.choice([0.0, 2.0], size=len(cols))
+        expect, expect_extra = self.reference(p, cols, values)
+        guesses = (None, np.full(n, np.nan), rng.normal(size=n), np.full(n, 10.0))
+        for guess in guesses:
+            extra = values.copy()
+            thresholds = None if guess is None else guess.copy()
+            out = project_offdiag_columns(p, thresholds=thresholds, extra=(cols, extra))
+            assert np.max(np.abs(out - expect)) <= 1e-12
+            assert len(cols) == 0 or np.max(np.abs(extra - expect_extra)) <= 1e-12
+            sums = out.sum(axis=0) + np.bincount(cols, extra, minlength=n)
+            assert np.max(np.abs(sums - 1.0)) <= 1e-12
+
+    def test_an_extra_takes_the_whole_column(self):
+        p = np.zeros((3, 3))
+        extra = np.array([5.0, 0.0])
+        thresholds = np.zeros(3)
+        out = project_offdiag_columns(p, thresholds=thresholds, extra=(np.array([1, 2]), extra))
+        assert np.all(out[:, 1] == 0.0) and extra[0] == 1.0
+        assert thresholds[1] == 4.0
+
+    def test_non_finite_extra_rejected(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                project_offdiag_columns(np.zeros((3, 3)), extra=(np.array([0]), np.array([bad])))

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvufs import solver
+from mvufs import graph, solver
 from mvufs.datamodel import (
+    DatasetError,
     MultiViewDataset,
     SyntheticSpec,
     build_view_weights,
@@ -253,6 +254,175 @@ class TestGraphProducts:
         graphs[1][2, 3] = np.nan
         with pytest.raises(SolverDivergence):
             graph_products(graphs, np.ones((4, 2)))
+
+
+def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
+    """make_problem with the instances sorted by the initial V's labels."""
+    ds, w, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
+    order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
+    ds, w = solver._permuted(ds, w, order)
+    solver._permute_state(state, order)
+    return ds, w, h, state
+
+
+def dense_sweep(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
+        return sweep(*args)
+
+
+def assert_same_sweep(state, carry, d, ref, ref_carry, d_ref):
+    assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
+    assert np.max(np.abs(state.v - ref.v)) <= 1e-12
+    for a, b in zip(state.s, ref.s):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for a, b in zip(carry.thresholds, ref_carry.thresholds):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    for a, b in zip(carry.products, ref_carry.products):
+        assert np.max(np.abs(a - b)) <= 1e-12
+    assert np.max(np.abs(state.r - ref.r)) <= 1e-12
+    assert np.max(np.abs(state.alpha - ref.alpha)) <= 1e-12
+
+
+class TestBlockSweeps:
+    """Sweeps on V's cluster blocks against the dense sweeps, at small N."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", 0)
+        monkeypatch.setattr(graph, "EXTRA_COST", 1)
+
+    @pytest.mark.parametrize("l", [2, 3, 5])
+    def test_matches_dense_sweeps(self, monkeypatch, l):
+        ds, w, h, state = sorted_problem(l=l, seed=71 + l)
+        ref = copy_state(state)
+        carry, ref_carry = (SweepCarry.start(ds.n_instances, l) for _ in range(2))
+        listed = 0
+        for _ in range(8):
+            d = sweep(state, ds, w, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+            if carry.blocks is not None:
+                listed += sum(len(e) for e in carry.blocks.entries if e is not False)
+        assert carry.block_updates >= 3 * l and ref_carry.block_updates == 0
+        assert listed > 0  # graphs held entries off the blocks
+
+    def test_labels_that_change_run_dense(self, monkeypatch):
+        ds, w, h, state = sorted_problem(seed=75)
+        ref = copy_state(state)
+        carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
+        for _ in range(4):
+            sweep(state, ds, w, h, carry)
+            dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        assert carry.block_updates > 0
+        edges = carry.blocks.edges
+        for st in (state, ref):  # the first instance moves to the last cluster
+            st.v = st.v.copy()
+            st.v[0] = st.v[-1]
+        count = carry.block_updates
+        d = sweep(state, ds, w, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        assert carry.block_updates == count and carry.blocks is None
+        assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+        for st in (state, ref):  # back in order, one block edge moved: lists made anew
+            st.v = np.roll(st.v, -1, axis=0)
+            for k, s in enumerate(st.s):
+                st.s[k] = np.roll(np.roll(s, -1, axis=0), -1, axis=1)
+        for _ in range(2):
+            d = sweep(state, ds, w, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+        assert carry.block_updates > count
+        assert not np.array_equal(carry.blocks.edges, edges)
+
+    def test_graphs_replaced_outside_sweeps_are_listed_anew(self, monkeypatch):
+        ds, w, h, state = sorted_problem(seed=74)
+        ref = copy_state(state)
+        carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
+        for _ in range(4):
+            sweep(state, ds, w, h, carry)
+            dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        assert carry.block_updates > 0
+        dense = np.random.default_rng(0).uniform(size=state.s[1].shape)
+        np.fill_diagonal(dense, 0.0)
+        for st in (state, ref):  # off the blocks everywhere, unlike the listed graph
+            st.s[1] = dense / dense.sum(axis=0)
+        d = sweep(state, ds, w, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+
+    def test_blocks_follow_the_labels(self):
+        carry = SweepCarry.start(6, 2)
+        v = np.eye(2)[[0, 0, 0, 1, 1, 1]]
+        blocks = carry.blocks_for(v)
+        assert blocks.spans == [(0, 3), (3, 6)] and carry.blocks_for(v) is blocks
+        blocks.entries = [np.array([4]), False]
+        moved = carry.blocks_for(np.eye(2)[[0, 0, 1, 1, 1, 1]])
+        assert moved.spans == [(0, 2), (2, 6)] and moved.entries == [None, None]
+        assert carry.blocks_for(np.eye(2)[[0, 1, 0, 1, 1, 1]]) is None
+
+    def test_singleton_cluster_runs_dense(self, monkeypatch):
+        ds, w, h, state = sorted_problem(seed=76)
+        state.v = state.v.copy()
+        last = np.argmax(state.v, axis=1) == 2
+        last[-1] = False  # all of cluster 2 but its last instance joins cluster 1
+        state.v[last, 1], state.v[last, 2] = state.v[last, 2], state.v[last, 1]
+        labels = np.argmax(state.v, axis=1)
+        assert np.all(np.diff(labels) >= 0) and np.sum(labels == 2) == 1
+        ref = copy_state(state)
+        carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
+        for _ in range(2):
+            labels = np.argmax(state.v, axis=1)
+            d = sweep(state, ds, w, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+        assert carry.block_updates == 0
+
+    def test_fit_returns_the_callers_order(self, monkeypatch):
+        ds, _ = generate_synthetic(SyntheticSpec(48, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 77))
+        ds = simulate_missing(ds, 0.3, seed=78)
+        hy = hyper(max_iter=25, rel_tol=0.0, seed=79)
+        carries = []
+        original = solver.sweep
+        monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[4]) or original(*a))
+        res = fit(ds, hy)
+        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
+        expect = fit(ds, hy)
+        assert carries[0].block_updates > 0 and carries[-1].block_updates == 0
+        start = initialize(ds, build_view_weights(ds), hy)
+        assert np.any(np.diff(np.argmax(start.v, axis=1)) < 0)  # fit did reorder
+        assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
+        assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
+        for a, b in zip(res.state.s, expect.state.s):
+            assert np.max(np.abs(a - b)) <= 1e-10
+        for a, b in zip(res.state.u, expect.state.u):
+            assert np.max(np.abs(a - b)) <= 1e-10
+        assert np.max(np.abs(res.state.r - expect.state.r)) <= 1e-10
+        assert res.iterations == expect.iterations
+
+
+def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
+    # fit-n1000's shape at N=400 and the real size constant: every S update
+    # takes the block path from the third sweep on. The second reads the
+    # first sweep's graphs, whose absent instances still fill rows and
+    # columns off the blocks.
+    assert 400**2 >= solver.BLOCK_MIN_ENTRIES
+    spec = SyntheticSpec(400, 3, 4, (50, 50, 50), (5, 5, 5), 0.1, 7000)
+    ds = simulate_missing(generate_synthetic(spec)[0], 0.3, seed=7)
+    counts = []
+    original = solver.sweep
+
+    def counted(*args):
+        d = original(*args)
+        counts.append(args[4].block_updates)
+        return d
+
+    monkeypatch.setattr(solver, "sweep", counted)
+    res = fit(ds, Hyperparameters(lam=0.1, beta=0.1, gamma=3, p=0.5, n_clusters=4,
+                                  max_iter=20, seed=7))
+    per_sweep = np.diff([0] + counts)
+    assert res.iterations >= 10
+    assert per_sweep[0] == 0 and np.all(per_sweep[2:] == 3), per_sweep
 
 
 def copy_state(state):
@@ -765,3 +935,34 @@ def test_degenerate_inputs_stay_feasible_and_monotone(name, ds):
         assert np.all(np.isfinite(state.v)) and np.all(state.v >= 0.0)
         assert all(np.all(np.isfinite(u)) and np.all(u >= 0.0) for u in state.u)
         prev = cur
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6, 1e18, 1e22, 1e150])
+def test_view_scale_gives_feasible_fit_or_named_error(scale):
+    ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 0))
+    scaled = MultiViewDataset(tuple(x * scale for x in ds.views), ds.presence)
+    try:
+        res = fit(scaled, hyper(max_iter=60))
+    except SolverDivergence as exc:
+        assert "S update of view" in str(exc) or "non-finite" in str(exc)
+        return
+    except DatasetError:
+        return
+    st = res.state
+    assert np.all(np.isfinite(res.trace))
+    for s in st.s:
+        check_similarity(s)
+    check_coefficients(st.r)
+    assert abs(st.alpha.sum() - 1.0) <= 1e-12 and np.all(st.alpha >= 0.0)
+    assert np.all(np.isfinite(st.v)) and np.all(st.v >= 0.0)
+    assert all(np.all(np.isfinite(u)) and np.all(u >= 0.0) for u in st.u)
+
+
+def test_s_update_failure_names_the_view(monkeypatch):
+    def failing(v, *args):
+        raise ValueError("projection lost its support: huge entries")
+
+    monkeypatch.setattr(solver, "update_similarity", failing)
+    ds, w, h, state = make_problem(seed=80)
+    with pytest.raises(SolverDivergence, match="the S update of view 0 failed: projection lost"):
+        sweep(state, ds, w, h)
