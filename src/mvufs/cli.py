@@ -6,6 +6,11 @@ Subcommands:
   validate  check a config file, printing one diagnostic per violation
   run       execute the full sweep, writing report/trace/selection artifacts
   trace     re-emit a stored objective trace to stdout
+
+`run` masks the dataset once per missing ratio; every cell of that ratio
+fits on the same masked dataset and shares one memo of evaluation reports,
+so each distinct feature selection of the ratio is clustered once. Every
+cell still writes its own report row, trace and selection.
 """
 
 from __future__ import annotations
@@ -124,10 +129,14 @@ def validate_config(cfg: ExperimentConfig):
         if lv < 0:
             errors.append(f"negative regularization weight {lv}")
     for m in cfg.missing_ratios:
-        if not (0.1 <= m <= 0.5) and m != 0.0:
+        if not (0 <= m <= 0.5):
+            errors.append(f"missing ratio {m}: a missing ratio must lie in [0, 0.5]")
+        elif 0 < m < 0.1:
             warnings.append(f"missing ratio {m} outside the usual 10-50% range")
     for f in cfg.feature_ratios:
-        if not (0.1 <= f <= 0.5):
+        if not (0 < f <= 1):
+            errors.append(f"feature ratio {f}: a feature ratio must lie in (0, 1]")
+        elif not (0.1 <= f <= 0.5):
             warnings.append(f"feature ratio {f} outside the usual 10-50% range")
     if cfg.repeats < 1:
         errors.append("repeats must be at least 1")
@@ -155,14 +164,14 @@ def _cluster_count(cfg: ExperimentConfig, dataset) -> int:
     raise ValueError("cluster count unknown: set 'clusters' or provide labels")
 
 
-def _run_cell(cfg, base, c, cell_index, miss_idx, cell):
-    missing_ratio, feature_ratio, lam, beta, gamma, p = cell
+def _masked_dataset(cfg, base, missing_ratio, miss_idx):
     if missing_ratio > 0:
-        dataset = datamodel.simulate_missing(
-            base, missing_ratio, seed=cfg.seed + 1000 * miss_idx
-        )
-    else:
-        dataset = base
+        return datamodel.simulate_missing(base, missing_ratio, seed=cfg.seed + 1000 * miss_idx)
+    return base
+
+
+def _run_cell(cfg, dataset, c, cell, reports):
+    _, feature_ratio, lam, beta, gamma, p = cell
     hyper = solver.Hyperparameters(
         lam=lam, beta=beta, gamma=gamma, p=p, n_clusters=c,
         max_iter=cfg.max_iter, seed=cfg.seed, knn=cfg.knn,
@@ -174,7 +183,7 @@ def _run_cell(cfg, base, c, cell_index, miss_idx, cell):
     else:
         selected = selection.select_top(ranking, ratio=feature_ratio)
     report = evaluation.run_protocol(
-        dataset, selected, c, repeats=cfg.repeats, base_seed=cfg.seed
+        dataset, selected, c, repeats=cfg.repeats, base_seed=cfg.seed, reports=reports
     )
     return result, ranking, selected, report
 
@@ -190,10 +199,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     os.makedirs(out_dir, exist_ok=True)
     base = _load_base_dataset(cfg)
     c = _cluster_count(cfg, base)
-    cells = list(
-        itertools.product(
-            cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
-        )
+    cells = itertools.product(
+        cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
     )
     miss_index = {m: i for i, m in enumerate(cfg.missing_ratios)}
     report_lines = [
@@ -202,27 +209,35 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     ]
     failures = []
     best = {}
-    for idx, cell in enumerate(cells):
+    # The missing ratio varies slowest, so the cells of one ratio are a run
+    # that shares one masked dataset and one memo of protocol reports.
+    for ratio, group in itertools.groupby(enumerate(cells), lambda item: item[1][0]):
         try:
-            result, ranking, selected, report = _run_cell(
-                cfg, base, c, idx, miss_index[cell[0]], cell
+            dataset = _masked_dataset(cfg, base, ratio, miss_index[ratio])
+        except Exception as exc:  # every cell of the ratio fails, the others run
+            dataset, mask_error = None, exc
+        reports = {}
+        for idx, cell in group:
+            try:
+                if dataset is None:
+                    raise mask_error
+                result, ranking, selected, report = _run_cell(cfg, dataset, c, cell, reports)
+            except Exception as exc:  # a divergent cell must not abort the sweep
+                failures.append(f"cell {idx} {cell}: {type(exc).__name__}: {exc}")
+                continue
+            missing_ratio, feature_ratio, lam, beta, gamma, p = cell
+            report_lines.append(
+                f"{missing_ratio:g} {feature_ratio:g} {lam:g} {beta:g} {gamma:g} {p:g} "
+                f"{report.acc_mean:.6f} {report.acc_std:.6f} "
+                f"{report.nmi_mean:.6f} {report.nmi_std:.6f}"
             )
-        except Exception as exc:  # a divergent cell must not abort the sweep
-            failures.append(f"cell {idx} {cell}: {type(exc).__name__}: {exc}")
-            continue
-        missing_ratio, feature_ratio, lam, beta, gamma, p = cell
-        report_lines.append(
-            f"{missing_ratio:g} {feature_ratio:g} {lam:g} {beta:g} {gamma:g} {p:g} "
-            f"{report.acc_mean:.6f} {report.acc_std:.6f} "
-            f"{report.nmi_mean:.6f} {report.nmi_std:.6f}"
-        )
-        solver.save_trace(result.trace, os.path.join(out_dir, f"trace_{idx:04d}.txt"))
-        selection.save_selection(
-            ranking, selected, os.path.join(out_dir, f"selected_{idx:04d}.txt")
-        )
-        key = (missing_ratio, feature_ratio)
-        if key not in best or report.acc_mean > best[key][0]:
-            best[key] = (report.acc_mean, idx, cell, report)
+            solver.save_trace(result.trace, os.path.join(out_dir, f"trace_{idx:04d}.txt"))
+            selection.save_selection(
+                ranking, selected, os.path.join(out_dir, f"selected_{idx:04d}.txt")
+            )
+            key = (missing_ratio, feature_ratio)
+            if key not in best or report.acc_mean > best[key][0]:
+                best[key] = (report.acc_mean, idx, cell, report)
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write("\n".join(report_lines) + "\n")
     with open(os.path.join(out_dir, "summary.txt"), "w") as fh:

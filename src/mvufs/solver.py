@@ -284,8 +284,7 @@ def graph_products(graphs, v: np.ndarray | None = None, blocks: ClusterBlocks | 
             rows, cols = np.divmod(at, n)
             for q in range(v_one.shape[1]):
                 products[i][:, q] += np.bincount(rows, values * v_one[cols, q], n)
-    lower = np.tril_indices(l, -1)
-    gram[lower] = gram.T[lower]
+    gram += np.triu(gram, 1).T  # the lower triangle is still zero
     if not np.all(np.isfinite(gram)):
         raise SolverDivergence("non-finite Gram entries of the similarity graphs")
     return gram, products

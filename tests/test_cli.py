@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from mvufs import cli, datamodel
+from mvufs import cli, datamodel, evaluation
+
+simulate_missing = datamodel.simulate_missing
 
 
 def write_config(path, text):
@@ -77,10 +79,10 @@ class TestValidateConfig:
         assert any("negative" in e for e in errors)
 
     def test_out_of_range_missing_ratio_is_warning(self):
-        cfg = cli.ExperimentConfig(dataset_path="x", missing_ratios=[0.9])
+        cfg = cli.ExperimentConfig(dataset_path="x", missing_ratios=[0.05])
         errors, warnings = cli.validate_config(cfg)
         assert errors == []
-        assert any("0.9" in w for w in warnings)
+        assert any("0.05" in w for w in warnings)
 
     def test_no_data_source_is_error(self):
         errors, _ = cli.validate_config(cli.ExperimentConfig())
@@ -126,6 +128,20 @@ class TestValidateCommand:
         ("max_iter 0", 0, ""),
     ])
     def test_cluster_count_and_sweep_cap(self, tmp_path, capsys, line, code, message):
+        cfg = write_config(tmp_path / "c.txt", f"dataset d\n{line}\n")
+        assert cli.main(["validate", "--config", cfg]) == code
+        assert capsys.readouterr().out.strip() == message
+
+    @pytest.mark.parametrize("line,code,message", [
+        ("missing_ratios -0.1", 1, "error: missing ratio -0.1: a missing ratio must lie in [0, 0.5]"),
+        ("missing_ratios 0.6", 1, "error: missing ratio 0.6: a missing ratio must lie in [0, 0.5]"),
+        ("missing_ratios nan", 1, "error: missing ratio nan: a missing ratio must lie in [0, 0.5]"),
+        ("missing_ratios 0 0.5", 0, ""),
+        ("feature_ratios 0", 1, "error: feature ratio 0.0: a feature ratio must lie in (0, 1]"),
+        ("feature_ratios 1.5", 1, "error: feature ratio 1.5: a feature ratio must lie in (0, 1]"),
+        ("feature_ratios 0.2 1", 0, "warning: feature ratio 1.0 outside the usual 10-50% range"),
+    ])
+    def test_ratio_bounds(self, tmp_path, capsys, line, code, message):
         cfg = write_config(tmp_path / "c.txt", f"dataset d\n{line}\n")
         assert cli.main(["validate", "--config", cfg]) == code
         assert capsys.readouterr().out.strip() == message
@@ -193,6 +209,92 @@ class TestRunCommand:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line,message", [
+        ("missing_ratios 0.2 -0.1", "missing ratio -0.1"),
+        ("missing_ratios 0.6", "missing ratio 0.6"),
+        ("feature_ratios 1.5", "feature ratio 1.5"),
+        ("feature_ratios 0", "feature ratio 0.0"),
+    ])
+    def test_out_of_range_ratio_runs_nothing(self, tmp_path, capsys, line, message):
+        cfg = write_config(tmp_path / "cfg.txt", SMALL_SWEEP + line + "\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert f"error: {message}: a" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ratio_bounds_run(self, tmp_path):
+        text = SMALL_SWEEP + "missing_ratios 0 0.5\nfeature_ratios 1\n"
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", write_config(tmp_path / "cfg.txt", text),
+                         "--out", str(out)]) == 0
+        rows = (out / "report.txt").read_text().splitlines()[1:]
+        assert [r.split()[:2] for r in rows] == [["0", "1"], ["0.5", "1"]]
+        assert not (out / "failures.txt").exists()
+
+    def test_failed_mask_fails_each_cell_of_its_ratio(self, tmp_path):
+        ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
+            n_instances=30, n_views=2, n_clusters=3, features=(8, 8), informative=(3, 3),
+            noise_scale=0.05, seed=4))
+        datamodel.save_dataset(datamodel.simulate_missing(ds, 0.2, seed=1), str(tmp_path / "ds"))
+        text = (f"dataset {tmp_path / 'ds'}\nmissing_ratios 0.2 0 0.3\nfeature_ratios 0.4\n"
+                "lambda 0.1 1\nbeta 0.1\ngamma 3\np 0.5\nrepeats 3\nmax_iter 40\nseed 1\n")
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", write_config(tmp_path / "cfg.txt", text),
+                         "--out", str(out)]) == 0
+        error = "DatasetError: simulate_missing expects a complete dataset"
+        assert (out / "failures.txt").read_text() == "".join(
+            f"cell {idx} ({m}, 0.4, {lam}, 0.1, 3.0, 0.5): {error}\n"
+            for idx, m, lam in [(0, 0.2, 0.1), (1, 0.2, 1.0), (4, 0.3, 0.1), (5, 0.3, 1.0)])
+        rows = (out / "report.txt").read_text().splitlines()[1:]
+        assert [r.split()[:3] for r in rows] == [["0", "0.4", "0.1"], ["0", "0.4", "1"]]
+        assert sorted(p.name for p in out.glob("trace_*")) == ["trace_0002.txt", "trace_0003.txt"]
+
+
+# 24 cells; on this dataset each missing ratio's 12 cells make two distinct
+# selections
+GRID_SWEEP = SMALL_SWEEP + "missing_ratios 0.2 0.4\nlambda 0.01 1 100\nbeta 0.1 10\ngamma 3 5\n"
+
+
+class TestSharedGroupWork:
+    def test_memo_report_equals_per_cell_protocol(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "cfg.txt", GRID_SWEEP)
+        protocol, kmeans_repeats = evaluation.run_protocol, evaluation._kmeans_repeats
+
+        def uncached(*args, reports=None, **kwargs):
+            return protocol(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "run_protocol", uncached)
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "ref")]) == 0
+
+        calls, passes, masks = [], [], []
+
+        def recorded(dataset, selected, *args, reports=None, **kwargs):
+            before = len(passes)
+            report = protocol(dataset, selected, *args, reports=reports, **kwargs)
+            calls.append((reports, tuple(selected), len(passes) - before))
+            return report
+
+        monkeypatch.setattr(evaluation, "run_protocol", recorded)
+        monkeypatch.setattr(evaluation, "_kmeans_repeats",
+                            lambda *a, **kw: passes.append(1) or kmeans_repeats(*a, **kw))
+        monkeypatch.setattr(datamodel, "simulate_missing",
+                            lambda *a, **kw: masks.append(a[1]) or simulate_missing(*a, **kw))
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "memo")]) == 0
+
+        ref = sorted(p.name for p in (tmp_path / "ref").iterdir())
+        assert ref == sorted(p.name for p in (tmp_path / "memo").iterdir())
+        for name in ref:
+            assert (tmp_path / "ref" / name).read_bytes() == (tmp_path / "memo" / name).read_bytes()
+        assert len(calls) == 24 and masks == [0.2, 0.4]
+        for group in (calls[:12], calls[12:]):
+            assert all(reports is group[0][0] for reports, _, _ in group)
+            seen = set()
+            for _, selected, made in group:
+                assert made == (selected not in seen)  # one k-means pass, on a miss
+                seen.add(selected)
+            assert len(seen) == 2
+        assert calls[0][0] is not calls[12][0]
 
 
 class TestTraceCommand:

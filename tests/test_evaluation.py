@@ -400,6 +400,61 @@ class TestRunProtocol:
             run_protocol(ds, [(0, 0)], 2)
 
 
+class TestProtocolMemo:
+    def _dataset(self, labels=None):
+        rng = np.random.default_rng(12)
+        labels = np.repeat([0, 1, 2], 8) if labels is None else labels
+        x = rng.normal(size=(3, 24)) + labels * 0.7
+        return MultiViewDataset((np.abs(x),), np.ones((24, 1), dtype=int), labels)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return _kmeans_repeats(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_kmeans_repeats", counted)
+        return calls
+
+    def test_same_input_clusters_once(self, passes):
+        ds, reports = self._dataset(), {}
+        first = run_protocol(ds, [(0, 0), (0, 2)], 3, repeats=4, base_seed=2, reports=reports)
+        again = run_protocol(ds, [(0, 0), (0, 2)], 3, repeats=4, base_seed=2, reports=reports)
+        assert again == first and len(passes) == 1 and len(reports) == 1
+        assert first == run_protocol(ds, [(0, 0), (0, 2)], 3, repeats=4, base_seed=2)
+
+    def test_each_input_change_misses(self, passes):
+        ds, reports = self._dataset(), {}
+        run = lambda ds, sel, c, repeats, base_seed: run_protocol(
+            ds, sel, c, repeats=repeats, base_seed=base_seed, reports=reports)
+        relabeled = self._dataset(np.repeat([0, 1, 2], 8)[::-1].copy())
+        variants = [
+            (ds, [(0, 0), (0, 2)], 3, 4, 2),
+            (ds, [(0, 2), (0, 0)], 3, 4, 2),  # selection order
+            (relabeled, [(0, 0), (0, 2)], 3, 4, 2),
+            (ds, [(0, 0), (0, 2)], 2, 4, 2),
+            (ds, [(0, 0), (0, 2)], 3, 5, 2),
+            (ds, [(0, 0), (0, 2)], 3, 4, 3),
+        ]
+        for k, args in enumerate(variants, 1):
+            assert run(*args) == run_protocol(*args[:3], repeats=args[3], base_seed=args[4])
+            assert len(reports) == k
+        for args in variants:
+            run(*args)
+        assert len(reports) == len(variants) and len(passes) == 2 * len(variants)
+
+    def test_config_comes_from_the_call(self, passes):
+        ds, reports = self._dataset(), {}
+        first = run_protocol(ds, [(0, 1)], 3, repeats=3, config={"cell": 0}, reports=reports)
+        again = run_protocol(ds, [(0, 1)], 3, repeats=3, config={"cell": 1}, reports=reports)
+        bare = run_protocol(ds, [(0, 1)], 3, repeats=3, reports=reports)
+        assert len(passes) == 1
+        assert (first.config, again.config, bare.config) == ({"cell": 0}, {"cell": 1}, {})
+        assert again.acc_mean == first.acc_mean and again.nmi_std == first.nmi_std
+
+
 class TestSelectedFeatureMatrix:
     @pytest.mark.parametrize("n", [5, 17, 120, 1000])
     def test_rows_of_the_imputed_views(self, n):

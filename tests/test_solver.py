@@ -249,6 +249,21 @@ class TestGraphProducts:
             assert np.array_equal(graph_gram(graphs), gram)
             assert graph_products(graphs)[1] is None
 
+    def test_gram_mirror_is_bitwise_the_index_copy(self):
+        # The lower triangle is zero when the upper is added to it, and no
+        # upper entry is -0.0 (each starts at +0.0), so x + 0.0 is x exactly.
+        rng = np.random.default_rng(41)
+        for l in (2, 3, 5):
+            lower = np.tril_indices(l, -1)
+            upper = np.triu(rng.normal(size=(l, l)) * 10.0 ** rng.integers(-310, 300, (l, l)))
+            copied = upper.copy()
+            copied[lower] = copied.T[lower]
+            assert (upper + np.triu(upper, 1).T).tobytes() == copied.tobytes()
+            gram, _ = graph_products([rng.uniform(size=(9, 9)) for _ in range(l)])
+            mirrored = np.triu(gram)
+            mirrored[lower] = mirrored.T[lower]
+            assert gram.tobytes() == mirrored.tobytes()
+
     def test_non_finite_graph_diverges(self):
         graphs = [np.eye(4), np.eye(4)]
         graphs[1][2, 3] = np.nan
