@@ -5,7 +5,9 @@ Subcommands:
   synth     write a synthetic dataset directory
   validate  check a config file, printing one diagnostic per violation
   run       execute the full sweep, writing report/trace/selection artifacts
-  trace     re-emit a stored objective trace to stdout
+
+A config that cannot be read or parsed, or whose dataset cannot be loaded,
+is reported as one `error:` line; `run` then writes nothing.
 
 `run` masks the dataset once per missing ratio; every cell of that ratio
 fits on the same masked dataset and shares one memo of evaluation reports,
@@ -29,6 +31,17 @@ DEFAULT_LOG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_GAMMA_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 DEFAULT_P_GRID = (0.001, 0.01, 0.1, 1.0)
 
+# config key -> SyntheticSpec field; features and informative take one value per view
+SYNTHETIC_KEYS = {
+    "synthetic_n": "n_instances", "synthetic_views": "n_views",
+    "synthetic_clusters": "n_clusters", "synthetic_features": "features",
+    "synthetic_informative": "informative", "synthetic_noise": "noise_scale",
+    "synthetic_seed": "seed",
+}
+SYNTHETIC_DEFAULTS = dict(
+    n_instances=120, n_views=3, n_clusters=4, features=(20, 20, 20), informative=(4, 4, 4)
+)
+
 
 @dataclass
 class ExperimentConfig:
@@ -49,7 +62,11 @@ class ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read the key/value config file. Lists are whitespace-separated values."""
+    """Read the key/value config file. Lists are whitespace-separated values.
+
+    A malformed line raises ValueError naming `path:line`; an unreadable file
+    raises OSError.
+    """
     cfg = ExperimentConfig()
     synth = {}
     with open(path) as fh:
@@ -85,22 +102,21 @@ def parse_config(path: str) -> ExperimentConfig:
                     cfg.max_iter = int(vals[0])
                 elif key == "per_view":
                     cfg.per_view = vals[0].lower() in ("1", "true", "yes")
-                elif key.startswith("synthetic_"):
-                    synth[key[len("synthetic_"):]] = vals
+                elif key in SYNTHETIC_KEYS:
+                    name = SYNTHETIC_KEYS[key]
+                    values = tuple((float if name == "noise_scale" else int)(x) for x in vals)
+                    synth[name] = values if name in ("features", "informative") else values[0]
                 else:
                     raise ValueError(f"unknown key '{key}'")
-            except (ValueError, IndexError) as exc:
+            except IndexError:
+                raise ValueError(f"{path}:{lineno}: '{key}' needs a value") from None
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
     if synth:
-        cfg.synthetic = datamodel.SyntheticSpec(
-            n_instances=int(synth.get("n", ["120"])[0]),
-            n_views=int(synth.get("views", ["3"])[0]),
-            n_clusters=int(synth.get("clusters", ["4"])[0]),
-            features=tuple(int(x) for x in synth.get("features", ["20", "20", "20"])),
-            informative=tuple(int(x) for x in synth.get("informative", ["4", "4", "4"])),
-            noise_scale=float(synth.get("noise", ["0.1"])[0]),
-            seed=int(synth.get("seed", ["0"])[0]),
-        )
+        try:
+            cfg.synthetic = datamodel.SyntheticSpec(**{**SYNTHETIC_DEFAULTS, **synth})
+        except datamodel.DatasetError as exc:
+            raise ValueError(f"{path}: synthetic spec: {exc}") from exc
     return cfg
 
 
@@ -150,18 +166,16 @@ def validate_config(cfg: ExperimentConfig):
 
 
 def _load_base_dataset(cfg: ExperimentConfig):
+    """The dataset before masking and the cluster count."""
     if cfg.dataset_path is not None:
-        return datamodel.load_dataset(cfg.dataset_path)
-    dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
-    return dataset
-
-
-def _cluster_count(cfg: ExperimentConfig, dataset) -> int:
+        dataset = datamodel.load_dataset(cfg.dataset_path)
+    else:
+        dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
     if cfg.clusters is not None:
-        return cfg.clusters
-    if dataset.labels is not None:
-        return int(np.unique(dataset.labels).size)
-    raise ValueError("cluster count unknown: set 'clusters' or provide labels")
+        return dataset, cfg.clusters
+    if dataset.labels is None:
+        raise ValueError("cluster count unknown: set 'clusters' or provide labels")
+    return dataset, int(np.unique(dataset.labels).size)
 
 
 def _masked_dataset(cfg, base, missing_ratio, miss_idx):
@@ -190,6 +204,11 @@ def _run_cell(cfg, dataset, c, cell, reports):
 
 def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     errors, warnings = validate_config(cfg)
+    if not errors:
+        try:
+            base, c = _load_base_dataset(cfg)
+        except (OSError, ValueError) as exc:
+            errors = [str(exc)]
     for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
     if errors:
@@ -197,8 +216,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
             print(f"error: {e}", file=sys.stderr)
         return 2
     os.makedirs(out_dir, exist_ok=True)
-    base = _load_base_dataset(cfg)
-    c = _cluster_count(cfg, base)
     cells = itertools.product(
         cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
     )
@@ -266,9 +283,6 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute a config's full grid sweep")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--missing-ratios", type=float, nargs="+", default=None)
-    p_run.add_argument("--feature-ratios", type=float, nargs="+", default=None)
 
     p_val = sub.add_parser("validate", help="check a config file")
     p_val.add_argument("--config", required=True)
@@ -283,14 +297,13 @@ def main(argv=None) -> int:
     p_synth.add_argument("--noise", type=float, default=0.1)
     p_synth.add_argument("--seed", type=int, default=0)
 
-    p_trace = sub.add_parser("trace", help="re-emit a stored objective trace")
-    p_trace.add_argument("path")
-
     args = parser.parse_args(argv)
 
     if args.command == "validate":
-        cfg = parse_config(args.config)
-        errors, warnings = validate_config(cfg)
+        try:
+            errors, warnings = validate_config(parse_config(args.config))
+        except (OSError, ValueError) as exc:
+            errors, warnings = [str(exc)], []
         for w in warnings:
             print(f"warning: {w}")
         for e in errors:
@@ -298,13 +311,11 @@ def main(argv=None) -> int:
         return 1 if errors else 0
 
     if args.command == "run":
-        cfg = parse_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        if args.missing_ratios is not None:
-            cfg.missing_ratios = args.missing_ratios
-        if args.feature_ratios is not None:
-            cfg.feature_ratios = args.feature_ratios
+        try:
+            cfg = parse_config(args.config)
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         return run_sweep(cfg, args.out)
 
     if args.command == "synth":
@@ -323,11 +334,6 @@ def main(argv=None) -> int:
             for v, idx in enumerate(planted):
                 fh.write(f"{v} " + " ".join(str(i) for i in idx) + "\n")
         print(f"wrote synthetic dataset to {args.out}")
-        return 0
-
-    if args.command == "trace":
-        with open(args.path) as fh:
-            sys.stdout.write(fh.read())
         return 0
 
     return 2

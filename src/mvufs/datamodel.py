@@ -14,6 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Repair steps simulate_missing may take before it gives up.
+REPAIR_STEPS = 1000
+
+
 class DatasetError(ValueError):
     """Raised for malformed datasets, manifests or matrix files."""
 
@@ -23,7 +27,6 @@ class MultiViewDataset:
     views: tuple  # l arrays, each (d_v, N), nonnegative
     presence: np.ndarray  # (N, l) binary mask
     labels: np.ndarray | None = None
-    feature_names: tuple | None = None
 
     def __post_init__(self):
         views = tuple(np.asarray(x, dtype=float) for x in self.views)
@@ -132,9 +135,7 @@ def build_view_weights(dataset: MultiViewDataset) -> ViewWeights:
     return ViewWeights(tuple(vectors))
 
 
-def simulate_missing(
-    dataset: MultiViewDataset, ratio: float, seed: int, max_attempts: int = 1000
-) -> MultiViewDataset:
+def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> MultiViewDataset:
     """Mark floor(ratio * N) instances absent in each view, uniformly at random.
 
     Sampling is independent across views; instances that end up absent
@@ -155,12 +156,10 @@ def simulate_missing(
     for v in range(l):
         absent = rng.choice(n, size=n_absent, replace=False)
         presence[absent, v] = 0
-    for _ in range(max_attempts):
+    for _ in range(REPAIR_STEPS):
         lost = np.flatnonzero(presence.sum(axis=1) == 0)
         if lost.size == 0:
-            return MultiViewDataset(
-                dataset.views, presence, dataset.labels, dataset.feature_names
-            )
+            return MultiViewDataset(dataset.views, presence, dataset.labels)
         i = lost[0]
         v = int(rng.integers(l))
         donors = np.flatnonzero((presence[:, v] == 1) & (presence.sum(axis=1) >= 2))
@@ -171,7 +170,7 @@ def simulate_missing(
         presence[j, v] = 0
     raise DatasetError(
         f"could not satisfy the at-least-one-view constraint after "
-        f"{max_attempts} repair steps (ratio={ratio})"
+        f"{REPAIR_STEPS} repair steps (ratio={ratio})"
     )
 
 
@@ -240,11 +239,11 @@ def write_matrix(path: str, matrix: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(matrix), fmt="%.12g")
 
 
-def read_matrix(path: str) -> np.ndarray:
+def read_matrix(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
     try:
-        return np.atleast_2d(np.loadtxt(path, dtype=float))
+        return np.loadtxt(path, dtype=dtype, ndmin=ndmin)
     except ValueError as exc:
-        raise DatasetError(f"malformed matrix file {path}: {exc}") from exc
+        raise DatasetError(f"malformed file {path}: {exc}") from exc
 
 
 def save_dataset(dataset: MultiViewDataset, directory: str) -> None:
@@ -278,21 +277,24 @@ def load_dataset(directory: str) -> MultiViewDataset:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            key = parts[0]
-            if key == "views":
-                declared_views = int(parts[1])
-            elif key == "view":
-                if len(parts) != 4:
-                    raise DatasetError(f"manifest line {lineno}: expected "
-                                       "'view <file> <d> <N>'")
-                view_entries.append((parts[1], int(parts[2]), int(parts[3])))
-            elif key == "labels":
-                labels_path = parts[1]
-            elif key == "mask":
-                mask_path = parts[1]
-            else:
-                raise DatasetError(f"manifest line {lineno}: unknown key '{key}'")
+            key, *vals = line.split()
+            try:
+                if key == "views":
+                    declared_views = int(vals[0])
+                elif key == "view":
+                    if len(vals) != 3:
+                        raise ValueError("expected 'view <file> <d> <N>'")
+                    view_entries.append((vals[0], int(vals[1]), int(vals[2])))
+                elif key == "labels":
+                    labels_path = vals[0]
+                elif key == "mask":
+                    mask_path = vals[0]
+                else:
+                    raise ValueError(f"unknown key '{key}'")
+            except IndexError:
+                raise DatasetError(f"manifest line {lineno}: '{key}' needs a value") from None
+            except ValueError as exc:
+                raise DatasetError(f"manifest line {lineno}: {exc}") from exc
     if declared_views is None:
         raise DatasetError("manifest missing 'views' line")
     if len(view_entries) != declared_views:
@@ -313,9 +315,9 @@ def load_dataset(directory: str) -> MultiViewDataset:
     n = views[0].shape[1]
     labels = None
     if labels_path is not None:
-        labels = np.loadtxt(os.path.join(directory, labels_path), dtype=int, ndmin=1)
+        labels = read_matrix(os.path.join(directory, labels_path), int, ndmin=1)
     if mask_path is not None:
-        presence = np.loadtxt(os.path.join(directory, mask_path), dtype=int, ndmin=2)
+        presence = read_matrix(os.path.join(directory, mask_path), int)
     else:
         presence = np.ones((n, len(views)), dtype=int)
     return MultiViewDataset(tuple(views), presence, labels)

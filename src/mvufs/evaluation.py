@@ -12,7 +12,7 @@ select the same features clusters them once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,7 +40,6 @@ class EvaluationReport:
     nmi_mean: float
     nmi_std: float
     repeats: int
-    config: dict = field(default_factory=dict)
 
 
 def _kmeanspp_centers(points: np.ndarray, c: int, rngs) -> np.ndarray:
@@ -226,7 +225,6 @@ def run_protocol(
     c: int,
     repeats: int = 30,
     base_seed: int = 0,
-    config: dict | None = None,
     reports: dict | None = None,
 ) -> EvaluationReport:
     """Cluster the selected-feature matrix `repeats` times and report the
@@ -240,7 +238,7 @@ def run_protocol(
     Given `reports`, a report is stored there under the exact input of the
     clustering (the selected-feature matrix, the labels, c, repeats and
     base_seed), and a later call with the same input returns the stored
-    numbers with its own `config` instead of clustering again.
+    report instead of clustering again.
     """
     if dataset.labels is None:
         raise ValueError("evaluation needs ground-truth labels")
@@ -250,7 +248,7 @@ def run_protocol(
     if reports is not None:
         key = (data.shape, data.tobytes(), dataset.labels.tobytes(), c, repeats, base_seed)
         if key in reports:
-            return replace(reports[key], config=dict(config or {}))
+            return reports[key]
     seeds = range(base_seed, base_seed + repeats)
     step = max(1, CHUNK_ENTRIES // data.size)
     assignments = np.vstack([
@@ -268,7 +266,6 @@ def run_protocol(
         nmi_mean=float(nmis.mean()),
         nmi_std=std(nmis),
         repeats=repeats,
-        config=dict(config or {}),
     )
     if reports is not None:
         reports[key] = report

@@ -63,17 +63,12 @@ def pairwise_sq_dists(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def build_initial_similarity(
-    x: np.ndarray,
-    presence: np.ndarray,
-    k: int = 5,
-    bandwidth="auto",
-) -> np.ndarray:
+def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) -> np.ndarray:
     """Heat-kernel kNN similarity among present instances, column-normalized.
 
     Edges are kept when either endpoint lists the other among its k nearest
     present neighbors. Absent instances get uniform 1/(N-1) similarity to all
-    others. With bandwidth="auto", sigma is the mean kth-neighbor distance
+    others. The kernel bandwidth sigma is the mean kth-neighbor distance
     among present instances (falling back to 1 when that mean is zero).
     """
     x = np.asarray(x, dtype=float)
@@ -87,15 +82,9 @@ def build_initial_similarity(
     knn = np.argpartition(d2, k - 1, axis=1)[:, :k]
     rows = np.repeat(np.arange(m), k)
     near = d2[rows, knn.ravel()]
-    if bandwidth == "auto":
-        kth = np.sqrt(near.reshape(m, k).max(axis=1))
-        sigma = float(kth.mean())
-        if sigma <= 0.0:
-            sigma = 1.0
-    else:
-        sigma = float(bandwidth)
-        if sigma <= 0.0:
-            raise ValueError("bandwidth must be positive")
+    sigma = float(np.sqrt(near.reshape(m, k).max(axis=1)).mean())
+    if sigma <= 0.0:
+        sigma = 1.0
     # The kernel is evaluated on the kNN edges only; d2 is exactly symmetric,
     # so an edge listed from both ends gets the same weight twice.
     weight = np.exp(-near / (2.0 * sigma * sigma))

@@ -54,6 +54,8 @@ from .graph import laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
 
 DENOM_FLOOR = 1e-12
+XI = 1e7  # orthogonality penalty on V
+EPS = 1e-10  # l2,p reweighting floor
 
 
 class SolverDivergence(RuntimeError):
@@ -67,13 +69,10 @@ class Hyperparameters:
     gamma: float  # view-weight exponent, must exceed 1
     p: float  # sparsity exponent in (0, 1]
     n_clusters: int
-    xi: float = 1e7  # orthogonality penalty on V
-    eps: float = 1e-10  # reweighting floor
     max_iter: int = 300
     rel_tol: float = 1e-6
     seed: int = 0
     knn: int = 5
-    bandwidth: object = "auto"
 
     def __post_init__(self):
         if self.lam < 0 or self.beta < 0:
@@ -82,8 +81,6 @@ class Hyperparameters:
             raise ValueError("gamma must exceed 1")
         if not (0 < self.p <= 1):
             raise ValueError("p must lie in (0, 1]")
-        if self.xi <= 0 or self.eps <= 0:
-            raise ValueError("xi and eps must be positive")
         if self.n_clusters < 2:
             raise ValueError("need at least 2 clusters")
         if self.max_iter < 0:
@@ -205,7 +202,7 @@ def update_u(
     x = dataset.views[v]
     w2 = weights.vectors[v] ** 2
     u = state.u[v]
-    d = sparsity_reweight(u, hyper.p, hyper.eps)
+    d = sparsity_reweight(u, hyper.p, EPS)
     num = (x * w2[None, :]) @ state.v
     m = state.v.T @ (state.v * w2[:, None])
     den = u @ m + hyper.lam * d[:, None] * u
@@ -238,7 +235,7 @@ def update_v(
         sv_deg = state.s[k] @ v_one if products is None else products[k]
         e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * sv_deg[:, :c])
         q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * sv_deg[:, c:] * v_mat)
-    two_xi = 2.0 * hyper.xi
+    two_xi = 2.0 * XI
     num = e + two_xi * v_mat
     den = q + two_xi * (v_mat @ (v_mat.T @ v_mat))
     return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
@@ -428,7 +425,7 @@ def initialize(
     V starts as a column-normalized soft cluster indicator (k-means on the
     concatenated imputed views, floored at 1e-3 so multiplicative updates can
     move every entry). Starting V near the nonnegative orthogonal manifold is
-    what lets the huge-xi penalty keep the objective monotone: from a generic
+    what lets the huge-XI penalty keep the objective monotone: from a generic
     positive matrix the support-splitting required by V'V = I is a slow
     process during which the penalty drags the unpenalized objective upward.
     """
@@ -445,12 +442,8 @@ def initialize(
     v = np.full((dataset.n_instances, c), 1e-3)
     v[np.arange(dataset.n_instances), assignments] = 1.0
     v /= np.linalg.norm(v, axis=0, keepdims=True)
-    s = [
-        build_initial_similarity(
-            imputed[k], dataset.presence[:, k], k=hyper.knn, bandwidth=hyper.bandwidth
-        )
-        for k in range(l)
-    ]
+    s = [build_initial_similarity(imputed[k], dataset.presence[:, k], k=hyper.knn)
+         for k in range(l)]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
     alpha = np.full(l, 1.0 / l)
@@ -517,7 +510,7 @@ def _permuted(dataset: MultiViewDataset, weights: ViewWeights, order: np.ndarray
     """The dataset and weights with their instances in `order`."""
     labels = None if dataset.labels is None else dataset.labels[order]
     views = tuple(x[:, order] for x in dataset.views)
-    return (MultiViewDataset(views, dataset.presence[order], labels, dataset.feature_names),
+    return (MultiViewDataset(views, dataset.presence[order], labels),
             ViewWeights(tuple(w[order] for w in weights.vectors)))
 
 

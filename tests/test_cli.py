@@ -297,9 +297,54 @@ class TestSharedGroupWork:
         assert calls[0][0] is not calls[12][0]
 
 
-class TestTraceCommand:
-    def test_echoes_file(self, tmp_path, capsys):
-        path = tmp_path / "trace.txt"
-        path.write_text("0 12.5\n1 11.0\n")
-        assert cli.main(["trace", str(path)]) == 0
-        assert capsys.readouterr().out == "0 12.5\n1 11.0\n"
+# config lines after "dataset d" (None: no config file) and a part of the
+# one error line they must give
+CONFIG_FAULTS = [
+    ("missing_ratios abc", "c.txt:2: could not convert string to float: 'abc'"),
+    ("bogus 1", "c.txt:2: unknown key 'bogus'"),
+    ("synthetic_n abc", "c.txt:2: invalid literal for int() with base 10: 'abc'"),
+    ("synthetic_views 2\nsynthetic_features 8",
+     "c.txt: synthetic spec: features/informative must have one entry per view"),
+    (None, "No such file or directory"),
+]
+FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file"]
+
+
+def fault_config(tmp_path, lines):
+    if lines is None:
+        return str(tmp_path / "absent.txt")
+    return write_config(tmp_path / "c.txt", f"dataset d\n{lines}\n")
+
+
+class TestConfigFaults:
+    @pytest.mark.parametrize("lines,message", CONFIG_FAULTS, ids=FAULT_IDS)
+    def test_validate_prints_one_error(self, tmp_path, capsys, lines, message):
+        assert cli.main(["validate", "--config", fault_config(tmp_path, lines)]) == 1
+        (line,) = capsys.readouterr().out.splitlines()
+        assert line.startswith("error: ") and message in line
+
+    @pytest.mark.parametrize("lines,message", CONFIG_FAULTS, ids=FAULT_IDS)
+    def test_run_prints_one_error_and_writes_nothing(self, tmp_path, capsys, lines, message):
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", fault_config(tmp_path, lines),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", ["no-dataset", "no-labels"])
+    def test_unloadable_dataset_runs_nothing(self, tmp_path, capsys, case):
+        path = tmp_path / "ds"
+        message = f"error: no manifest.txt in {path}"
+        if case == "no-labels":
+            ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
+                n_instances=12, n_views=2, n_clusters=3, features=(4, 4),
+                informative=(2, 2)))
+            datamodel.save_dataset(datamodel.MultiViewDataset(ds.views, ds.presence), str(path))
+            message = "error: cluster count unknown: set 'clusters' or provide labels"
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [message]
+        assert not out.exists()

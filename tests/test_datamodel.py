@@ -189,3 +189,20 @@ class TestIO:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match="manifest"):
             load_dataset(str(tmp_path))
+
+    @pytest.mark.parametrize("manifest,files,match", [
+        ("views abc\n", {}, "manifest line 1: invalid literal"),
+        ("views 1\nview v.txt two 2\n", {}, "manifest line 2: invalid literal"),
+        ("views\n", {}, "manifest line 1: 'views' needs a value"),
+        ("views 1\nview v.txt 1 2\nlabels\n", {}, "manifest line 3: 'labels' needs a value"),
+        ("views 1\nview v.txt 1 2\nlabels l.txt\n", {"l.txt": "0\n1.5\n"},
+         "malformed file .*l.txt"),
+        ("views 1\nview v.txt 1 2\nmask m.txt\n", {"m.txt": "1\nx\n"}, "malformed file .*m.txt"),
+    ], ids=["views-not-int", "view-size-not-int", "views-no-value", "labels-no-value",
+            "labels-not-int", "mask-not-int"])
+    def test_malformed_manifest_or_integer_file(self, tmp_path, manifest, files, match):
+        (tmp_path / "manifest.txt").write_text(manifest)
+        for name, text in {"v.txt": "1 2\n", **files}.items():
+            (tmp_path / name).write_text(text)
+        with pytest.raises(DatasetError, match=match):
+            load_dataset(str(tmp_path))

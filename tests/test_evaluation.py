@@ -377,12 +377,12 @@ class TestRunProtocol:
         assert np.ptp(accs) > 0  # the repeats disagree, so the mean is informative
         for chunk_entries in (evaluation.CHUNK_ENTRIES, 1, 4 * data.size):
             monkeypatch.setattr(evaluation, "CHUNK_ENTRIES", chunk_entries)
-            rep = run_protocol(ds, selected, 4, repeats=30, base_seed=5, config={"k": 1})
+            rep = run_protocol(ds, selected, 4, repeats=30, base_seed=5)
             assert rep.acc_mean == float(accs.mean())
             assert rep.acc_std == float(accs.std(ddof=1))
             assert rep.nmi_mean == float(nmis.mean())
             assert rep.nmi_std == float(nmis.std(ddof=1))
-            assert rep.repeats == 30 and rep.config == {"k": 1}
+            assert rep.repeats == 30
 
     def test_zero_repeats_rejected(self):
         ds = self._dataset()
@@ -445,14 +445,11 @@ class TestProtocolMemo:
             run(*args)
         assert len(reports) == len(variants) and len(passes) == 2 * len(variants)
 
-    def test_config_comes_from_the_call(self, passes):
+    def test_hit_returns_the_stored_report(self, passes):
         ds, reports = self._dataset(), {}
-        first = run_protocol(ds, [(0, 1)], 3, repeats=3, config={"cell": 0}, reports=reports)
-        again = run_protocol(ds, [(0, 1)], 3, repeats=3, config={"cell": 1}, reports=reports)
-        bare = run_protocol(ds, [(0, 1)], 3, repeats=3, reports=reports)
-        assert len(passes) == 1
-        assert (first.config, again.config, bare.config) == ({"cell": 0}, {"cell": 1}, {})
-        assert again.acc_mean == first.acc_mean and again.nmi_std == first.nmi_std
+        first = run_protocol(ds, [(0, 1)], 3, repeats=3, reports=reports)
+        again = run_protocol(ds, [(0, 1)], 3, repeats=3, reports=reports)
+        assert len(passes) == 1 and again is first
 
 
 class TestSelectedFeatureMatrix:

@@ -122,8 +122,7 @@ class TestBuildInitialSimilarity:
         s_perm = build_initial_similarity(x[:, perm], presence, k=3)
         assert np.allclose(s_perm, s[np.ix_(perm, perm)])
 
-    @pytest.mark.parametrize("bandwidth", ["auto", 0.7])
-    def test_matches_full_sort_implementation(self, bandwidth):
+    def test_matches_full_sort_implementation(self):
         # tie-free inputs give bitwise the graph of the full-sort reference
         rng = np.random.default_rng(8)
         n = 30
@@ -134,8 +133,8 @@ class TestBuildInitialSimilarity:
         for presence in (all_present, some_absent):
             m = int(presence.sum())
             for k in (1, 3, m - 1):
-                s = build_initial_similarity(x, presence, k=k, bandwidth=bandwidth)
-                expect = _argsort_initial_similarity(x, presence, k=k, bandwidth=bandwidth)
+                s = build_initial_similarity(x, presence, k=k)
+                expect = _argsort_initial_similarity(x, presence, k=k)
                 assert np.array_equal(s, expect), (m, k)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -157,7 +156,7 @@ class TestBuildInitialSimilarity:
         assert np.all(s[twins[paired], present[paired]] > 0)
 
 
-def _argsort_initial_similarity(x, presence, k=5, bandwidth="auto"):
+def _argsort_initial_similarity(x, presence, k=5):
     """Reference kNN graph: full row sort, dense kernel and mask."""
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
@@ -166,12 +165,9 @@ def _argsort_initial_similarity(x, presence, k=5, bandwidth="auto"):
     d2 = pairwise_sq_dists(x[:, present].T)
     order = np.argsort(d2, axis=1)
     knn = order[:, 1 : k + 1]  # skip self
-    if bandwidth == "auto":
-        sigma = float(np.sqrt(d2[np.arange(m), order[:, k]]).mean())
-        if sigma <= 0.0:
-            sigma = 1.0
-    else:
-        sigma = float(bandwidth)
+    sigma = float(np.sqrt(d2[np.arange(m), order[:, k]]).mean())
+    if sigma <= 0.0:
+        sigma = 1.0
     kernel = np.exp(-d2 / (2.0 * sigma * sigma))
     mask = np.zeros((m, m), dtype=bool)
     mask[np.repeat(np.arange(m), k), knn.ravel()] = True

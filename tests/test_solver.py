@@ -541,7 +541,7 @@ class TestUpdateU:
         def sub(v):
             x = ds.views[v]
             resid = (x - state.u[v] @ state.v.T) * w.vectors[v][None, :]
-            smooth = np.sum((np.sum(state.u[v] ** 2, axis=1) + h.eps) ** (h.p / 2))
+            smooth = np.sum((np.sum(state.u[v] ** 2, axis=1) + solver.EPS) ** (h.p / 2))
             return np.sum(resid**2) + h.lam * smooth
 
         prev = sub(0)
@@ -581,7 +581,7 @@ class TestUpdateV:
 
         def sub():
             ag = state.alpha**h.gamma
-            total = h.xi * np.linalg.norm(state.v.T @ state.v - np.eye(3)) ** 2
+            total = solver.XI * np.linalg.norm(state.v.T @ state.v - np.eye(3)) ** 2
             for v in range(ds.n_views):
                 resid = (ds.views[v] - state.u[v] @ state.v.T) * w.vectors[v][None, :]
                 lap = np.diag(state.s[v].sum(axis=1)) - state.s[v]
