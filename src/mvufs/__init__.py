@@ -9,7 +9,6 @@ from .datamodel import (
     DatasetError,
     MultiViewDataset,
     SyntheticSpec,
-    ViewWeights,
     build_view_weights,
     generate_synthetic,
     impute_missing,
@@ -24,7 +23,7 @@ from .graph import (
     pairwise_sq_dists,
     update_similarity,
 )
-from .selection import FeatureRanking, score_features, select_top, select_top_per_view
+from .selection import FeatureRanking, score_features, select_top
 from .simplex import project_offdiag_columns, project_offdiag_simplex, project_simplex
 from .solver import (
     Hyperparameters,

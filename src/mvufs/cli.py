@@ -6,8 +6,9 @@ Subcommands:
   validate  check a config file, printing one diagnostic per violation
   run       execute the full sweep, writing report/trace/selection artifacts
 
-A config that cannot be read or parsed, or whose dataset cannot be loaded,
-is reported as one `error:` line; `run` then writes nothing.
+A config that cannot be read or parsed, or whose dataset cannot be loaded or
+evaluated (no labels, fewer instances than clusters), is reported as one
+`error:` line; `run` then writes nothing.
 
 `run` masks the dataset once per missing ratio; every cell of that ratio
 fits on the same masked dataset and shares one memo of evaluation reports,
@@ -57,7 +58,6 @@ class ExperimentConfig:
     repeats: int = 30
     seed: int = 0
     knn: int = 5
-    per_view: bool = False
     max_iter: int = 300
 
 
@@ -100,8 +100,6 @@ def parse_config(path: str) -> ExperimentConfig:
                     cfg.knn = int(vals[0])
                 elif key == "max_iter":
                     cfg.max_iter = int(vals[0])
-                elif key == "per_view":
-                    cfg.per_view = vals[0].lower() in ("1", "true", "yes")
                 elif key in SYNTHETIC_KEYS:
                     name = SYNTHETIC_KEYS[key]
                     values = tuple((float if name == "noise_scale" else int)(x) for x in vals)
@@ -166,16 +164,21 @@ def validate_config(cfg: ExperimentConfig):
 
 
 def _load_base_dataset(cfg: ExperimentConfig):
-    """The dataset before masking and the cluster count."""
+    """The dataset before masking and the cluster count. A dataset that the
+    evaluation protocol cannot score, one without labels or with fewer
+    instances than clusters, is refused before any fit."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
         dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
-    if cfg.clusters is not None:
-        return dataset, cfg.clusters
     if dataset.labels is None:
-        raise ValueError("cluster count unknown: set 'clusters' or provide labels")
-    return dataset, int(np.unique(dataset.labels).size)
+        if cfg.clusters is None:
+            raise ValueError("cluster count unknown: set 'clusters' or provide labels")
+        raise ValueError("the dataset has no labels, which the evaluation protocol needs")
+    c = int(np.unique(dataset.labels).size) if cfg.clusters is None else cfg.clusters
+    if c > dataset.n_instances:
+        raise ValueError(f"cannot form {c} clusters from {dataset.n_instances} instances")
+    return dataset, c
 
 
 def _masked_dataset(cfg, base, missing_ratio, miss_idx):
@@ -192,10 +195,7 @@ def _run_cell(cfg, dataset, c, cell, reports):
     )
     result = solver.fit(dataset, hyper)
     ranking = selection.score_features(result.state.u)
-    if cfg.per_view:
-        selected = selection.select_top_per_view(ranking, feature_ratio)
-    else:
-        selected = selection.select_top(ranking, ratio=feature_ratio)
+    selected = selection.select_top(ranking, ratio=feature_ratio)
     report = evaluation.run_protocol(
         dataset, selected, c, repeats=cfg.repeats, base_seed=cfg.seed, reports=reports
     )

@@ -3,11 +3,13 @@
 A dataset holds l per-view feature matrices X^(v) of shape (d_v, N) with
 nonnegative entries, an N x l presence mask (1 = instance observed in that
 view) and optional ground-truth labels. All containers are immutable after
-construction; operations are pure given (inputs, seed).
+construction; operations are pure given (inputs, seed). A dataset works out
+its own weighted-NMF weights from its presence mask (`weights`).
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -79,23 +81,11 @@ class MultiViewDataset:
     def is_complete(self) -> bool:
         return bool(np.all(self.presence == 1))
 
-
-@dataclass(frozen=True)
-class ViewWeights:
-    """Per-view diagonal weight vectors of length N.
-
-    Present instances get weight 1; absent ones get the view's fraction of
-    available instances, so every entry lies in (0, 1].
-    """
-
-    vectors: tuple  # l arrays of length N
-
-    def __post_init__(self):
-        vectors = tuple(np.asarray(w, dtype=float) for w in self.vectors)
-        object.__setattr__(self, "vectors", vectors)
-        for v, w in enumerate(vectors):
-            if np.any(w <= 0) or np.any(w > 1):
-                raise DatasetError(f"weights of view {v} outside (0, 1]")
+    @functools.cached_property
+    def weights(self) -> tuple:
+        """Per view, the diagonal WNMF weights of the N instances (see
+        build_view_weights), computed once."""
+        return build_view_weights(self)
 
 
 @dataclass(frozen=True)
@@ -124,15 +114,17 @@ class SyntheticSpec:
             raise DatasetError("noise_scale must be nonnegative")
 
 
-def build_view_weights(dataset: MultiViewDataset) -> ViewWeights:
-    """Diagonal WNMF weights: 1 for present instances, presence fraction otherwise."""
+def build_view_weights(dataset: MultiViewDataset) -> tuple:
+    """Diagonal WNMF weights, one length-N vector per view: 1 for present
+    instances, the view's presence fraction otherwise, so every entry lies in
+    (0, 1] (a view has at least one present instance)."""
     n = dataset.n_instances
     vectors = []
     for v in range(dataset.n_views):
         col = dataset.presence[:, v].astype(float)
         frac = col.sum() / n
         vectors.append(np.where(col == 1, 1.0, frac))
-    return ViewWeights(tuple(vectors))
+    return tuple(vectors)
 
 
 def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> MultiViewDataset:
@@ -281,6 +273,8 @@ def load_dataset(directory: str) -> MultiViewDataset:
             try:
                 if key == "views":
                     declared_views = int(vals[0])
+                    if declared_views < 1:
+                        raise ValueError("a dataset needs at least one view")
                 elif key == "view":
                     if len(vals) != 3:
                         raise ValueError("expected 'view <file> <d> <N>'")

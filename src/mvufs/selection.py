@@ -40,21 +40,6 @@ def select_top(ranking: FeatureRanking, ratio=None, count=None):
     return [(v, f) for v, f, _ in ranking.entries[:h]]
 
 
-def select_top_per_view(ranking: FeatureRanking, ratio: float):
-    """Per-view proportional alternative: the top ceil(ratio * d_v) features
-    of each view."""
-    if not (0 < ratio <= 1):
-        raise ValueError("ratio must lie in (0, 1]")
-    by_view = {}
-    for v, f, score in ranking.entries:
-        by_view.setdefault(v, []).append((v, f))
-    selected = []
-    for v in sorted(by_view):
-        h = int(math.ceil(ratio * len(by_view[v])))
-        selected.extend(by_view[v][:h])
-    return selected
-
-
 def save_selection(ranking: FeatureRanking, selected, path: str) -> None:
     """Lines of 'view_index feature_index score' for the selected features."""
     scores = {(v, f): s for v, f, s in ranking.entries}

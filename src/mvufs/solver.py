@@ -15,7 +15,9 @@ term it gives exactly), the products serve the losses and, because nothing
 changes V or the graphs in between, the next sweep's V update; `fit` seeds
 the first sweep with the products of the initial objective's pass. `fit` also
 hands each sweep's final S-projection thresholds to the next as starting
-guesses (SweepCarry). No residual graph or Laplacian is ever formed. Each
+guesses (SweepCarry); a sweep without a carry runs as with a fresh one. No
+residual graph or Laplacian is ever formed. The weighted-NMF weights are the
+dataset's own (MultiViewDataset.weights), so no update takes them. Each
 sweep checks that V, U, the S updates and the view losses stay finite and
 raises SolverDivergence naming the first that does not.
 
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import MultiViewDataset, ViewWeights, build_view_weights, impute_missing
+from .datamodel import MultiViewDataset, impute_missing
 from .graph import (
     BLOCK_ENTRIES,
     BLOCK_MIN_ENTRIES,
@@ -50,6 +52,7 @@ from .graph import (
     update_similarity,
 )
 # Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
+from .datamodel import build_view_weights  # noqa: F401
 from .graph import laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
 
@@ -173,7 +176,6 @@ def l2p_norm_p(u: np.ndarray, p: float) -> float:
 def objective(
     state: SolverState,
     dataset: MultiViewDataset,
-    weights: ViewWeights,
     hyper: Hyperparameters,
     losses: np.ndarray | None = None,
 ) -> float:
@@ -183,7 +185,7 @@ def objective(
     already has them; otherwise they are computed.
     """
     if losses is None:
-        losses = view_losses(state, dataset, weights, hyper)
+        losses = view_losses(state, dataset, hyper)
     r_term = hyper.beta * float(np.vdot(state.r, state.r))
     total = float(np.sum(state.alpha ** hyper.gamma * (losses + r_term)))
     if not np.isfinite(total):
@@ -195,12 +197,11 @@ def update_u(
     v: int,
     state: SolverState,
     dataset: MultiViewDataset,
-    weights: ViewWeights,
     hyper: Hyperparameters,
 ) -> np.ndarray:
     """Multiplicative update of the view-v factor under the l2,p reweighting."""
     x = dataset.views[v]
-    w2 = weights.vectors[v] ** 2
+    w2 = dataset.weights[v] ** 2
     u = state.u[v]
     d = sparsity_reweight(u, hyper.p, EPS)
     num = (x * w2[None, :]) @ state.v
@@ -212,7 +213,6 @@ def update_u(
 def update_v(
     state: SolverState,
     dataset: MultiViewDataset,
-    weights: ViewWeights,
     hyper: Hyperparameters,
     products: list | None = None,
 ) -> np.ndarray:
@@ -229,7 +229,7 @@ def update_v(
     q = np.zeros_like(v_mat)
     for k in range(dataset.n_views):
         x = dataset.views[k]
-        w2 = weights.vectors[k] ** 2
+        w2 = dataset.weights[k] ** 2
         u = state.u[k]
         # SV and the row sums of S in one pass over S
         sv_deg = state.s[k] @ v_one if products is None else products[k]
@@ -287,11 +287,6 @@ def graph_products(graphs, v: np.ndarray | None = None, blocks: ClusterBlocks | 
     return gram, products
 
 
-def graph_gram(graphs) -> np.ndarray:
-    """l x l Gram matrix of Frobenius inner products <S_i, S_j> of the graphs."""
-    return graph_products(graphs)[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _candidate_supports(l: int) -> np.ndarray:
     """member[a, k]: whether view k is in candidate support a.
@@ -308,15 +303,13 @@ def _candidate_supports(l: int) -> np.ndarray:
     return member
 
 
-def update_r(
-    state: SolverState, hyper: Hyperparameters, gram: np.ndarray | None = None
-) -> np.ndarray:
+def update_r(gram: np.ndarray) -> np.ndarray:
     """Solve every column's ridge regression on the off-diagonal simplex exactly.
 
     The N^2 x l stacked similarity matrix is never materialized: column v
     minimizes r'Qr - 2 G[:, v]'r, Q = G + I, with r_v = 0 on the simplex,
-    where G is the l x l Gram matrix of Frobenius inner products (`gram`,
-    computed when not given). The problem is strictly convex, so its
+    where G = `gram` is the l x l Gram matrix of Frobenius inner products of
+    the graphs (from `graph_products`). The problem is strictly convex, so its
     minimizer is the best of the equality-constrained minimizers over the
     supports A without v that come out nonnegative. The KKT matrix
     [[Q_AA, 1], [1', 0]] depends on A alone, so one batched solve covers all
@@ -328,8 +321,6 @@ def update_r(
     bounded as 2^l grows; a later chunk replaces a column's best only with a
     strictly smaller score. At l <= 8 one chunk covers every support.
     """
-    if gram is None:
-        gram = graph_gram(state.s)
     l = len(gram)
     quad = gram + np.eye(l)
     supports = _candidate_supports(l)
@@ -360,7 +351,6 @@ def update_r(
 def view_losses(
     state: SolverState,
     dataset: MultiViewDataset,
-    weights: ViewWeights,
     hyper: Hyperparameters,
     gram: np.ndarray | None = None,
     products: list | None = None,
@@ -383,7 +373,7 @@ def view_losses(
     row_sq = np.sum(state.v * state.v, axis=1)
     d = np.empty(l)
     for v in range(l):
-        resid = (dataset.views[v] - state.u[v] @ state.v.T) * weights.vectors[v][None, :]
+        resid = (dataset.views[v] - state.u[v] @ state.v.T) * dataset.weights[v][None, :]
         e = -state.r[:, v]
         e[v] += 1.0
         recon = max(float(e @ gram @ e), 0.0)
@@ -414,11 +404,7 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
     return powered / powered.sum()
 
 
-def initialize(
-    dataset: MultiViewDataset,
-    weights: ViewWeights,
-    hyper: Hyperparameters,
-) -> SolverState:
+def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState:
     """Strictly positive factors, kNN similarity graphs on imputed data,
     uniform coefficients and view weights.
 
@@ -459,7 +445,6 @@ def _finite(values: np.ndarray, source: str) -> np.ndarray:
 def sweep(
     state: SolverState,
     dataset: MultiViewDataset,
-    weights: ViewWeights,
     hyper: Hyperparameters,
     carry: SweepCarry | None = None,
 ) -> np.ndarray:
@@ -467,18 +452,19 @@ def sweep(
 
     Returns the view losses of the final state, from which alpha was set.
     `carry` holds what the previous sweep of this state left (see
-    SweepCarry) and receives what this one leaves; without it the V update
-    forms its own graph products and every projection starts cold.
+    SweepCarry) and receives what this one leaves. A sweep without one runs
+    as with a fresh SweepCarry: the V update forms its own graph products
+    and every projection starts cold.
     """
-    products = None
-    if carry is not None:
-        products = carry.products_for(state)
-        if products is None:  # the graphs are not the ones the carry's lists describe
-            carry.blocks = None
-    state.v = _finite(update_v(state, dataset, weights, hyper, products), "the V update")
+    if carry is None:
+        carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
+    products = carry.products_for(state)
+    if products is None:  # the graphs are not the ones the carry's lists describe
+        carry.blocks = None
+    state.v = _finite(update_v(state, dataset, hyper, products), "the V update")
     for k in range(dataset.n_views):
-        state.u[k] = _finite(update_u(k, state, dataset, weights, hyper), "the U update")
-    blocks = None if carry is None else carry.blocks_for(state.v)
+        state.u[k] = _finite(update_u(k, state, dataset, hyper), "the U update")
+    blocks = carry.blocks_for(state.v)
     if blocks is None:
         # Squared distances between the rows of V less |v_j|^2 in column j, a
         # per-column constant that update_similarity ignores: one GEMM, no
@@ -490,28 +476,25 @@ def sweep(
     for k in range(dataset.n_views):
         try:
             state.s[k] = update_similarity(
-                k, state.s, state.r, state.alpha, hyper.gamma, h,
-                None if carry is None else carry.thresholds[k],
+                k, state.s, state.r, state.alpha, hyper.gamma, h, carry.thresholds[k]
             )
         except ValueError as exc:
             raise SolverDivergence(f"the S update of view {k} failed: {exc}") from exc
         if blocks is not None and blocks.entries[k] is not None:
             carry.block_updates += 1
     gram, products = graph_products(state.s, state.v, blocks)
-    state.r = update_r(state, hyper, gram)
-    d = _finite(view_losses(state, dataset, weights, hyper, gram, products), "the view losses")
+    state.r = update_r(gram)
+    d = _finite(view_losses(state, dataset, hyper, gram, products), "the view losses")
     state.alpha = update_alpha(d, hyper.gamma)
-    if carry is not None:
-        carry.keep(state, products)
+    carry.keep(state, products)
     return d
 
 
-def _permuted(dataset: MultiViewDataset, weights: ViewWeights, order: np.ndarray):
-    """The dataset and weights with their instances in `order`."""
+def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
+    """The dataset with its instances in `order`."""
     labels = None if dataset.labels is None else dataset.labels[order]
     views = tuple(x[:, order] for x in dataset.views)
-    return (MultiViewDataset(views, dataset.presence[order], labels),
-            ViewWeights(tuple(w[order] for w in weights.vectors)))
+    return MultiViewDataset(views, dataset.presence[order], labels)
 
 
 def _permute_state(state: SolverState, order: np.ndarray) -> None:
@@ -532,24 +515,23 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     on the labels' blocks; the result is in the dataset's order.
     """
     start = time.perf_counter()
-    weights = build_view_weights(dataset)
-    state = initialize(dataset, weights, hyper)
+    state = initialize(dataset, hyper)
     order = None
     if dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES:
         # V's clusters as contiguous runs let the sweeps work on their blocks
         order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
-        dataset, weights = _permuted(dataset, weights, order)
+        dataset = _permuted(dataset, order)
         _permute_state(state, order)
     gram, products = graph_products(state.s, state.v)
-    d = view_losses(state, dataset, weights, hyper, gram, products)
-    trace = [objective(state, dataset, weights, hyper, d)]
+    d = view_losses(state, dataset, hyper, gram, products)
+    trace = [objective(state, dataset, hyper, d)]
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     carry.keep(state, products)  # the first V update reuses the initial products
     converged = False
     iterations = 0
     for _ in range(hyper.max_iter):
-        d = sweep(state, dataset, weights, hyper, carry)
-        trace.append(objective(state, dataset, weights, hyper, d))
+        d = sweep(state, dataset, hyper, carry)
+        trace.append(objective(state, dataset, hyper, d))
         iterations += 1
         prev, cur = trace[-2], trace[-1]
         if abs(cur - prev) / max(1.0, prev) < hyper.rel_tol:

@@ -77,14 +77,13 @@ def solver_suite():
         hyper = solver.Hyperparameters(
             **HYPER, max_iter=MAX_SWEEPS, rel_tol=1e-6, seed=seed
         )
-        weights = datamodel.build_view_weights(dataset)
-        state = solver.initialize(dataset, weights, hyper)
-        trace = [solver.objective(state, dataset, weights, hyper)]
+        state = solver.initialize(dataset, hyper)
+        trace = [solver.objective(state, dataset, hyper)]
         violations = []
         converged_at = None
         for t in range(MAX_SWEEPS):
-            solver.sweep(state, dataset, weights, hyper)
-            trace.append(solver.objective(state, dataset, weights, hyper))
+            solver.sweep(state, dataset, hyper)
+            trace.append(solver.objective(state, dataset, hyper))
             violations.extend(
                 f"seed {seed} sweep {t}: {e}"
                 for e in constraint_errors(state, check_ortho=False)
@@ -271,8 +270,7 @@ def test_coefficient_update_matches_grid_search():
         r=np.full((l, l), 1.0 / (l - 1)), alpha=np.full(l, 1.0 / l),
     )
     np.fill_diagonal(state.r, 0.0)
-    hyper = solver.Hyperparameters(**HYPER, seed=0)
-    r_new = solver.update_r(state, hyper)
+    r_new = solver.update_r(solver.graph_products(graphs)[0])
 
     gram = np.array([[float(np.sum(a * b)) for b in graphs] for a in graphs])
     grid3 = _simplex_grid(3, 1e-3)
@@ -360,12 +358,11 @@ def _median_sweep_time(n: int, seed: int) -> float:
     )
     dataset, _ = generate_synthetic(spec)
     hyper = solver.Hyperparameters(**HYPER, seed=seed)
-    weights = datamodel.build_view_weights(dataset)
-    state = solver.initialize(dataset, weights, hyper)
+    state = solver.initialize(dataset, hyper)
     times = []
     for _ in range(7):
         t0 = time.perf_counter()
-        solver.sweep(state, dataset, weights, hyper)
+        solver.sweep(state, dataset, hyper)
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 

@@ -27,14 +27,12 @@ class TestParseConfig:
             "lambda 0.1 1\n"
             "gamma 3\n"
             "repeats 2\n"
-            "per_view true\n"
         )
         cfg = cli.parse_config(write_config(tmp_path / "c.txt", text))
         assert cfg.dataset_path == "some/dir"
         assert cfg.lam == [0.1, 1.0]
         assert cfg.gamma == [3.0]
         assert cfg.repeats == 2
-        assert cfg.per_view is True
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = write_config(tmp_path / "c.txt", "dataset d\nbogus 1\n")
@@ -306,8 +304,10 @@ CONFIG_FAULTS = [
     ("synthetic_views 2\nsynthetic_features 8",
      "c.txt: synthetic spec: features/informative must have one entry per view"),
     (None, "No such file or directory"),
+    ("per_view true", "c.txt:2: unknown key 'per_view'"),
 ]
-FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file"]
+FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file",
+             "removed-per-view"]
 
 
 def fault_config(tmp_path, lines):
@@ -333,18 +333,28 @@ class TestConfigFaults:
         assert captured.out == "" and line.startswith("error: ") and message in line
         assert not out.exists()
 
-    @pytest.mark.parametrize("case", ["no-dataset", "no-labels"])
+    # (labels saved with the dataset, None: no dataset; config lines; message)
+    UNLOADABLE = {
+        "no-dataset": (None, "", "no manifest.txt in {path}"),
+        "no-labels": (False, "", "cluster count unknown: set 'clusters' or provide labels"),
+        "no-labels-with-clusters": (
+            False, "clusters 3\n", "the dataset has no labels, which the evaluation protocol needs"),
+        "too-many-clusters": (True, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
+    }
+
+    @pytest.mark.parametrize("case", list(UNLOADABLE))
     def test_unloadable_dataset_runs_nothing(self, tmp_path, capsys, case):
+        labelled, lines, message = self.UNLOADABLE[case]
         path = tmp_path / "ds"
-        message = f"error: no manifest.txt in {path}"
-        if case == "no-labels":
+        if labelled is not None:
             ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
                 n_instances=12, n_views=2, n_clusters=3, features=(4, 4),
                 informative=(2, 2)))
-            datamodel.save_dataset(datamodel.MultiViewDataset(ds.views, ds.presence), str(path))
-            message = "error: cluster count unknown: set 'clusters' or provide labels"
+            labels = ds.labels if labelled else None
+            datamodel.save_dataset(datamodel.MultiViewDataset(ds.views, ds.presence, labels),
+                                   str(path))
         out = tmp_path / "o"
-        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\n")
+        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\n{lines}")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [message]
+        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
         assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mvufs import solver
 from mvufs.datamodel import (
     DatasetError,
     MultiViewDataset,
@@ -43,7 +44,7 @@ class TestInvariants:
 class TestViewWeights:
     def test_complete_view_all_ones(self):
         w = build_view_weights(small_dataset())
-        for vec in w.vectors:
+        for vec in w:
             assert np.all(vec == 1.0)
 
     def test_partial_view_gets_presence_fraction(self):
@@ -52,8 +53,8 @@ class TestViewWeights:
         presence[:3, 0] = 0  # 7 of 10 present in view 0
         ds = MultiViewDataset(ds.views, presence)
         w = build_view_weights(ds)
-        assert np.allclose(w.vectors[0][:3], 0.7)
-        assert np.all(w.vectors[0][3:] == 1.0)
+        assert np.allclose(w[0][:3], 0.7)
+        assert np.all(w[0][3:] == 1.0)
 
     def test_single_present_instance(self):
         ds = small_dataset(n=10)
@@ -61,14 +62,28 @@ class TestViewWeights:
         presence[1:, 0] = 0
         ds = MultiViewDataset(ds.views, presence)
         w = build_view_weights(ds)
-        assert np.allclose(w.vectors[0][1:], 0.1)
+        assert np.allclose(w[0][1:], 0.1)
 
     def test_only_two_weight_values_after_simulation(self):
         ds = simulate_missing(small_dataset(n=20), 0.3, seed=5)
         w = build_view_weights(ds)
-        for v, vec in enumerate(w.vectors):
+        for v, vec in enumerate(w):
             frac = ds.presence[:, v].mean()
             assert np.all((vec == 1.0) | (vec == frac))
+
+    def test_dataset_computes_its_weights_once(self):
+        ds = simulate_missing(small_dataset(n=20), 0.3, seed=6)
+        assert ds.weights is ds.weights
+        assert all(a.tobytes() == b.tobytes()
+                   for a, b in zip(ds.weights, build_view_weights(ds)))
+
+    def test_permuted_dataset_weights_are_the_gathered_ones(self):
+        ds = simulate_missing(small_dataset(n=20), 0.3, seed=7)
+        order = np.random.default_rng(8).permutation(20)
+        got = solver._permuted(ds, order).weights
+        expect = tuple(w[order] for w in ds.weights)
+        assert len(got) == len(expect)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expect))
 
 
 class TestSimulateMissing:
@@ -198,8 +213,9 @@ class TestIO:
         ("views 1\nview v.txt 1 2\nlabels l.txt\n", {"l.txt": "0\n1.5\n"},
          "malformed file .*l.txt"),
         ("views 1\nview v.txt 1 2\nmask m.txt\n", {"m.txt": "1\nx\n"}, "malformed file .*m.txt"),
+        ("views 0\n", {}, "manifest line 1: a dataset needs at least one view"),
     ], ids=["views-not-int", "view-size-not-int", "views-no-value", "labels-no-value",
-            "labels-not-int", "mask-not-int"])
+            "labels-not-int", "mask-not-int", "no-views"])
     def test_malformed_manifest_or_integer_file(self, tmp_path, manifest, files, match):
         (tmp_path / "manifest.txt").write_text(manifest)
         for name, text in {"v.txt": "1 2\n", **files}.items():

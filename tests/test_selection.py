@@ -1,11 +1,7 @@
 import numpy as np
 import pytest
 
-from mvufs.selection import (
-    score_features,
-    select_top,
-    select_top_per_view,
-)
+from mvufs.selection import score_features, select_top
 
 
 def test_identity_factor_tie_break():
@@ -64,16 +60,6 @@ def test_count_out_of_range():
     ranking = score_features([np.ones((2, 2))])
     with pytest.raises(ValueError):
         select_top(ranking, count=3)
-
-
-def test_per_view_proportional():
-    us = [np.diag([3.0, 2.0, 1.0, 0.5]), 10.0 * np.eye(4)]
-    ranking = score_features(us)
-    sel = select_top_per_view(ranking, ratio=0.5)
-    by_view = {0: 0, 1: 0}
-    for v, _ in sel:
-        by_view[v] += 1
-    assert by_view == {0: 2, 1: 2}
 
 
 def test_permutation_equivariance():

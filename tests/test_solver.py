@@ -9,7 +9,6 @@ from mvufs.datamodel import (
     DatasetError,
     MultiViewDataset,
     SyntheticSpec,
-    build_view_weights,
     generate_synthetic,
     simulate_missing,
 )
@@ -20,7 +19,6 @@ from mvufs.solver import (
     SolverState,
     SweepCarry,
     fit,
-    graph_gram,
     graph_products,
     initialize,
     l2p_norm_p,
@@ -47,9 +45,8 @@ def make_problem(n=15, l=3, c=3, seed=0, missing=0.0):
     if missing > 0:
         ds = simulate_missing(ds, missing, seed=seed + 50)
     h = hyper(n_clusters=c, seed=seed)
-    w = build_view_weights(ds)
-    state = initialize(ds, w, h)
-    return ds, w, h, state
+    state = initialize(ds, h)
+    return ds, h, state
 
 
 class TestHyperparameters:
@@ -79,12 +76,11 @@ class TestObjective:
         v = rng.uniform(size=(n, c))
         views = tuple(u[k] @ v.T for k in range(l))
         ds = MultiViewDataset(views, np.ones((n, l), dtype=int))
-        w = build_view_weights(ds)
         s = [np.zeros((n, n)) for _ in range(l)]
         r = np.zeros((l, l))
         state = SolverState(u=u, v=v, s=s, r=r, alpha=np.full(l, 0.5))
         h = hyper(lam=0.0, beta=0.0, n_clusters=c)
-        assert objective(state, ds, w, h) == pytest.approx(0.0, abs=1e-20)
+        assert objective(state, ds, h) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_frobenius_residual(self):
         rng = np.random.default_rng(1)
@@ -94,7 +90,6 @@ class TestObjective:
         v = rng.uniform(size=(n, c))
         # two identical views with alpha = (1, 0) so only view 0 contributes
         ds = MultiViewDataset((x, x.copy()), np.ones((n, 2), dtype=int))
-        w = build_view_weights(ds)
         state = SolverState(
             u=[u, u.copy()],
             v=v,
@@ -104,21 +99,21 @@ class TestObjective:
         )
         h = hyper(lam=0.0, beta=0.0, n_clusters=c, gamma=2.0)
         expect = np.linalg.norm(x - u @ v.T) ** 2
-        assert objective(state, ds, w, h) == pytest.approx(expect, rel=1e-12)
+        assert objective(state, ds, h) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_naive_recomputation(self):
-        ds, w, h, state = make_problem(missing=0.2)
-        got = objective(state, ds, w, h)
-        expect = _naive_objective(state, ds, w, h)
+        ds, h, state = make_problem(missing=0.2)
+        got = objective(state, ds, h)
+        expect = _naive_objective(state, ds, h)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_reuses_view_losses(self):
-        ds, w, h, state = make_problem(missing=0.2, seed=3)
-        d = sweep(state, ds, w, h)
-        assert np.allclose(d, view_losses(state, ds, w, h), rtol=1e-13, atol=0.0)
-        assert objective(state, ds, w, h, d) == objective(state, ds, w, h)
-        assert objective(state, ds, w, h) == pytest.approx(
-            _naive_objective(state, ds, w, h), rel=1e-10
+        ds, h, state = make_problem(missing=0.2, seed=3)
+        d = sweep(state, ds, h)
+        assert np.allclose(d, view_losses(state, ds, h), rtol=1e-13, atol=0.0)
+        assert objective(state, ds, h, d) == objective(state, ds, h)
+        assert objective(state, ds, h) == pytest.approx(
+            _naive_objective(state, ds, h), rel=1e-10
         )
 
 
@@ -133,8 +128,7 @@ class TestReconstructionTerm:
                               np.ones((n, l), dtype=int))
         state = SolverState(u=[np.zeros((3, 2)) for _ in range(l)], v=np.zeros((n, 2)),
                             s=graphs, r=r, alpha=np.full(l, 1.0 / l))
-        return view_losses(state, ds, build_view_weights(ds),
-                           hyper(lam=0.0, beta=1.0, n_clusters=2), gram)
+        return view_losses(state, ds, hyper(lam=0.0, beta=1.0, n_clusters=2), gram)
 
     @pytest.mark.parametrize("l", [2, 3, 5])
     def test_matches_direct_residual(self, l):
@@ -154,11 +148,11 @@ class TestReconstructionTerm:
             ])
             got = self.losses(graphs, r)
             assert np.max(np.abs(got - direct) / direct) <= 1e-10
-            assert np.array_equal(self.losses(graphs, r, graph_gram(graphs)), got)
+            assert np.array_equal(self.losses(graphs, r, graph_products(graphs)[0]), got)
 
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
     def test_nonnegative_on_identical_graphs(self, l):
-        ds, w, h, state = make_problem(n=20, l=2, seed=15, missing=0.3)
+        ds, h, state = make_problem(n=20, l=2, seed=15, missing=0.3)
         for g in (state.s[0], state.s[1]):
             r = np.full((l, l), 1.0 / (l - 1))
             np.fill_diagonal(r, 0.0)
@@ -170,11 +164,11 @@ class TestReconstructionTerm:
 class TestSweep:
     @pytest.mark.parametrize("l,missing", [(2, 0.0), (3, 0.3), (4, 0.5)])
     def test_shifted_distances_match_exact_ones(self, l, missing):
-        ds, w, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
+        ds, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
         ref = copy_state(state)
         for _ in range(3):
-            d = sweep(state, ds, w, h)
-            d_ref = _reference_sweep(ref, ds, w, h)
+            d = sweep(state, ds, h)
+            d_ref = _reference_sweep(ref, ds, h)
             assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
             for a, b in zip(state.s, ref.s):
                 assert np.max(np.abs(a - b)) <= 1e-12
@@ -183,12 +177,12 @@ class TestSweep:
 
     @pytest.mark.parametrize("l,missing", [(2, 0.2), (3, 0.3), (5, 0.4)])
     def test_carry_matches_sweeps_without_one(self, l, missing):
-        ds, w, h, state = make_problem(n=24, l=l, seed=30 + l, missing=missing)
+        ds, h, state = make_problem(n=24, l=l, seed=30 + l, missing=missing)
         ref = copy_state(state)
         carry = SweepCarry.start(ds.n_instances, l)
         for _ in range(4):
-            d = sweep(state, ds, w, h, carry)
-            d_ref = _reference_sweep(ref, ds, w, h)
+            d = sweep(state, ds, h, carry)
+            d_ref = _reference_sweep(ref, ds, h)
             assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
             assert np.max(np.abs(state.v - ref.v)) <= 1e-12
             for a, b in zip(state.s, ref.s):
@@ -198,10 +192,10 @@ class TestSweep:
             assert all(np.all(np.isfinite(t)) for t in carry.thresholds)
 
     def test_carried_products_only_for_the_state_they_came_from(self):
-        ds, w, h, state = make_problem(n=20, seed=35, missing=0.2)
+        ds, h, state = make_problem(n=20, seed=35, missing=0.2)
         carry = SweepCarry.start(ds.n_instances, ds.n_views)
         assert carry.products_for(state) is None
-        sweep(state, ds, w, h, carry)
+        sweep(state, ds, h, carry)
         products = carry.products_for(state)
         for s, prod in zip(state.s, products):
             v_one = np.column_stack([state.v, np.ones(len(state.v))])
@@ -209,20 +203,20 @@ class TestSweep:
         state.v = state.v.copy()
         assert carry.products_for(state) is None
         ref = copy_state(state)
-        d = sweep(state, ds, w, h, carry)  # stale products are not used
-        assert np.max(np.abs(d - _reference_sweep(ref, ds, w, h)) / d) <= 1e-12
+        d = sweep(state, ds, h, carry)  # stale products are not used
+        assert np.max(np.abs(d - _reference_sweep(ref, ds, h)) / d) <= 1e-12
 
     @pytest.mark.parametrize("l,missing", [(2, 0.2), (3, 0.3)])
     def test_initial_products_seed_the_first_sweep(self, l, missing):
         # what fit does: the initial objective's graph pass seeds the carry
-        ds, w, h, state = make_problem(n=24, l=l, seed=37 + l, missing=missing)
+        ds, h, state = make_problem(n=24, l=l, seed=37 + l, missing=missing)
         ref = copy_state(state)
         gram, products = graph_products(state.s, state.v)
         carry = SweepCarry.start(ds.n_instances, l)
         carry.keep(state, products)
         assert carry.products_for(state) is products
-        d = sweep(state, ds, w, h, carry)
-        d_ref = _reference_sweep(ref, ds, w, h)
+        d = sweep(state, ds, h, carry)
+        d_ref = _reference_sweep(ref, ds, h)
         assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
         assert np.max(np.abs(state.v - ref.v)) <= 1e-12
         for a, b in zip(state.s, ref.s):
@@ -246,7 +240,7 @@ class TestGraphProducts:
             v_one = np.column_stack([v, np.ones(9)])
             for g, prod in zip(graphs, products):
                 assert np.max(np.abs(prod - g @ v_one)) <= 1e-14
-            assert np.array_equal(graph_gram(graphs), gram)
+            assert np.array_equal(graph_products(graphs)[0], gram)
             assert graph_products(graphs)[1] is None
 
     def test_gram_mirror_is_bitwise_the_index_copy(self):
@@ -273,11 +267,11 @@ class TestGraphProducts:
 
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
     """make_problem with the instances sorted by the initial V's labels."""
-    ds, w, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
+    ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
     order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
-    ds, w = solver._permuted(ds, w, order)
+    ds = solver._permuted(ds, order)
     solver._permute_state(state, order)
-    return ds, w, h, state
+    return ds, h, state
 
 
 def dense_sweep(monkeypatch, *args):
@@ -309,13 +303,13 @@ class TestBlockSweeps:
 
     @pytest.mark.parametrize("l", [2, 3, 5])
     def test_matches_dense_sweeps(self, monkeypatch, l):
-        ds, w, h, state = sorted_problem(l=l, seed=71 + l)
+        ds, h, state = sorted_problem(l=l, seed=71 + l)
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, l) for _ in range(2))
         listed = 0
         for _ in range(8):
-            d = sweep(state, ds, w, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            d = sweep(state, ds, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
             if carry.blocks is not None:
                 listed += sum(len(e) for e in carry.blocks.entries if e is not False)
@@ -323,20 +317,20 @@ class TestBlockSweeps:
         assert listed > 0  # graphs held entries off the blocks
 
     def test_labels_that_change_run_dense(self, monkeypatch):
-        ds, w, h, state = sorted_problem(seed=75)
+        ds, h, state = sorted_problem(seed=75)
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(4):
-            sweep(state, ds, w, h, carry)
-            dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            sweep(state, ds, h, carry)
+            dense_sweep(monkeypatch, ref, ds, h, ref_carry)
         assert carry.block_updates > 0
         edges = carry.blocks.edges
         for st in (state, ref):  # the first instance moves to the last cluster
             st.v = st.v.copy()
             st.v[0] = st.v[-1]
         count = carry.block_updates
-        d = sweep(state, ds, w, h, carry)
-        d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        d = sweep(state, ds, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
         assert carry.block_updates == count and carry.blocks is None
         assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         for st in (state, ref):  # back in order, one block edge moved: lists made anew
@@ -344,26 +338,26 @@ class TestBlockSweeps:
             for k, s in enumerate(st.s):
                 st.s[k] = np.roll(np.roll(s, -1, axis=0), -1, axis=1)
         for _ in range(2):
-            d = sweep(state, ds, w, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            d = sweep(state, ds, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates > count
         assert not np.array_equal(carry.blocks.edges, edges)
 
     def test_graphs_replaced_outside_sweeps_are_listed_anew(self, monkeypatch):
-        ds, w, h, state = sorted_problem(seed=74)
+        ds, h, state = sorted_problem(seed=74)
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(4):
-            sweep(state, ds, w, h, carry)
-            dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            sweep(state, ds, h, carry)
+            dense_sweep(monkeypatch, ref, ds, h, ref_carry)
         assert carry.block_updates > 0
         dense = np.random.default_rng(0).uniform(size=state.s[1].shape)
         np.fill_diagonal(dense, 0.0)
         for st in (state, ref):  # off the blocks everywhere, unlike the listed graph
             st.s[1] = dense / dense.sum(axis=0)
-        d = sweep(state, ds, w, h, carry)
-        d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+        d = sweep(state, ds, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
         assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
 
     def test_blocks_follow_the_labels(self):
@@ -377,7 +371,7 @@ class TestBlockSweeps:
         assert carry.blocks_for(np.eye(2)[[0, 1, 0, 1, 1, 1]]) is None
 
     def test_singleton_cluster_runs_dense(self, monkeypatch):
-        ds, w, h, state = sorted_problem(seed=76)
+        ds, h, state = sorted_problem(seed=76)
         state.v = state.v.copy()
         last = np.argmax(state.v, axis=1) == 2
         last[-1] = False  # all of cluster 2 but its last instance joins cluster 1
@@ -388,8 +382,8 @@ class TestBlockSweeps:
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(2):
             labels = np.argmax(state.v, axis=1)
-            d = sweep(state, ds, w, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, w, h, ref_carry)
+            d = sweep(state, ds, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates == 0
 
@@ -399,12 +393,12 @@ class TestBlockSweeps:
         hy = hyper(max_iter=25, rel_tol=0.0, seed=79)
         carries = []
         original = solver.sweep
-        monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[4]) or original(*a))
+        monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[3]) or original(*a))
         res = fit(ds, hy)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
         expect = fit(ds, hy)
         assert carries[0].block_updates > 0 and carries[-1].block_updates == 0
-        start = initialize(ds, build_view_weights(ds), hy)
+        start = initialize(ds, hy)
         assert np.any(np.diff(np.argmax(start.v, axis=1)) < 0)  # fit did reorder
         assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
         assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
@@ -429,7 +423,7 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
 
     def counted(*args):
         d = original(*args)
-        counts.append(args[4].block_updates)
+        counts.append(args[3].block_updates)
         return d
 
     monkeypatch.setattr(solver, "sweep", counted)
@@ -446,21 +440,21 @@ def copy_state(state):
                        alpha=state.alpha.copy())
 
 
-def _reference_sweep(state, ds, w, h):
+def _reference_sweep(state, ds, h):
     """sweep with the exact distance matrix of V and no shared Gram matrix."""
-    state.v = update_v(state, ds, w, h)
+    state.v = update_v(state, ds, h)
     for k in range(ds.n_views):
-        state.u[k] = update_u(k, state, ds, w, h)
+        state.u[k] = update_u(k, state, ds, h)
     dist = pairwise_sq_dists(state.v)
     for k in range(ds.n_views):
         state.s[k] = update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
-    state.r = update_r(state, h)
-    d = view_losses(state, ds, w, h)
+    state.r = update_r(graph_products(state.s)[0])
+    d = view_losses(state, ds, h)
     state.alpha = update_alpha(d, h.gamma)
     return d
 
 
-def _naive_objective(state, ds, w, h):
+def _naive_objective(state, ds, h):
     l = ds.n_views
     total = 0.0
     r_term = sum(state.r[i, j] ** 2 for i in range(l) for j in range(l))
@@ -470,7 +464,7 @@ def _naive_objective(state, ds, w, h):
         for a in range(x.shape[0]):
             for b in range(x.shape[1]):
                 pred = sum(state.u[v][a, k] * state.v[b, k] for k in range(state.v.shape[1]))
-                term += ((x[a, b] - pred) * w.vectors[v][b]) ** 2
+                term += ((x[a, b] - pred) * ds.weights[v][b]) ** 2
         term += h.lam * sum(
             np.sqrt(np.sum(state.u[v][i] ** 2)) ** h.p for i in range(x.shape[0])
         )
@@ -526,34 +520,33 @@ class TestUpdateU:
         v = rng.uniform(0.5, 1.0, size=(n, c))
         x = u[0] @ v.T
         ds = MultiViewDataset((x, x.copy()), np.ones((n, 2), dtype=int))
-        w = build_view_weights(ds)
         state = SolverState(
             u=[u[0], u[0].copy()], v=v,
             s=[np.zeros((n, n))] * 2, r=np.zeros((2, 2)),
             alpha=np.full(2, 0.5),
         )
-        new = update_u(0, state, ds, w, hyper(lam=0.0, n_clusters=c))
+        new = update_u(0, state, ds, hyper(lam=0.0, n_clusters=c))
         assert np.allclose(new, u[0], rtol=1e-6)
 
     def test_subobjective_nonincreasing(self):
-        ds, w, h, state = make_problem(seed=4)
+        ds, h, state = make_problem(seed=4)
 
         def sub(v):
             x = ds.views[v]
-            resid = (x - state.u[v] @ state.v.T) * w.vectors[v][None, :]
+            resid = (x - state.u[v] @ state.v.T) * ds.weights[v][None, :]
             smooth = np.sum((np.sum(state.u[v] ** 2, axis=1) + solver.EPS) ** (h.p / 2))
             return np.sum(resid**2) + h.lam * smooth
 
         prev = sub(0)
         for _ in range(50):
-            state.u[0] = update_u(0, state, ds, w, h)
+            state.u[0] = update_u(0, state, ds, h)
             cur = sub(0)
             assert cur <= prev + 1e-10 * max(1.0, prev)
             prev = cur
 
     def test_nonnegative_output(self):
-        ds, w, h, state = make_problem(seed=5)
-        assert np.all(update_u(1, state, ds, w, h) >= 0)
+        ds, h, state = make_problem(seed=5)
+        assert np.all(update_u(1, state, ds, h) >= 0)
 
 
 class TestUpdateV:
@@ -567,23 +560,22 @@ class TestUpdateV:
         ds = MultiViewDataset(
             (np.zeros((3, n)), np.zeros((2, n))), np.ones((n, l), dtype=int)
         )
-        w = build_view_weights(ds)
         state = SolverState(
             u=[np.zeros((3, c)), np.zeros((2, c))], v=v,
             s=[np.zeros((n, n))] * l, r=np.zeros((l, l)),
             alpha=np.full(l, 0.5),
         )
-        new = update_v(state, ds, w, hyper(lam=0.0, beta=0.0, n_clusters=c))
+        new = update_v(state, ds, hyper(lam=0.0, beta=0.0, n_clusters=c))
         assert np.allclose(new, v, atol=1e-9)
 
     def test_penalized_subobjective_nonincreasing(self):
-        ds, w, h, state = make_problem(seed=6)
+        ds, h, state = make_problem(seed=6)
 
         def sub():
             ag = state.alpha**h.gamma
             total = solver.XI * np.linalg.norm(state.v.T @ state.v - np.eye(3)) ** 2
             for v in range(ds.n_views):
-                resid = (ds.views[v] - state.u[v] @ state.v.T) * w.vectors[v][None, :]
+                resid = (ds.views[v] - state.u[v] @ state.v.T) * ds.weights[v][None, :]
                 lap = np.diag(state.s[v].sum(axis=1)) - state.s[v]
                 total += ag[v] * (
                     np.sum(resid**2) + h.beta * np.trace(state.v.T @ lap @ state.v)
@@ -592,33 +584,33 @@ class TestUpdateV:
 
         prev = sub()
         for _ in range(30):
-            state.v = update_v(state, ds, w, h)
+            state.v = update_v(state, ds, h)
             cur = sub()
             assert cur <= prev + 1e-10 * max(1.0, prev)
             prev = cur
 
     def test_nonnegative_output(self):
-        ds, w, h, state = make_problem(seed=7)
-        assert np.all(update_v(state, ds, w, h) >= 0)
+        ds, h, state = make_problem(seed=7)
+        assert np.all(update_v(state, ds, h) >= 0)
 
 
 class TestUpdateR:
     def test_two_views_forced(self):
-        ds, w, h, state = make_problem(l=2, seed=8)
-        r = update_r(state, h)
+        ds, h, state = make_problem(l=2, seed=8)
+        r = update_r(graph_products(state.s)[0])
         assert np.allclose(r, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_identical_graphs_symmetric_split(self):
-        ds, w, h, state = make_problem(l=3, seed=9)
+        ds, h, state = make_problem(l=3, seed=9)
         state.s = [state.s[0].copy() for _ in range(3)]
-        r = update_r(state, h)
+        r = update_r(graph_products(state.s)[0])
         expect = np.full((3, 3), 0.5)
         np.fill_diagonal(expect, 0.0)
         assert np.allclose(r, expect, atol=1e-7)
 
     def test_constraints_exact(self):
-        ds, w, h, state = make_problem(l=4, seed=10)
-        r = update_r(state, h)
+        ds, h, state = make_problem(l=4, seed=10)
+        r = update_r(graph_products(state.s)[0])
         check_coefficients(r, tol=1e-12)
 
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
@@ -649,7 +641,7 @@ class TestUpdateR:
         for graphs in cases:
             state = SolverState(u=[], v=np.empty((n, 2)), s=graphs,
                                 r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l))
-            r = update_r(state, hyper())
+            r = update_r(graph_products(graphs)[0])
             check_coefficients(r, tol=1e-12)
             gram = np.array([[np.sum(a * b) for b in graphs] for a in graphs])
             for v in range(l):
@@ -666,7 +658,7 @@ class TestUpdateR:
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
     def test_matches_per_column_enumeration(self, l):
         for gram in _r_test_grams(l, np.random.default_rng(70 + l)):
-            r = update_r(None, hyper(), gram)
+            r = update_r(gram)
             check_coefficients(r, tol=1e-12)
             assert r.flags.c_contiguous
             assert_r_matches_enumeration(r, gram)
@@ -676,18 +668,18 @@ class TestUpdateR:
         # `step` supports per chunk, so several chunks run
         monkeypatch.setattr(solver, "BLOCK_ENTRIES", step * (l + 1) ** 2)
         for gram in _r_test_grams(l, np.random.default_rng(80 + l)):
-            r = update_r(None, hyper(), gram)
+            r = update_r(gram)
             check_coefficients(r, tol=1e-12)
             assert r.flags.c_contiguous
             assert_r_matches_enumeration(r, gram)
 
     def test_one_chunk_at_three_views(self, monkeypatch):
         gram = _r_test_grams(3, np.random.default_rng(90))[4]
-        whole = update_r(None, hyper(), gram)
+        whole = update_r(gram)
         monkeypatch.setattr(solver, "BLOCK_ENTRIES", 1)
-        assert np.max(np.abs(update_r(None, hyper(), gram) - whole)) <= 1e-14
+        assert np.max(np.abs(update_r(gram) - whole)) <= 1e-14
         monkeypatch.setattr(solver, "BLOCK_ENTRIES", 6 * 16)  # exactly one chunk
-        assert np.array_equal(update_r(None, hyper(), gram), whole)
+        assert np.array_equal(update_r(gram), whole)
 
     @pytest.mark.parametrize("l", [12, 14])
     def test_memory_stays_bounded_at_many_views(self, l):
@@ -696,7 +688,7 @@ class TestUpdateR:
         gram = a @ a.T
         tracemalloc.start()
         try:
-            r = update_r(None, hyper(), gram)
+            r = update_r(gram)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -721,7 +713,7 @@ def _r_test_grams(l, rng):
     shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
     if l > 2:
         shifts[1] = 0.5 * (shifts[0] + shifts[2])
-    grams.append(graph_gram(shifts))
+    grams.append(graph_products(shifts)[0])
     return grams
 
 
@@ -827,8 +819,8 @@ def _grid_min(d, gamma, step):
 
 class TestInitializeAndFit:
     def test_deterministic_initialize(self):
-        ds, w, h, s1 = make_problem(seed=13)
-        s2 = initialize(ds, build_view_weights(ds), h)
+        ds, h, s1 = make_problem(seed=13)
+        s2 = initialize(ds, h)
         for a, b in zip(s1.u, s2.u):
             assert np.array_equal(a, b)
         assert np.array_equal(s1.v, s2.v)
@@ -836,7 +828,7 @@ class TestInitializeAndFit:
             assert np.array_equal(a, b)
 
     def test_initial_state_invariants(self):
-        ds, w, h, state = make_problem(seed=14, missing=0.3)
+        ds, h, state = make_problem(seed=14, missing=0.3)
         for s in state.s:
             check_similarity(s)
         check_coefficients(state.r)
@@ -850,7 +842,7 @@ class TestInitializeAndFit:
             (rng.uniform(size=(4, 8)),), np.ones((8, 1), dtype=int)
         )
         with pytest.raises(ValueError, match="two views"):
-            initialize(ds, build_view_weights(ds), hyper())
+            initialize(ds, hyper())
 
     def test_max_iter_zero_returns_initial_state(self):
         spec = SyntheticSpec(12, 2, 2, (5, 5), (2, 2), 0.1, 0)
@@ -874,7 +866,7 @@ class TestInitializeAndFit:
         monkeypatch.setattr(solver, "graph_products",
                             lambda *a: passes.append(1) or graph_products(*a))
         monkeypatch.setattr(solver, "update_v",
-                            lambda *a: calls.append(a[4] is not None) or update_v(*a))
+                            lambda *a: calls.append(a[3] is not None) or update_v(*a))
         ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 5))
         res = fit(ds, hyper(max_iter=3, rel_tol=0.0))
         assert res.iterations == 3
@@ -935,13 +927,12 @@ def _property_cases():
 @pytest.mark.parametrize("name,ds", list(_property_cases()))
 def test_degenerate_inputs_stay_feasible_and_monotone(name, ds):
     h = hyper()
-    w = build_view_weights(ds)
-    state = initialize(ds, w, h)
+    state = initialize(ds, h)
     carry = SweepCarry.start(ds.n_instances, ds.n_views)
-    prev = objective(state, ds, w, h)
+    prev = objective(state, ds, h)
     for _ in range(40):
-        d = sweep(state, ds, w, h, carry)
-        cur = objective(state, ds, w, h, d)
+        d = sweep(state, ds, h, carry)
+        cur = objective(state, ds, h, d)
         assert np.isfinite(cur) and cur <= prev * (1.0 + 1e-6), name
         for s in state.s:
             check_similarity(s)
@@ -978,6 +969,6 @@ def test_s_update_failure_names_the_view(monkeypatch):
         raise ValueError("projection lost its support: huge entries")
 
     monkeypatch.setattr(solver, "update_similarity", failing)
-    ds, w, h, state = make_problem(seed=80)
+    ds, h, state = make_problem(seed=80)
     with pytest.raises(SolverDivergence, match="the S update of view 0 failed: projection lost"):
-        sweep(state, ds, w, h)
+        sweep(state, ds, h)
