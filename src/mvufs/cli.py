@@ -32,16 +32,38 @@ DEFAULT_LOG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_GAMMA_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 DEFAULT_P_GRID = (0.001, 0.01, 0.1, 1.0)
 
-# config key -> SyntheticSpec field; features and informative take one value per view
-SYNTHETIC_KEYS = {
-    "synthetic_n": "n_instances", "synthetic_views": "n_views",
-    "synthetic_clusters": "n_clusters", "synthetic_features": "features",
-    "synthetic_informative": "informative", "synthetic_noise": "noise_scale",
-    "synthetic_seed": "seed",
+# config key -> (field, value type, whether it takes a list of values); the
+# synthetic_* fields are SyntheticSpec's, the others ExperimentConfig's
+CONFIG_KEYS = {
+    "dataset": ("dataset_path", str, False),
+    "missing_ratios": ("missing_ratios", float, True),
+    "feature_ratios": ("feature_ratios", float, True),
+    "lambda": ("lam", float, True),
+    "beta": ("beta", float, True),
+    "gamma": ("gamma", float, True),
+    "p": ("p", float, True),
+    "clusters": ("clusters", int, False),
+    "repeats": ("repeats", int, False),
+    "seed": ("seed", int, False),
+    "knn": ("knn", int, False),
+    "max_iter": ("max_iter", int, False),
+    "synthetic_n": ("n_instances", int, False),
+    "synthetic_views": ("n_views", int, False),
+    "synthetic_clusters": ("n_clusters", int, False),
+    "synthetic_features": ("features", int, True),
+    "synthetic_informative": ("informative", int, True),
+    "synthetic_noise": ("noise_scale", float, False),
+    "synthetic_seed": ("seed", int, False),
 }
 SYNTHETIC_DEFAULTS = dict(
     n_instances=120, n_views=3, n_clusters=4, features=(20, 20, 20), informative=(4, 4, 4)
 )
+# `synth` option -> SyntheticSpec field
+SYNTH_FLAGS = {
+    "--instances": "n_instances", "--views": "n_views", "--clusters": "n_clusters",
+    "--features": "features", "--informative": "informative", "--noise": "noise_scale",
+    "--seed": "seed",
+}
 
 
 @dataclass
@@ -67,8 +89,7 @@ def parse_config(path: str) -> ExperimentConfig:
     A malformed line raises ValueError naming `path:line`; an unreadable file
     raises OSError.
     """
-    cfg = ExperimentConfig()
-    synth = {}
+    fields, synth = {}, {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -76,40 +97,16 @@ def parse_config(path: str) -> ExperimentConfig:
                 continue
             key, *vals = line.split()
             try:
-                if key == "dataset":
-                    cfg.dataset_path = vals[0]
-                elif key == "missing_ratios":
-                    cfg.missing_ratios = [float(x) for x in vals]
-                elif key == "feature_ratios":
-                    cfg.feature_ratios = [float(x) for x in vals]
-                elif key == "lambda":
-                    cfg.lam = [float(x) for x in vals]
-                elif key == "beta":
-                    cfg.beta = [float(x) for x in vals]
-                elif key == "gamma":
-                    cfg.gamma = [float(x) for x in vals]
-                elif key == "p":
-                    cfg.p = [float(x) for x in vals]
-                elif key == "clusters":
-                    cfg.clusters = int(vals[0])
-                elif key == "repeats":
-                    cfg.repeats = int(vals[0])
-                elif key == "seed":
-                    cfg.seed = int(vals[0])
-                elif key == "knn":
-                    cfg.knn = int(vals[0])
-                elif key == "max_iter":
-                    cfg.max_iter = int(vals[0])
-                elif key in SYNTHETIC_KEYS:
-                    name = SYNTHETIC_KEYS[key]
-                    values = tuple((float if name == "noise_scale" else int)(x) for x in vals)
-                    synth[name] = values if name in ("features", "informative") else values[0]
-                else:
+                if key not in CONFIG_KEYS:
                     raise ValueError(f"unknown key '{key}'")
+                name, kind, many = CONFIG_KEYS[key]
+                target = synth if key.startswith("synthetic_") else fields
+                target[name] = [kind(x) for x in vals] if many else kind(vals[0])
             except IndexError:
                 raise ValueError(f"{path}:{lineno}: '{key}' needs a value") from None
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    cfg = ExperimentConfig(**fields)
     if synth:
         try:
             cfg.synthetic = datamodel.SyntheticSpec(**{**SYNTHETIC_DEFAULTS, **synth})
@@ -123,16 +120,9 @@ def validate_config(cfg: ExperimentConfig):
     errors, warnings = [], []
     if cfg.dataset_path is None and cfg.synthetic is None:
         errors.append("config names neither a dataset directory nor a synthetic spec")
-    for name, lst in (
-        ("missing_ratios", cfg.missing_ratios),
-        ("feature_ratios", cfg.feature_ratios),
-        ("lambda", cfg.lam),
-        ("beta", cfg.beta),
-        ("gamma", cfg.gamma),
-        ("p", cfg.p),
-    ):
-        if not lst:
-            errors.append(f"{name} list is empty")
+    for key, (name, _, many) in CONFIG_KEYS.items():
+        if many and not key.startswith("synthetic_") and not getattr(cfg, name):
+            errors.append(f"{key} list is empty")
     for g in cfg.gamma:
         if g <= 1:
             errors.append(f"gamma={g}: gamma must exceed 1")
@@ -166,7 +156,8 @@ def validate_config(cfg: ExperimentConfig):
 def _load_base_dataset(cfg: ExperimentConfig):
     """The dataset before masking and the cluster count. A dataset that the
     evaluation protocol cannot score, one without labels or with fewer
-    instances than clusters, is refused before any fit."""
+    instances than clusters, is refused before any fit, and so is a `knn`
+    that a masked view keeps too few instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
@@ -178,6 +169,11 @@ def _load_base_dataset(cfg: ExperimentConfig):
     c = int(np.unique(dataset.labels).size) if cfg.clusters is None else cfg.clusters
     if c > dataset.n_instances:
         raise ValueError(f"cannot form {c} clusters from {dataset.n_instances} instances")
+    for m in cfg.missing_ratios:  # simulate_missing masks floor(m N) instances per view
+        kept = int(dataset.presence.sum(axis=0).min()) - int(np.floor(m * dataset.n_instances))
+        if cfg.knn >= kept:
+            raise ValueError(f"knn={cfg.knn} must be smaller than the {kept} instances "
+                             f"a view keeps at missing ratio {m:g}")
     return dataset, c
 
 
@@ -289,13 +285,12 @@ def main(argv=None) -> int:
 
     p_synth = sub.add_parser("synth", help="write a synthetic dataset directory")
     p_synth.add_argument("--out", required=True)
-    p_synth.add_argument("--instances", type=int, default=120)
-    p_synth.add_argument("--views", type=int, default=3)
-    p_synth.add_argument("--clusters", type=int, default=4)
-    p_synth.add_argument("--features", type=int, nargs="+", default=[20, 20, 20])
-    p_synth.add_argument("--informative", type=int, nargs="+", default=[4, 4, 4])
-    p_synth.add_argument("--noise", type=float, default=0.1)
-    p_synth.add_argument("--seed", type=int, default=0)
+    default = datamodel.SyntheticSpec(**SYNTHETIC_DEFAULTS)
+    for flag, name in SYNTH_FLAGS.items():
+        value = getattr(default, name)
+        many = isinstance(value, tuple)
+        p_synth.add_argument(flag, dest=name, metavar=flag[2:].upper(), default=value,
+                             type=type(value[0] if many else value), nargs="+" if many else None)
 
     args = parser.parse_args(argv)
 
@@ -319,15 +314,7 @@ def main(argv=None) -> int:
         return run_sweep(cfg, args.out)
 
     if args.command == "synth":
-        spec = datamodel.SyntheticSpec(
-            n_instances=args.instances,
-            n_views=args.views,
-            n_clusters=args.clusters,
-            features=tuple(args.features),
-            informative=tuple(args.informative),
-            noise_scale=args.noise,
-            seed=args.seed,
-        )
+        spec = datamodel.SyntheticSpec(**{f: getattr(args, f) for f in SYNTH_FLAGS.values()})
         dataset, planted = datamodel.generate_synthetic(spec)
         datamodel.save_dataset(dataset, args.out)
         with open(os.path.join(args.out, "planted.txt"), "w") as fh:

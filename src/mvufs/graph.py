@@ -4,10 +4,13 @@ Every similarity matrix S is N x N with zero diagonal, entries in [0, 1] and
 column sums equal to 1. The cross-view coefficient matrix R is l x l with
 zero diagonal and off-diagonal column sums equal to 1.
 
-When the instances are sorted by V's cluster labels, the S update repairs
-only the diagonal blocks of the clusters plus the few off-block entries that
-the other graphs list (ClusterBlocks), and checks per column that the dense
-update would give the same graph.
+The S update reads V's distances only through `shifted_sq_dists`, formed a
+row block or a cluster block at a time, and writes the new graph in place:
+no N x N distance matrix or second graph exists. When the instances are
+sorted by V's cluster labels, it repairs only the diagonal blocks of the
+clusters plus the few off-block entries that the other graphs list
+(ClusterBlocks), and checks per column that the dense update would give the
+same graph.
 """
 
 from __future__ import annotations
@@ -60,6 +63,16 @@ def pairwise_sq_dists(v: np.ndarray) -> np.ndarray:
     np.maximum(h, 0.0, out=h)
     h = 0.5 * (h + h.T)
     np.fill_diagonal(h, 0.0)
+    return h
+
+
+def shifted_sq_dists(v: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
+    """h[rows, cols] with h_ij = |v_i|^2 - 2 v_i . v_j: the squared distances
+    between the rows of v less |v_j|^2 in column j, a per-column constant
+    that the S update ignores. One GEMM, no clamp or transpose."""
+    a = v[rows]
+    h = (-2.0 * a) @ v[cols].T
+    h += np.sum(a * a, axis=1)[:, None]
     return h
 
 
@@ -131,9 +144,8 @@ class ClusterBlocks:
     `entries[k]` describes the array that graph k is now: None when not yet
     listed, False when it has too many off-block entries for the block path.
     `at(v)` sets the V of the next S updates. Their distances h (those of
-    `update_similarity`) are formed on the diagonal blocks and at the listed
-    entries only, and a view that falls back to the dense update forms them
-    a row block at a time: the whole N x N h never exists.
+    `shifted_sq_dists`) are formed on the diagonal blocks and at the listed
+    entries only.
     """
 
     def __init__(self, edges: np.ndarray, n_graphs: int):
@@ -150,12 +162,6 @@ class ClusterBlocks:
         self._inner = None
         return self
 
-    def h(self, rows, cols) -> np.ndarray:
-        """h[rows, cols] with h_ij = |v_i|^2 - 2 v_i . v_j, as sweeps form it."""
-        h = (-2.0 * self.v[rows]) @ self.v[cols].T
-        h += self.row_sq[rows, None]
-        return h
-
     def inner(self) -> list:
         """h on each diagonal block. Also sets `off_bound`, a lower bound on
         each column's smallest h over the rows outside its block: over the
@@ -163,7 +169,8 @@ class ClusterBlocks:
         v_r . v_j is at most the sum over k of the larger of max_a(V[:, k])
         v_jk and min_a(V[:, k]) v_jk."""
         if self._inner is None:
-            self._inner = [self.h(slice(b0, b1), slice(b0, b1)) for b0, b1 in self.spans]
+            self._inner = [shifted_sq_dists(self.v, slice(b0, b1), slice(b0, b1))
+                           for b0, b1 in self.spans]
             least = np.array([self.row_sq[b0:b1].min() for b0, b1 in self.spans])
             top = np.array([self.v[b0:b1].max(axis=0) for b0, b1 in self.spans])
             low = np.array([self.v[b0:b1].min(axis=0) for b0, b1 in self.spans])
@@ -176,7 +183,7 @@ class ClusterBlocks:
 
     def off_min(self, b0: int, b1: int, cols: np.ndarray) -> np.ndarray:
         """Each column's smallest h over the rows outside block [b0, b1)."""
-        h = self.h(slice(None), cols)
+        h = shifted_sq_dists(self.v, cols=cols)
         h[b0:b1] = np.inf
         return h.min(axis=0)
 
@@ -190,9 +197,10 @@ class ClusterBlocks:
             self.entries[k] = np.flatnonzero(off) if few else False
         return self.entries[k]
 
-    def update(self, v, graphs, terms, scale, thresholds):
-        """S update of view v on the blocks, written into graphs[v]; None when
-        the block path does not apply, graphs[v] then possibly overwritten.
+    def update(self, v, graphs, terms, scale, thresholds) -> bool:
+        """S update of view v on the blocks, written into graphs[v]; False
+        when the block path does not apply, graphs[v] then possibly
+        overwritten.
 
         Each column's candidates are its block's rows and the positions that
         the other graphs list in it, where the target is exactly the dense
@@ -208,10 +216,10 @@ class ClusterBlocks:
         n = len(out)
         listed = [self.entries_of(i, graphs[i]) for i, _ in terms]
         if any(e is False for e in listed):
-            return None
+            return False
         at = np.unique(np.concatenate(listed))
         if len(at) > self.budget:
-            return None
+            return False
         rows, cols = np.divmod(at, n)
         values = np.einsum("ij,ij->i", -2.0 * self.v[rows], self.v[cols])
         values += self.row_sq[rows]
@@ -219,9 +227,7 @@ class ClusterBlocks:
         for i, w in terms:
             values += w * graphs[i].take(at)
         own = self.entries_of(v, out)
-        if any(graphs[i] is out for i, _ in terms):
-            out = np.zeros((n, n))
-        elif own is False:
+        if own is False:
             for b0, b1 in self.spans:
                 out[:b0, b0:b1] = 0.0
                 out[b1:, b0:b1] = 0.0
@@ -242,13 +248,13 @@ class ClusterBlocks:
             if loose.any():
                 cols_loose = b0 + np.flatnonzero(loose)
                 if np.any(scale * self.off_min(b0, b1, cols_loose) > theta[loose]):
-                    return None
+                    return False
             out[b0:b1, b0:b1] = p
             kept = extra > 0.0
             np.put(out, at[mine][kept], extra[kept])
             new.append(at[mine][kept])
         self.entries[v] = np.concatenate(new)
-        return out
+        return True
 
 
 def update_similarity(
@@ -257,31 +263,37 @@ def update_similarity(
     r: np.ndarray,
     alpha: np.ndarray,
     gamma: float,
-    h: np.ndarray,
+    indicator: np.ndarray,
     thresholds: np.ndarray | None = None,
+    blocks: ClusterBlocks | None = None,
 ) -> np.ndarray:
-    """Optimal similarity matrix of view v given all other variables.
+    """Optimal similarity matrix of view v given all other variables, written
+    into graphs[v] in place; returns graphs[v].
 
     The columns of the subproblem decouple; each column is the Euclidean
     projection of the corresponding column of the target matrix P onto the
     simplex with a pinned zero diagonal entry, which is the exact column
     minimizer under the graph constraints. P is a linear combination of the
-    graphs and h: P = (sum_{i != v} w_i S_i - ag_v h / 4) / denom with
+    other graphs and the squared distances h between the rows of the
+    indicator V: P = (sum_{i != v} w_i S_i - ag_v h / 4) / denom with
     w_i = ag_v r_iv + ag_i r_vi - sum_{k not in {v, i}} ag_k r_vk r_ik.
+    h comes from `shifted_sq_dists`, which drops a constant per column: it
+    shifts a column of P uniformly, which the projection ignores.
 
-    h is the matrix of squared distances between the rows of V, or any matrix
-    that differs from it by a constant per column: such a constant shifts a
-    column of P uniformly, which the projection ignores. h may instead be a
-    ClusterBlocks set at V: the update then runs on its blocks and writes
-    graphs[v] in place, or, when the block path does not apply, runs densely
-    on the ClusterBlocks' h, formed a row block at a time.
+    P never reads graphs[v], so it is built there a row block at a time and
+    projected in place. `blocks`, a ClusterBlocks set at V, runs the update
+    on its blocks instead when the block path applies. graphs[v] must not
+    share memory with another view's graph.
 
     `thresholds` are the projection's per-column threshold guesses, passed to
     `project_offdiag_columns` and overwritten with the final thresholds.
     """
     l = len(graphs)
-    ag = np.asarray(alpha, dtype=float) ** gamma
+    out = graphs[v]
     others = [k for k in range(l) if k != v]
+    if any(np.may_share_memory(out, graphs[k]) for k in others):
+        raise ValueError(f"graph {v} shares memory with another view's graph")
+    ag = np.asarray(alpha, dtype=float) ** gamma
     denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
     if denom <= 0.0:
         raise ValueError("vanishing alpha and coefficients: corrupted state")
@@ -290,23 +302,19 @@ def update_similarity(
         cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
         terms.append((i, (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) / denom))
     scale = -0.25 * ag[v] / denom
-    n = len(graphs[v])
+    n = len(out)
     if thresholds is None:
         thresholds = np.full(n, np.nan)
-    blocks = h if isinstance(h, ClusterBlocks) else None
     if blocks is not None:
-        s = blocks.update(v, graphs, terms, scale, thresholds)
-        if s is not None:
-            return s
+        if blocks.update(v, graphs, terms, scale, thresholds):
+            return out
         blocks.entries[v] = None
-    p = np.empty((n, n))
     rows = max(1, BLOCK_ENTRIES // n)
     scratch = np.empty((min(rows, n), n))
     for start in range(0, n, rows):
         part = slice(start, start + rows)
-        h_part = h[part] if blocks is None else blocks.h(part, slice(None))
-        block = np.multiply(h_part, scale, out=p[part])
+        block = np.multiply(shifted_sq_dists(indicator, part), scale, out=out[part])
         tmp = scratch[: len(block)]
         for i, w in terms:
             block += np.multiply(graphs[i][part], w, out=tmp)
-    return project_offdiag_columns(p, out=p, thresholds=thresholds)
+    return project_offdiag_columns(out, out=out, thresholds=thresholds)

@@ -7,8 +7,8 @@ update, Gauss-Seidel across views), the cross-view coefficients R (exact:
 every candidate support of every column from one batched KKT solve) and the
 view weights alpha (closed form on the simplex).
 
-The sweep touches each N x N graph only a few times: the S update takes
-distances up to a per-column constant from one product V V', and one pass
+The sweep touches each N x N graph only a few times and forms no other N x N
+array of floats: the S update writes each graph in place from V, and one pass
 over the new graphs gives their l x l Gram matrix and every S_k [V 1]. The
 Gram matrix serves the R update and the view losses (whose reconstruction
 term it gives exactly), the products serve the losses and, because nothing
@@ -17,15 +17,15 @@ the first sweep with the products of the initial objective's pass. `fit` also
 hands each sweep's final S-projection thresholds to the next as starting
 guesses (SweepCarry); a sweep without a carry runs as with a fresh one. No
 residual graph or Laplacian is ever formed. The weighted-NMF weights are the
-dataset's own (MultiViewDataset.weights), so no update takes them. Each
-sweep checks that V, U, the S updates and the view losses stay finite and
-raises SolverDivergence naming the first that does not.
+dataset's own (MultiViewDataset.weights), so no update takes them. Each sweep
+checks that V, U, the S updates and the view losses stay finite and raises
+SolverDivergence naming the first that does not.
 
 V acts as a cluster indicator, so the repaired graphs concentrate on V's
 clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `fit` sorts the
 instances by the initial V's labels, and while the labels stay sorted runs
-of two or more members, a sweep updates each graph in place on the diagonal
-blocks of the runs plus the few off-block entries that the other graphs
+of two or more members, a sweep updates each graph on the diagonal blocks
+of the runs plus the few off-block entries that the other graphs
 list (graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads
 only those. A per-column check proves that the dense update would give the
 same graph; a view that fails it, graphs with too many off-block entries,
@@ -109,10 +109,9 @@ class SweepCarry:
     the next sweep's starting guesses (NaN: start cold).
     products: per view, S_k [V 1] for the V and graphs the last sweep left;
     the next V update reuses them while the state still holds exactly those
-    arrays. `basis` refers to the arrays weakly: holding the replaced graphs
-    through the next sweep's S updates would double their memory. A sweep
-    replaces V before any S update writes a graph in place, so products
-    never outlive the graphs they came from.
+    arrays. `basis` refers to the arrays weakly, so it keeps no replaced
+    array alive. A sweep replaces V before any S update writes a graph in
+    place, so products never outlive the graphs they came from.
     blocks: the ClusterBlocks of the last sweep's labels with the graphs'
     off-block lists, kept while the labels stay the same and the state
     holds the arrays the last sweep left.
@@ -465,19 +464,10 @@ def sweep(
     for k in range(dataset.n_views):
         state.u[k] = _finite(update_u(k, state, dataset, hyper), "the U update")
     blocks = carry.blocks_for(state.v)
-    if blocks is None:
-        # Squared distances between the rows of V less |v_j|^2 in column j, a
-        # per-column constant that update_similarity ignores: one GEMM, no
-        # clamp or transpose.
-        h = (-2.0 * state.v) @ state.v.T
-        h += np.sum(state.v * state.v, axis=1)[:, None]
-    else:
-        h = blocks  # the same distances, formed per block
     for k in range(dataset.n_views):
         try:
-            state.s[k] = update_similarity(
-                k, state.s, state.r, state.alpha, hyper.gamma, h, carry.thresholds[k]
-            )
+            update_similarity(k, state.s, state.r, state.alpha, hyper.gamma, state.v,
+                              carry.thresholds[k], blocks)
         except ValueError as exc:
             raise SolverDivergence(f"the S update of view {k} failed: {exc}") from exc
         if blocks is not None and blocks.entries[k] is not None:

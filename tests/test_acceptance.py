@@ -234,9 +234,10 @@ def test_similarity_update_matches_qp_oracle():
         r /= r.sum(axis=0)
         alpha = rng.dirichlet(np.ones(l))
         gamma = 3.0
-        h = pairwise_sq_dists(rng.normal(size=(n, 2)))
+        x = rng.normal(size=(n, 2))
+        h = pairwise_sq_dists(x)
         value, col_grad, lip = _similarity_subproblem(0, graphs, r, alpha, gamma, h)
-        s_upd = update_similarity(0, graphs, r, alpha, gamma, h)
+        s_upd = update_similarity(0, [g.copy() for g in graphs], r, alpha, gamma, x)
         oracle = np.zeros((n, n))
         for c in range(n):
             s = np.full(n, 1.0 / (n - 1))

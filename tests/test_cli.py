@@ -340,6 +340,9 @@ class TestConfigFaults:
         "no-labels-with-clusters": (
             False, "clusters 3\n", "the dataset has no labels, which the evaluation protocol needs"),
         "too-many-clusters": (True, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
+        "knn-above-masked-view": (
+            True, "missing_ratios 0 0.5\nknn 6\n",
+            "knn=6 must be smaller than the 6 instances a view keeps at missing ratio 0.5"),
     }
 
     @pytest.mark.parametrize("case", list(UNLOADABLE))

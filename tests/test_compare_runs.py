@@ -1,0 +1,36 @@
+import dataclasses
+import importlib.util
+import os
+import shutil
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_spec = importlib.util.spec_from_file_location(
+    "compare_runs", os.path.join(ROOT, "tools", "compare_runs.py"))
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+# one dataset of the benchmark's first workload at its shrunk size: one cell
+SHRUNK = [dataclasses.replace(
+    compare_runs.workloads.WORKLOADS["fit-n1000"].shrunk(), datasets=1)]
+
+
+def test_same_tree_is_identical(tmp_path, capsys):
+    assert compare_runs.compare(ROOT, ROOT, SHRUNK, 7, str(tmp_path)) == 0
+    out = capsys.readouterr().out
+    assert "fit-n1000 config_0: 4 files, identical" in out
+    assert "total: 4 files compared, 0 differences or failed runs" in out
+
+
+def test_changed_output_and_failed_run_fail(tmp_path, capsys):
+    changed = tmp_path / "changed"
+    shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solver_py = changed / "src" / "mvufs" / "solver.py"
+    source = solver_py.read_text()
+    assert '"%.12g"' in source
+    solver_py.write_text(source.replace('"%.12g"', '"%.11g"'))
+    assert compare_runs.compare(ROOT, str(changed), SHRUNK, 7, str(tmp_path / "a")) == 1
+    out = capsys.readouterr().out
+    assert "config_0: 4 files, DIFFER: trace_0000.txt\n" in out
+    assert compare_runs.compare(ROOT, str(tmp_path / "none"), SHRUNK, 7, str(tmp_path / "b")) == 1
+    assert "fit-n1000 config_0: FAILED under change" in capsys.readouterr().out

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from mvufs.graph import (
     cluster_bounds,
     laplacian,
     pairwise_sq_dists,
+    shifted_sq_dists,
     update_similarity,
 )
 from mvufs.solver import graph_products
@@ -188,12 +191,17 @@ def _argsort_initial_similarity(x, presence, k=5):
     return s
 
 
+def updated(v, graphs, *args, **kwargs):
+    """update_similarity on copies of the graphs, which it overwrites."""
+    return update_similarity(v, [g.copy() for g in graphs], *args, **kwargs)
+
+
 class TestUpdateSimilarity:
     def test_zero_target_gives_uniform(self):
         n, l = 5, 3
         graphs = [np.zeros((n, n)) for _ in range(l)]
         r = random_coefficients(l, np.random.default_rng(0))
-        s = update_similarity(0, graphs, r, np.full(l, 1 / l), 2.0, np.zeros((n, n)))
+        s = update_similarity(0, graphs, r, np.full(l, 1 / l), 2.0, np.zeros((n, 2)))
         expect = np.full((n, n), 1.0 / (n - 1))
         np.fill_diagonal(expect, 0.0)
         assert np.allclose(s, expect)
@@ -204,8 +212,8 @@ class TestUpdateSimilarity:
         graphs = [random_similarity(n, rng) for _ in range(l)]
         r = random_coefficients(l, rng)
         alpha = rng.dirichlet(np.ones(l))
-        h = pairwise_sq_dists(rng.normal(size=(n, 3)))
-        s = update_similarity(1, graphs, r, alpha, 3.0, h)
+        s = update_similarity(1, graphs, r, alpha, 3.0, rng.normal(size=(n, 3)))
+        assert s is graphs[1]  # written in place
         check_similarity(s)
 
     def test_matches_projected_gradient_qp_oracle(self):
@@ -217,10 +225,10 @@ class TestUpdateSimilarity:
             r = random_coefficients(l, rng)
             alpha = rng.dirichlet(np.ones(l))
             gamma = 2.5
-            h = pairwise_sq_dists(rng.normal(size=(n, 2)))
+            x = rng.normal(size=(n, 2))
             v = 0
-            s = update_similarity(v, graphs, r, alpha, gamma, h)
-            oracle = _qp_oracle(v, graphs, r, alpha, gamma, h)
+            s = updated(v, graphs, r, alpha, gamma, x)
+            oracle = _qp_oracle(v, graphs, r, alpha, gamma, pairwise_sq_dists(x))
             assert np.max(np.abs(s - oracle)) <= 1e-6
 
     @pytest.mark.parametrize("l", [2, 3, 5])
@@ -233,10 +241,10 @@ class TestUpdateSimilarity:
                 graphs = [graphs[0].copy() for _ in range(l)]
             r = random_coefficients(l, rng)
             alpha = rng.dirichlet(np.ones(l))
-            h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+            x = rng.normal(size=(n, 3))
             for v in range(l):
-                s = update_similarity(v, graphs, r, alpha, 3.0, h)
-                expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, h)
+                s = updated(v, graphs, r, alpha, 3.0, x)
+                expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, pairwise_sq_dists(x))
                 assert np.max(np.abs(s - expect)) <= 1e-12
 
 
@@ -248,25 +256,55 @@ class TestUpdateSimilarity:
         graphs = [random_similarity(n, rng) for _ in range(l)]
         r = random_coefficients(l, rng)
         alpha = rng.dirichlet(np.ones(l))
-        h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+        x = rng.normal(size=(n, 3))
         for v in range(l):
-            s = update_similarity(v, graphs, r, alpha, 3.0, h)
-            expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, h)
+            s = updated(v, graphs, r, alpha, 3.0, x)
+            expect = _loop_update_similarity(v, graphs, r, alpha, 3.0, pairwise_sq_dists(x))
             assert np.max(np.abs(s - expect)) <= 1e-12
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_per_column_constant_in_h_is_ignored(self, l):
+        # the update's shifted distances against exact ones plus a shift per column
         rng = np.random.default_rng(27 + l)
         n = 11
         graphs = [random_similarity(n, rng) for _ in range(l)]
         r = random_coefficients(l, rng)
         alpha = rng.dirichlet(np.ones(l))
-        h = pairwise_sq_dists(rng.normal(size=(n, 3)))
+        x = rng.normal(size=(n, 3))
         shift = rng.normal(scale=10.0, size=n)
         for v in range(l):
-            s = update_similarity(v, graphs, r, alpha, 3.0, h)
-            shifted = update_similarity(v, graphs, r, alpha, 3.0, h + shift[None, :])
+            s = updated(v, graphs, r, alpha, 3.0, x)
+            shifted = _loop_update_similarity(
+                v, graphs, r, alpha, 3.0, pairwise_sq_dists(x) + shift[None, :])
             assert np.max(np.abs(s - shifted)) <= 1e-12
+
+    def test_dense_update_allocates_less_than_one_graph(self):
+        rng = np.random.default_rng(28)
+        n, l = 500, 3
+        graphs = [random_similarity(n, rng) for _ in range(l)]
+        r = random_coefficients(l, rng)
+        alpha = rng.dirichlet(np.ones(l))
+        x = rng.uniform(size=(n, 4))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = update_similarity(0, graphs, r, alpha, 3.0, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert s is graphs[0]
+        check_similarity(s)
+        assert peak < n * n * 8, peak
+
+    @pytest.mark.parametrize("with_blocks", [False, True], ids=["dense", "blocks"])
+    def test_aliased_graphs_are_refused(self, with_blocks):
+        rng = np.random.default_rng(29)
+        v, graphs, r, alpha = block_problem((6, 6), 3, rng)
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v) if with_blocks else None
+        for aliased in (graphs[0], graphs[0][:]):
+            trial = [graphs[0], aliased, graphs[2]]
+            with pytest.raises(ValueError, match="graph 0 shares memory"):
+                update_similarity(0, trial, r, alpha, 3.0, v, blocks=blocks)
 
 
 def block_problem(sizes, l, rng, off_block=6):
@@ -291,11 +329,6 @@ def block_problem(sizes, l, rng, off_block=6):
     r = random_coefficients(l, rng)
     alpha = rng.dirichlet(np.ones(l))
     return v, graphs, r, alpha
-
-
-def shifted_dists(v):
-    """The h that sweeps pass: squared distances less |v_j|^2 in column j."""
-    return ClusterBlocks(np.array([0, len(v)]), 0).at(v).h(slice(None), slice(None))
 
 
 def off_block(s, edges):
@@ -331,18 +364,18 @@ class TestBlockUpdate:
         v, graphs, r, alpha = block_problem(sizes, l, rng)
         edges = cluster_bounds(v)
         blocks = ClusterBlocks(edges, l).at(v)
-        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        dense = [g.copy() for g in graphs]
         kept = 0
         for k in range(l):
             thresholds, expect_thresholds = np.full(len(v), np.nan), np.full(len(v), np.nan)
-            s = update_similarity(k, graphs, r, alpha, 3.0, blocks, thresholds)
-            expect = update_similarity(k, dense, r, alpha, 3.0, h, expect_thresholds)
-            assert s is graphs[k]  # written in place: the block path ran
+            s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds, blocks)
+            expect = update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds)
+            assert s is graphs[k] and blocks.entries[k] is not None  # the block path ran
+            assert expect is dense[k]
             assert np.max(np.abs(s - expect)) <= 1e-12
             assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
             assert np.array_equal(np.sort(blocks.entries[k]), off_block(s, edges))
             kept += len(blocks.entries[k])
-            dense[k] = expect
             check_similarity(s)
         assert kept > 0  # listed entries of the other graphs survived off the blocks
         for with_v in (None, v):
@@ -357,13 +390,13 @@ class TestBlockUpdate:
         rng = np.random.default_rng(47)
         v, graphs, r, alpha = block_problem((8, 6, 9), 3, rng, off_block=10)
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        dense = [g.copy() for g in graphs]
         thresholds = [np.full(len(v), np.nan) for _ in range(3)]
         expect_thresholds = [np.full(len(v), np.nan) for _ in range(3)]
         for _ in range(4):  # later sweeps start warm from the lists the last one left
             for k in range(3):
-                s = update_similarity(k, graphs, r, alpha, 3.0, blocks, thresholds[k])
-                dense[k] = update_similarity(k, dense, r, alpha, 3.0, h, expect_thresholds[k])
+                s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds[k], blocks)
+                update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds[k])
                 assert s is graphs[k]
                 assert np.max(np.abs(s - dense[k])) <= 1e-12
                 assert np.max(np.abs(thresholds[k] - expect_thresholds[k])) <= 1e-12
@@ -374,13 +407,13 @@ class TestBlockUpdate:
         # small distances and light graphs: the blocks cannot hold a column's mass
         v *= 1e-4
         graphs = [0.01 * g for g in graphs]
-        h = shifted_dists(v)
         for k in range(3):
             trial = [g.copy() for g in graphs]
             blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-            s = update_similarity(k, trial, r, alpha, 3.0, blocks)
-            expect = update_similarity(k, graphs, r, alpha, 3.0, h)
+            s = update_similarity(k, trial, r, alpha, 3.0, v, blocks=blocks)
+            expect = updated(k, graphs, r, alpha, 3.0, v)
             assert blocks.entries[k] is None  # the dense update ran
+            assert s is trial[k]  # in place on the fallback too
             assert np.max(np.abs(s - expect)) <= 1e-12
             assert np.any(s[8:, :8] > 0.0)  # off-block entries that no graph listed
 
@@ -391,10 +424,10 @@ class TestBlockUpdate:
         blocks.inner()
         blocks.off_bound[:] = -1e3  # every column left to the exact minimum
         monkeypatch.setattr(blocks, "inner", lambda: blocks._inner)
-        dense, h = [g.copy() for g in graphs], shifted_dists(v)
+        dense = [g.copy() for g in graphs]
         for k in range(3):
-            s = update_similarity(k, graphs, r, alpha, 3.0, blocks)
-            dense[k] = update_similarity(k, dense, r, alpha, 3.0, h)
+            s = update_similarity(k, graphs, r, alpha, 3.0, v, blocks=blocks)
+            update_similarity(k, dense, r, alpha, 3.0, v)
             assert s is graphs[k]
             assert np.max(np.abs(s - dense[k])) <= 1e-12
 
@@ -407,7 +440,7 @@ class TestBlockUpdate:
         edges = np.array([0, 5, 14, 16, 22])
         blocks = ClusterBlocks(edges, 2).at(v)
         blocks.inner()
-        h = shifted_dists(v)
+        h = shifted_sq_dists(v)
         exact = np.array([np.min(np.delete(h[:, j], np.arange(b0, b1)))
                           for b0, b1 in zip(edges[:-1], edges[1:]) for j in range(b0, b1)])
         assert np.all(blocks.off_bound <= exact + 1e-15)
@@ -422,9 +455,10 @@ class TestBlockUpdate:
         v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng)
         graphs = [random_similarity(24, rng) for _ in range(3)]  # dense everywhere
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-        s = update_similarity(0, graphs, r, alpha, 3.0, blocks)
+        expect = updated(0, graphs, r, alpha, 3.0, v)
+        s = update_similarity(0, graphs, r, alpha, 3.0, v, blocks=blocks)
         assert blocks.entries[1] is False and blocks.entries[0] is None
-        expect = update_similarity(0, graphs, r, alpha, 3.0, pairwise_sq_dists(v))
+        assert s is graphs[0]
         assert np.max(np.abs(s - expect)) <= 1e-12
         gram, _ = graph_products(graphs, v, blocks)
         assert np.max(np.abs(gram - graph_products(graphs, v)[0])) <= 1e-12

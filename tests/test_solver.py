@@ -12,7 +12,7 @@ from mvufs.datamodel import (
     generate_synthetic,
     simulate_missing,
 )
-from mvufs.graph import check_coefficients, check_similarity, pairwise_sq_dists, update_similarity
+from mvufs.graph import check_coefficients, check_similarity, pairwise_sq_dists
 from mvufs.solver import (
     Hyperparameters,
     SolverDivergence,
@@ -31,6 +31,7 @@ from mvufs.solver import (
     update_v,
     view_losses,
 )
+from test_graph import _loop_update_similarity
 
 
 def hyper(**kw):
@@ -441,13 +442,14 @@ def copy_state(state):
 
 
 def _reference_sweep(state, ds, h):
-    """sweep with the exact distance matrix of V and no shared Gram matrix."""
+    """sweep with the loop S update on the exact distance matrix of V and no
+    shared Gram matrix."""
     state.v = update_v(state, ds, h)
     for k in range(ds.n_views):
         state.u[k] = update_u(k, state, ds, h)
     dist = pairwise_sq_dists(state.v)
     for k in range(ds.n_views):
-        state.s[k] = update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
+        state.s[k] = _loop_update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
     state.r = update_r(graph_products(state.s)[0])
     d = view_losses(state, ds, h)
     state.alpha = update_alpha(d, h.gamma)
