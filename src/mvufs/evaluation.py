@@ -5,9 +5,10 @@ Each repeat is seeded (k-means++) from its own generator, exactly as a run
 on its own would be; Lloyd's iterations then run for all repeats at once on
 one stacked distance array, and a repeat leaves the batch when its
 assignment stops changing. Each repeat's contingency table is one bincount,
-shared by its ACC and NMI. Given a `reports` dict, the protocol remembers
-each report under the exact input of its clustering, so a grid whose cells
-select the same features clusters them once.
+shared by its ACC and NMI. ACC's best cluster-to-label map is an exact
+Kuhn-Munkres matching on the table's integer counts. Given a `reports` dict,
+the protocol remembers each report under the exact input of its clustering,
+so a grid whose cells select the same features clusters them once.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .datamodel import MultiViewDataset, present_means
 # Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
@@ -98,6 +98,8 @@ def _kmeans_repeats(data: np.ndarray, c: int, seeds, max_iter: int = 300):
     """
     points = np.asarray(data, dtype=float).T  # instances x features
     n, f = points.shape
+    if c < 1:
+        raise ValueError(f"c={c}: need at least one cluster")
     if c > n:
         raise ValueError(f"cannot form {c} clusters from {n} instances")
     if not np.isfinite(points).all():
@@ -165,14 +167,63 @@ def _contingency(y_true, y_pred):
 def _check_pair(y_true, y_pred):
     y_true = np.asarray(y_true)
     y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape:
+    if y_true.ndim != 1 or y_pred.ndim != 1:
+        raise ValueError(
+            f"label vectors must be 1-D, got shapes {y_true.shape} and {y_pred.shape}"
+        )
+    if y_true.size != y_pred.size:
         raise ValueError("label vectors must have equal length")
+    if y_true.size == 0:
+        raise ValueError("label vectors are empty: nothing to score")
     return y_true, y_pred
 
 
+def _max_matching(weights: list) -> int:
+    """Largest total weight of a matching that pairs every row of `weights`
+    (a list of k rows of m >= k integers) with its own column.
+
+    Kuhn-Munkres with row and column potentials: each row joins along a
+    shortest augmenting path in the reduced costs, O(k^2 m). The arithmetic
+    is on Python integers, so the optimum is exact.
+    """
+    m = len(weights[0])
+    row_pot = [0] * len(weights)
+    col_pot = [0] * (m + 1)  # column m is the root of each search
+    owner = [None] * (m + 1)  # row matched to each column
+    for i in range(len(weights)):
+        owner[m] = i
+        slack = [float("inf")] * m
+        came_from = [m] * m
+        free, visited = list(range(m)), [m]
+        j0 = m
+        while owner[j0] is not None:
+            i0 = owner[j0]
+            row, top = weights[i0], row_pot[i0]
+            delta, j1 = float("inf"), m
+            for j in free:
+                cur = -row[j] - top - col_pot[j]
+                if cur < slack[j]:
+                    slack[j], came_from[j] = cur, j0
+                if slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in visited:
+                row_pot[owner[j]] += delta
+                col_pot[j] -= delta
+            for j in free:
+                slack[j] -= delta
+            free.remove(j1)
+            visited.append(j1)
+            j0 = j1
+        while j0 != m:
+            owner[j0] = owner[came_from[j0]]
+            j0 = came_from[j0]
+    return sum(weights[owner[j]][j] for j in range(m) if owner[j] is not None)
+
+
 def _acc_from_table(table: np.ndarray, n: int) -> float:
-    rows, cols = linear_sum_assignment(-table)
-    return float(table[rows, cols].sum()) / n
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    return _max_matching(table.tolist()) / n
 
 
 def _nmi_from_table(table: np.ndarray, n: int) -> float:
@@ -190,7 +241,11 @@ def _nmi_from_table(table: np.ndarray, n: int) -> float:
 
 
 def acc(y_true, y_pred) -> float:
-    """Clustering accuracy with the optimal cluster-to-label map (Kuhn-Munkres)."""
+    """Clustering accuracy with the optimal cluster-to-label map.
+
+    The map is an exact Kuhn-Munkres matching on the integer counts of the
+    contingency table, so the score is the exact optimum divided by N.
+    """
     y_true, y_pred = _check_pair(y_true, y_pred)
     return _acc_from_table(_contingency(y_true, y_pred), y_true.size)
 
@@ -211,6 +266,12 @@ def selected_feature_matrix(dataset: MultiViewDataset, selected) -> np.ndarray:
     (impute_missing's fill, for the selected rows only)."""
     if len(selected) == 0:
         raise ValueError("no features were selected: nothing to cluster")
+    for v, f in selected:
+        if not (0 <= v < len(dataset.views) and 0 <= f < dataset.views[v].shape[0]):
+            raise ValueError(
+                f"selected feature ({v}, {f}) lies outside the dataset: its views have "
+                f"{[view.shape[0] for view in dataset.views]} features"
+            )
     rows = np.array([dataset.views[v][f] for v, f in selected])
     for i, (v, _) in enumerate(selected):
         present = dataset.presence[:, v] == 1

@@ -1,4 +1,8 @@
 import itertools
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,17 @@ def brute_force_acc(y_true, y_pred):
         )
         best = max(best, hits)
     return best / len(y_true)
+
+
+def brute_force_matching(table):
+    """Largest total of a table's entries with no two in one row or column,
+    each row (or, when there are more rows, each column) used once."""
+    table = np.asarray(table)
+    if table.shape[0] > table.shape[1]:
+        table = table.T
+    k, m = table.shape
+    perms = np.array(list(itertools.permutations(range(m), k)))
+    return int(table[np.arange(k), perms].sum(axis=1).max())
 
 
 def _reference_kmeanspp(points, c, rng):
@@ -229,6 +244,11 @@ class TestKMeans:
         with pytest.raises(ValueError, match="non-finite"):
             kmeans(data, 2, seed=0)
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_no_clusters_rejected(self, c):
+        with pytest.raises(ValueError, match=f"c={c}"):
+            kmeans(np.ones((2, 5)), c, seed=0)
+
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="max_iter=0"):
             kmeans(np.ones((2, 5)), 2, seed=0, max_iter=0)
@@ -273,6 +293,55 @@ class TestContingency:
             assert _nmi_from_table(table, n) == nmi(y_true, y_pred) == _reference_nmi(y_true, y_pred)
 
 
+class TestMatching:
+    """`_acc_from_table` at the table level: with n = 1 it returns the
+    matching's exact total as a float."""
+
+    def test_random_tables_match_brute_force(self):
+        rng = np.random.default_rng(28)
+        shapes = set()
+        for _ in range(400):
+            k, m = (int(x) for x in rng.integers(1, 8, size=2))
+            high = int(rng.choice([1, 2, 4, 30, 10**6]))  # small ranges tie
+            table = rng.integers(0, high + 1, size=(k, m))
+            assert _acc_from_table(table, 1) == brute_force_matching(table), table
+            shapes.add((k > m) - (k < m))
+        assert shapes == {-1, 0, 1}  # wide, square and tall tables
+
+    @pytest.mark.parametrize("k", [1, 2, 5, 7])
+    def test_single_row_or_column(self, k):
+        rng = np.random.default_rng(29 + k)
+        row = rng.integers(0, 50, size=(1, k))
+        assert _acc_from_table(row, 1) == row.max()
+        assert _acc_from_table(row.T, 1) == row.max()
+
+    def test_zero_rows_and_columns(self):
+        rng = np.random.default_rng(30)
+        for _ in range(100):
+            k, m = (int(x) for x in rng.integers(2, 7, size=2))
+            table = rng.integers(0, 20, size=(k, m))
+            table[rng.integers(k)] = 0
+            table[:, rng.integers(m)] = 0
+            assert _acc_from_table(table, 1) == brute_force_matching(table)
+        assert _acc_from_table(np.zeros((3, 5), dtype=int), 1) == 0.0
+        assert _acc_from_table(np.zeros((1, 1), dtype=int), 1) == 0.0
+
+    def test_tied_optima(self):
+        # many matchings reach the optimum; the total is what counts
+        for k, m in [(1, 1), (3, 3), (4, 6), (6, 4), (7, 7)]:
+            assert _acc_from_table(np.full((k, m), 5), 1) == 5 * min(k, m)
+        ties = np.array([[3, 3, 0], [3, 3, 0], [0, 0, 2]])
+        assert _acc_from_table(ties, 1) == 8
+        assert _acc_from_table(np.kron(np.eye(2, dtype=int), np.ones((2, 2), dtype=int)), 1) == 4
+
+    def test_planted_permutation(self):
+        rng = np.random.default_rng(31)
+        table = rng.integers(0, 10, size=(30, 30))
+        table[np.arange(30), rng.permutation(30)] = 1000
+        assert _acc_from_table(table, 30000) == 1.0
+        assert _acc_from_table(table.T, 30000) == 1.0
+
+
 class TestAcc:
     def test_identical(self):
         y = np.array([0, 1, 2, 0, 1])
@@ -308,6 +377,16 @@ class TestAcc:
         with pytest.raises(ValueError):
             acc([0, 1], [0, 1, 2])
 
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            acc([], [])
+
+    @pytest.mark.parametrize("y_true, y_pred", [([[0, 1]], [[0, 1]]), ([0, 1], [[0, 1]]),
+                                                (0, 0)])
+    def test_non_vector_labels_rejected(self, y_true, y_pred):
+        with pytest.raises(ValueError, match="1-D"):
+            acc(y_true, y_pred)
+
 
 class TestNmi:
     def test_identical_partitions(self):
@@ -336,6 +415,15 @@ class TestNmi:
 
     def test_one_constant(self):
         assert nmi([0, 0, 0, 0], [0, 1, 0, 1]) == 0.0
+
+    def test_empty_labels_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            nmi([], [])
+
+    @pytest.mark.parametrize("y_true, y_pred", [([[0, 1]], [[0, 1]]), ([[0], [1]], [0, 1])])
+    def test_non_vector_labels_rejected(self, y_true, y_pred):
+        with pytest.raises(ValueError, match="1-D"):
+            nmi(y_true, y_pred)
 
 
 class TestRunProtocol:
@@ -393,6 +481,17 @@ class TestRunProtocol:
         ds = self._dataset()
         with pytest.raises(ValueError, match="no features were selected"):
             run_protocol(ds, [], 2)
+
+    def test_zero_clusters_rejected(self):
+        ds = self._dataset()
+        with pytest.raises(ValueError, match="c=0"):
+            run_protocol(ds, [(0, 0)], 0)
+
+    @pytest.mark.parametrize("pair", [(1, 0), (5, 0), (0, 4), (0, 50), (0, -1), (-1, 0)])
+    def test_selected_pair_outside_the_dataset_is_named(self, pair):
+        ds = self._dataset()
+        with pytest.raises(ValueError, match=re.escape(f"selected feature {pair}")):
+            run_protocol(ds, [(0, 0), pair, (0, 1)], 2)
 
     def test_needs_labels(self):
         ds = MultiViewDataset((np.ones((2, 4)),), np.ones((4, 1), dtype=int))
@@ -478,3 +577,15 @@ class TestSelectedFeatureMatrix:
         data = evaluation.selected_feature_matrix(ds, [(0, 1), (1, 2)])
         assert data.tolist() == [[4.0, 17.0 / 3.0, 6.0, 7.0], [1.0, 1.0, 1.0, 1.0]]
         run_protocol(ds, [(0, 1)], 2, repeats=2)
+
+
+def test_package_imports_no_scipy():
+    """The package needs only numpy: importing it and its CLI loads no scipy."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import mvufs, mvufs.cli; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
