@@ -16,7 +16,7 @@ from .datamodel import (
     save_dataset,
     simulate_missing,
 )
-from .evaluation import ClusteringRun, EvaluationReport, acc, kmeans, nmi, run_protocol
+from .evaluation import EvaluationReport, acc, kmeans, nmi, run_protocol
 from .graph import (
     build_initial_similarity,
     laplacian,

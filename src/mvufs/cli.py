@@ -7,8 +7,9 @@ Subcommands:
   run       execute the full sweep, writing report/trace/selection artifacts
 
 A config that cannot be read or parsed, or whose dataset cannot be loaded or
-evaluated (no labels, fewer instances than clusters), is reported as one
-`error:` line; `run` then writes nothing.
+evaluated (no labels, one class, fewer instances than clusters), is reported
+as one `error:` line; `run` then writes nothing. So are a `synth` spec that
+cannot be built and an `--out` that names a file.
 
 `run` masks the dataset once per missing ratio; every cell of that ratio
 fits on the same masked dataset and shares one memo of evaluation reports,
@@ -155,9 +156,9 @@ def validate_config(cfg: ExperimentConfig):
 
 def _load_base_dataset(cfg: ExperimentConfig):
     """The dataset before masking and the cluster count. A dataset that the
-    evaluation protocol cannot score, one without labels or with fewer
-    instances than clusters, is refused before any fit, and so is a `knn`
-    that a masked view keeps too few instances for."""
+    evaluation protocol cannot score, one without labels, with fewer than two
+    clusters or with fewer instances than clusters, is refused before any
+    fit, and so is a `knn` that a masked view keeps too few instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
@@ -167,6 +168,8 @@ def _load_base_dataset(cfg: ExperimentConfig):
             raise ValueError("cluster count unknown: set 'clusters' or provide labels")
         raise ValueError("the dataset has no labels, which the evaluation protocol needs")
     c = int(np.unique(dataset.labels).size) if cfg.clusters is None else cfg.clusters
+    if c < 2:
+        raise ValueError("the labels hold one class: set 'clusters' to 2 or more")
     if c > dataset.n_instances:
         raise ValueError(f"cannot form {c} clusters from {dataset.n_instances} instances")
     for m in cfg.missing_ratios:  # simulate_missing masks floor(m N) instances per view
@@ -175,12 +178,6 @@ def _load_base_dataset(cfg: ExperimentConfig):
             raise ValueError(f"knn={cfg.knn} must be smaller than the {kept} instances "
                              f"a view keeps at missing ratio {m:g}")
     return dataset, c
-
-
-def _masked_dataset(cfg, base, missing_ratio, miss_idx):
-    if missing_ratio > 0:
-        return datamodel.simulate_missing(base, missing_ratio, seed=cfg.seed + 1000 * miss_idx)
-    return base
 
 
 def _run_cell(cfg, dataset, c, cell, reports):
@@ -203,6 +200,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     if not errors:
         try:
             base, c = _load_base_dataset(cfg)
+            os.makedirs(out_dir, exist_ok=True)
         except (OSError, ValueError) as exc:
             errors = [str(exc)]
     for w in warnings:
@@ -211,7 +209,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         for e in errors:
             print(f"error: {e}", file=sys.stderr)
         return 2
-    os.makedirs(out_dir, exist_ok=True)
     cells = itertools.product(
         cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
     )
@@ -226,7 +223,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     # that shares one masked dataset and one memo of protocol reports.
     for ratio, group in itertools.groupby(enumerate(cells), lambda item: item[1][0]):
         try:
-            dataset = _masked_dataset(cfg, base, ratio, miss_index[ratio])
+            dataset = base if ratio == 0 else datamodel.simulate_missing(
+                base, ratio, seed=cfg.seed + 1000 * miss_index[ratio])
         except Exception as exc:  # every cell of the ratio fails, the others run
             dataset, mask_error = None, exc
         reports = {}
@@ -313,17 +311,19 @@ def main(argv=None) -> int:
             return 2
         return run_sweep(cfg, args.out)
 
-    if args.command == "synth":
+    # synth
+    try:
         spec = datamodel.SyntheticSpec(**{f: getattr(args, f) for f in SYNTH_FLAGS.values()})
         dataset, planted = datamodel.generate_synthetic(spec)
         datamodel.save_dataset(dataset, args.out)
-        with open(os.path.join(args.out, "planted.txt"), "w") as fh:
-            for v, idx in enumerate(planted):
-                fh.write(f"{v} " + " ".join(str(i) for i in idx) + "\n")
-        print(f"wrote synthetic dataset to {args.out}")
-        return 0
-
-    return 2
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    with open(os.path.join(args.out, "planted.txt"), "w") as fh:
+        for v, idx in enumerate(planted):
+            fh.write(f"{v} " + " ".join(str(i) for i in idx) + "\n")
+    print(f"wrote synthetic dataset to {args.out}")
+    return 0
 
 
 if __name__ == "__main__":

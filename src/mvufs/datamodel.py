@@ -227,10 +227,6 @@ def generate_synthetic(spec: SyntheticSpec):
 MANIFEST_NAME = "manifest.txt"
 
 
-def write_matrix(path: str, matrix: np.ndarray) -> None:
-    np.savetxt(path, np.atleast_2d(matrix), fmt="%.12g")
-
-
 def read_matrix(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
     try:
         return np.loadtxt(path, dtype=dtype, ndmin=ndmin)
@@ -243,7 +239,7 @@ def save_dataset(dataset: MultiViewDataset, directory: str) -> None:
     lines = [f"views {dataset.n_views}"]
     for v, x in enumerate(dataset.views):
         name = f"view_{v}.txt"
-        write_matrix(os.path.join(directory, name), x)
+        np.savetxt(os.path.join(directory, name), x, fmt="%.12g")
         lines.append(f"view {name} {x.shape[0]} {x.shape[1]}")
     if dataset.labels is not None:
         np.savetxt(os.path.join(directory, "labels.txt"), dataset.labels, fmt="%d")

@@ -1,10 +1,11 @@
 """Downstream clustering on selected features plus ACC/NMI with repeat averaging.
 
-The protocol runs k-means `repeats` times on the selected-feature matrix.
-Each repeat is seeded (k-means++) from its own generator, exactly as a run
-on its own would be; Lloyd's iterations then run for all repeats at once on
-one stacked distance array, and a repeat leaves the batch when its
-assignment stops changing. Each repeat's contingency table is one bincount,
+`kmeans` runs one k-means repeat per seed. Each repeat is seeded
+(k-means++) from its own generator, exactly as a one-seed call would be;
+Lloyd's iterations then run for all repeats at once on one stacked distance
+array, and a repeat leaves the batch when its assignment stops changing.
+The solver's start is a one-seed call; the protocol runs `repeats` seeds on
+the selected-feature matrix. Each repeat's contingency table is one bincount,
 shared by its ACC and NMI. ACC's best cluster-to-label map is an exact
 Kuhn-Munkres matching on the table's integer counts. Given a `reports` dict,
 the protocol remembers each report under the exact input of its clustering,
@@ -24,13 +25,6 @@ from .datamodel import impute_missing  # noqa: F401
 # Bound on the entries (repeats x instances x features) that the k-means
 # repeats of one protocol chunk stack up: about 2 MB per stacked array.
 CHUNK_ENTRIES = 1 << 18
-
-
-@dataclass(frozen=True)
-class ClusteringRun:
-    assignments: np.ndarray
-    inertia: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,7 @@ def _reseed_empty(d2: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> Non
         assign[worst] = j
 
 
-def _kmeans_repeats(data: np.ndarray, c: int, seeds, max_iter: int = 300):
+def kmeans(data: np.ndarray, c: int, seeds, max_iter: int = 300):
     """Lloyd's iterations from k-means++ seeding, one repeat per seed, run
     side by side; columns of data are instances.
 
@@ -94,7 +88,9 @@ def _kmeans_repeats(data: np.ndarray, c: int, seeds, max_iter: int = 300):
     members in index order (one flat bincount over every active repeat,
     cluster and feature) divided by their count; with two or more features
     that is bitwise numpy's mean over rows (with one, numpy sums pairwise),
-    so each repeat's result equals a run on its own.
+    so each repeat's result equals a one-seed call. Empty clusters are
+    re-seeded: each takes the point farthest from its centre among those
+    whose cluster keeps another member.
     """
     points = np.asarray(data, dtype=float).T  # instances x features
     n, f = points.shape
@@ -137,18 +133,6 @@ def _kmeans_repeats(data: np.ndarray, c: int, seeds, max_iter: int = 300):
         sums = np.bincount(keys[:size], tiled[:size], minlength=active.size * c * f)
         centers[active] = sums.reshape(-1, c, f) / counts[:, :, None]
     return assign, centers, iterations
-
-
-def kmeans(data: np.ndarray, c: int, seed: int, max_iter: int = 300) -> ClusteringRun:
-    """Lloyd's iterations from k-means++ seeding; columns of data are instances.
-
-    Empty clusters are re-seeded: each takes the point farthest from its
-    centre among those whose cluster keeps another member.
-    """
-    points = np.asarray(data, dtype=float).T
-    assign, centers, _ = _kmeans_repeats(data, c, [seed], max_iter)
-    inertia = float(np.sum((points - centers[0][assign[0]]) ** 2))
-    return ClusteringRun(assignments=assign[0], inertia=inertia, seed=seed)
 
 
 def _table(ti: np.ndarray, n_true: int, assign: np.ndarray, c: int) -> np.ndarray:
@@ -294,7 +278,7 @@ def run_protocol(
     Repeat i is k-means seeded from its own generator, base_seed + i. The
     repeats run side by side, in chunks of at most CHUNK_ENTRIES / (h N)
     repeats so that the stacked work stays bounded; the result is the same
-    as `repeats` separate `kmeans` calls.
+    as `repeats` one-seed `kmeans` calls.
 
     Given `reports`, a report is stored there under the exact input of the
     clustering (the selected-feature matrix, the labels, c, repeats and
@@ -313,7 +297,7 @@ def run_protocol(
     seeds = range(base_seed, base_seed + repeats)
     step = max(1, CHUNK_ENTRIES // data.size)
     assignments = np.vstack([
-        _kmeans_repeats(data, c, seeds[i:i + step])[0] for i in range(0, repeats, step)
+        kmeans(data, c, seeds[i:i + step])[0] for i in range(0, repeats, step)
     ])
     true_ids, ti = np.unique(dataset.labels, return_inverse=True)
     tables = [_table(ti, true_ids.size, assign, c) for assign in assignments]

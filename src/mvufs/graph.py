@@ -112,8 +112,7 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
         s[absent, absent] = 0.0
     colsum = s.sum(axis=0)
     colsum[colsum == 0.0] = 1.0
-    s /= colsum
-    np.clip(s, 0.0, 1.0, out=s)
+    s /= colsum  # nonnegative entries over a sum at least each: already in [0, 1]
     return s
 
 

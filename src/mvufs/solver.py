@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import time
 import weakref
 from dataclasses import dataclass
 
@@ -154,7 +153,6 @@ class SolverResult:
     trace: np.ndarray  # objective per sweep, including the initial value
     iterations: int
     converged: bool
-    wall_time: float
 
 
 def sparsity_reweight(u: np.ndarray, p: float, eps: float) -> np.ndarray:
@@ -317,14 +315,14 @@ def update_r(gram: np.ndarray) -> np.ndarray:
     candidates are scored at once, those with v in A or a negative weight
     are discarded, and each column takes the first best one. The supports go
     through in chunks of about BLOCK_ENTRIES KKT entries, so memory stays
-    bounded as 2^l grows; a later chunk replaces a column's best only with a
+    bounded as 2^l grows; a chunk replaces a column's best so far only with a
     strictly smaller score. At l <= 8 one chunk covers every support.
     """
     l = len(gram)
     quad = gram + np.eye(l)
     supports = _candidate_supports(l)
     step = max(1, BLOCK_ENTRIES // (l + 1) ** 2)
-    r_new = best = None
+    r_new, best = np.zeros((l, l)), np.full(l, np.inf)
     for start in range(0, len(supports), step):
         member = supports[start:start + step]
         kkt = np.zeros((len(member), l + 1, l + 1))
@@ -338,12 +336,9 @@ def update_r(gram: np.ndarray) -> np.ndarray:
         first = np.argmin(score, axis=0)
         pick = np.take_along_axis(cand, first[None, None], axis=0)[0]
         top = score[first, range(l)]
-        if r_new is None:
-            r_new, best = pick, top
-        else:
-            better = top < best
-            r_new[:, better] = pick[:, better]
-            best[better] = top[better]
+        better = top < best
+        r_new[:, better] = pick[:, better]
+        best[better] = top[better]
     return r_new
 
 
@@ -407,12 +402,13 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     """Strictly positive factors, kNN similarity graphs on imputed data,
     uniform coefficients and view weights.
 
-    V starts as a column-normalized soft cluster indicator (k-means on the
-    concatenated imputed views, floored at 1e-3 so multiplicative updates can
-    move every entry). Starting V near the nonnegative orthogonal manifold is
-    what lets the huge-XI penalty keep the objective monotone: from a generic
-    positive matrix the support-splitting required by V'V = I is a slow
-    process during which the penalty drags the unpenalized objective upward.
+    V starts as a column-normalized soft cluster indicator (a one-seed
+    k-means, seed hyper.seed, on the concatenated imputed views, floored at
+    1e-3 so multiplicative updates can move every entry). Starting V near the
+    nonnegative orthogonal manifold is what lets the huge-XI penalty keep the
+    objective monotone: from a generic positive matrix the support-splitting
+    required by V'V = I is a slow process during which the penalty drags the
+    unpenalized objective upward.
     """
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
@@ -423,7 +419,7 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     c = hyper.n_clusters
     u = [rng.uniform(0.1, 1.1, size=(d, c)) for d in dataset.feature_counts]
     imputed = impute_missing(dataset)
-    assignments = kmeans(np.vstack(imputed), c, seed=hyper.seed).assignments
+    assignments = kmeans(np.vstack(imputed), c, [hyper.seed])[0][0]
     v = np.full((dataset.n_instances, c), 1e-3)
     v[np.arange(dataset.n_instances), assignments] = 1.0
     v /= np.linalg.norm(v, axis=0, keepdims=True)
@@ -504,7 +500,6 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     instances sorted by the initial V's labels, so that the sweeps can work
     on the labels' blocks; the result is in the dataset's order.
     """
-    start = time.perf_counter()
     state = initialize(dataset, hyper)
     order = None
     if dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES:
@@ -534,7 +529,6 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         trace=np.asarray(trace),
         iterations=iterations,
         converged=converged,
-        wall_time=time.perf_counter() - start,
     )
 
 

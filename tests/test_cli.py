@@ -257,7 +257,7 @@ GRID_SWEEP = SMALL_SWEEP + "missing_ratios 0.2 0.4\nlambda 0.01 1 100\nbeta 0.1 
 class TestSharedGroupWork:
     def test_memo_report_equals_per_cell_protocol(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path / "cfg.txt", GRID_SWEEP)
-        protocol, kmeans_repeats = evaluation.run_protocol, evaluation._kmeans_repeats
+        protocol, kmeans = evaluation.run_protocol, evaluation.kmeans
 
         def uncached(*args, reports=None, **kwargs):
             return protocol(*args, **kwargs)
@@ -274,8 +274,8 @@ class TestSharedGroupWork:
             return report
 
         monkeypatch.setattr(evaluation, "run_protocol", recorded)
-        monkeypatch.setattr(evaluation, "_kmeans_repeats",
-                            lambda *a, **kw: passes.append(1) or kmeans_repeats(*a, **kw))
+        monkeypatch.setattr(evaluation, "kmeans",
+                            lambda *a, **kw: passes.append(1) or kmeans(*a, **kw))
         monkeypatch.setattr(datamodel, "simulate_missing",
                             lambda *a, **kw: masks.append(a[1]) or simulate_missing(*a, **kw))
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "memo")]) == 0
@@ -333,31 +333,80 @@ class TestConfigFaults:
         assert captured.out == "" and line.startswith("error: ") and message in line
         assert not out.exists()
 
-    # (labels saved with the dataset, None: no dataset; config lines; message)
+    # (the labels saved with the dataset as a function of the synthetic ones,
+    # None: no dataset; config lines; message)
     UNLOADABLE = {
         "no-dataset": (None, "", "no manifest.txt in {path}"),
-        "no-labels": (False, "", "cluster count unknown: set 'clusters' or provide labels"),
+        "no-labels": (lambda y: None, "",
+                      "cluster count unknown: set 'clusters' or provide labels"),
         "no-labels-with-clusters": (
-            False, "clusters 3\n", "the dataset has no labels, which the evaluation protocol needs"),
-        "too-many-clusters": (True, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
+            lambda y: None, "clusters 3\n",
+            "the dataset has no labels, which the evaluation protocol needs"),
+        "too-many-clusters": (
+            lambda y: y, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
         "knn-above-masked-view": (
-            True, "missing_ratios 0 0.5\nknn 6\n",
+            lambda y: y, "missing_ratios 0 0.5\nknn 6\n",
             "knn=6 must be smaller than the 6 instances a view keeps at missing ratio 0.5"),
+        "one-class": (np.zeros_like, "",
+                      "the labels hold one class: set 'clusters' to 2 or more"),
     }
 
     @pytest.mark.parametrize("case", list(UNLOADABLE))
     def test_unloadable_dataset_runs_nothing(self, tmp_path, capsys, case):
-        labelled, lines, message = self.UNLOADABLE[case]
+        relabel, lines, message = self.UNLOADABLE[case]
         path = tmp_path / "ds"
-        if labelled is not None:
+        if relabel is not None:
             ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
                 n_instances=12, n_views=2, n_clusters=3, features=(4, 4),
                 informative=(2, 2)))
-            labels = ds.labels if labelled else None
-            datamodel.save_dataset(datamodel.MultiViewDataset(ds.views, ds.presence, labels),
-                                   str(path))
+            datamodel.save_dataset(
+                datamodel.MultiViewDataset(ds.views, ds.presence, relabel(ds.labels)), str(path))
         out = tmp_path / "o"
         cfg = write_config(tmp_path / "c.txt", f"dataset {path}\n{lines}")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
         assert not out.exists()
+
+    def test_one_class_with_clusters_runs(self, tmp_path):
+        ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
+            n_instances=12, n_views=2, n_clusters=3, features=(4, 4), informative=(2, 2)))
+        path = tmp_path / "ds"
+        datamodel.save_dataset(
+            datamodel.MultiViewDataset(ds.views, ds.presence, np.zeros(12, dtype=int)), str(path))
+        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\nclusters 2\nmissing_ratios 0\n"
+                           "feature_ratios 0.5\nlambda 0.1\nbeta 0.1\ngamma 3\np 0.5\n"
+                           "repeats 2\nmax_iter 5\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert not (tmp_path / "o" / "failures.txt").exists()
+
+    # synth options and the part of the one error line they must give
+    SYNTH_FAULTS = {
+        "more-clusters-than-instances": (["--instances", "3", "--clusters", "4"],
+                                         "need N >= c >= 2"),
+        "views-without-feature-counts": (
+            ["--views", "2"], "features/informative must have one entry per view"),
+        "negative-noise": (["--noise", "-1"], "noise_scale must be nonnegative"),
+    }
+
+    @pytest.mark.parametrize("case", list(SYNTH_FAULTS))
+    def test_bad_synth_spec_prints_one_error(self, tmp_path, capsys, case):
+        options, message = self.SYNTH_FAULTS[case]
+        out = tmp_path / "ds"
+        assert cli.main(["synth", "--out", str(out), *options]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ") and message in line
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_out_naming_a_file_prints_one_error(self, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        cfg = write_config(tmp_path / "c.txt", SMALL_SWEEP)
+        options = ["--config", cfg] if command == "run" else []
+        assert cli.main([command, "--out", str(out), *options]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert captured.out == "" and line.startswith("error: ") and "File exists" in line
+        assert out.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.txt", "taken"]

@@ -12,7 +12,6 @@ from mvufs.datamodel import MultiViewDataset, impute_missing
 from mvufs.evaluation import (
     _acc_from_table,
     _contingency,
-    _kmeans_repeats,
     _nmi_from_table,
     _table,
     acc,
@@ -134,7 +133,7 @@ def _batched_inertia(data, assign, centers):
 
 def assert_matches_reference(data, c, seeds):
     """Every row of one batched call equals its own reference run, bitwise."""
-    assign, centers, iterations = _kmeans_repeats(data, c, seeds)
+    assign, centers, iterations = kmeans(data, c, seeds)
     refs = [_reference_kmeans(data, c, seed) for seed in seeds]
     for row, seed, ref in zip(range(len(seeds)), seeds, refs):
         assert np.array_equal(assign[row], ref[0]), seed
@@ -183,12 +182,10 @@ class TestBatchedKMeans:
     def test_single_run_is_a_row_of_the_batch(self):
         rng = np.random.default_rng(24)
         data = rng.uniform(size=(4, 40))
-        assign, centers, _ = _kmeans_repeats(data, 3, list(range(12)))
+        batch = kmeans(data, 3, list(range(12)))
         for seed in range(12):
-            run = kmeans(data, 3, seed=seed)
-            assert np.array_equal(run.assignments, assign[seed])
-            assert run.inertia == _batched_inertia(data, assign[seed], centers[seed])
-            assert run.seed == seed
+            for one, rows in zip(kmeans(data, 3, [seed]), batch):
+                assert np.array_equal(one[0], rows[seed])
 
 
 class TestKMeans:
@@ -197,34 +194,34 @@ class TestKMeans:
         a = rng.normal(size=(2, 20)) * 0.01
         b = rng.normal(size=(2, 20)) * 0.01 + 100.0
         data = np.hstack([a, b])
-        run = kmeans(data, 2, seed=1)
-        assert len(set(run.assignments[:20])) == 1
-        assert len(set(run.assignments[20:])) == 1
-        assert run.assignments[0] != run.assignments[20]
+        run = kmeans(data, 2, [1])[0][0]
+        assert len(set(run[:20])) == 1
+        assert len(set(run[20:])) == 1
+        assert run[0] != run[20]
 
     def test_c_equals_n_zero_inertia(self):
         rng = np.random.default_rng(1)
         data = rng.uniform(size=(3, 5))
-        run = kmeans(data, 5, seed=0)
-        assert run.inertia == pytest.approx(0.0, abs=1e-20)
-        assert len(set(run.assignments)) == 5
+        assign, centers, _ = kmeans(data, 5, [0])
+        assert _batched_inertia(data, assign[0], centers[0]) == pytest.approx(0.0, abs=1e-20)
+        assert len(set(assign[0])) == 5
 
     def test_duplicates_get_same_cluster(self):
         data = np.array([[0.0, 0.0, 5.0, 5.0, 5.0]])
-        run = kmeans(data, 2, seed=3)
-        assert run.assignments[0] == run.assignments[1]
-        assert run.assignments[2] == run.assignments[3] == run.assignments[4]
+        run = kmeans(data, 2, [3])[0][0]
+        assert run[0] == run[1]
+        assert run[2] == run[3] == run[4]
 
     def test_deterministic(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(size=(4, 30))
-        a = kmeans(data, 3, seed=7)
-        b = kmeans(data, 3, seed=7)
-        assert np.array_equal(a.assignments, b.assignments)
+        a = kmeans(data, 3, [7])[0][0]
+        b = kmeans(data, 3, [7])[0][0]
+        assert np.array_equal(a, b)
 
     def test_too_many_clusters(self):
         with pytest.raises(ValueError):
-            kmeans(np.ones((2, 3)), 4, seed=0)
+            kmeans(np.ones((2, 3)), 4, [0])
 
     @pytest.mark.parametrize("n", [4, 5, 9, 20])
     @pytest.mark.parametrize("c", [2, 3, 4])
@@ -234,30 +231,30 @@ class TestKMeans:
                      rng.uniform(size=(3, 2))[:, np.arange(n) % 2],
                      np.hstack([np.ones((2, n - 1)), np.full((2, 1), 7.0)])):
             for seed in range(3):
-                run = kmeans(data, c, seed=seed)
-                assert np.all(np.bincount(run.assignments, minlength=c) > 0)
+                run = kmeans(data, c, [seed])[0][0]
+                assert np.all(np.bincount(run, minlength=c) > 0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_is_named(self, bad):
         data = np.ones((3, 6))
         data[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            kmeans(data, 2, seed=0)
+            kmeans(data, 2, [0])
 
     @pytest.mark.parametrize("c", [0, -1])
     def test_no_clusters_rejected(self, c):
         with pytest.raises(ValueError, match=f"c={c}"):
-            kmeans(np.ones((2, 5)), c, seed=0)
+            kmeans(np.ones((2, 5)), c, [0])
 
     def test_zero_iterations_rejected(self):
         with pytest.raises(ValueError, match="max_iter=0"):
-            kmeans(np.ones((2, 5)), 2, seed=0, max_iter=0)
+            kmeans(np.ones((2, 5)), 2, [0], max_iter=0)
 
     def test_seeding_overflow_is_named(self):
         # differences up to 3e154: their squares leave the float range
         data = np.array([[0.0, 1e154, 2e154, 3e154]] * 3)
         with pytest.raises(ValueError, match="k-means\\+\\+ seeding overflowed"):
-            kmeans(data, 2, seed=0)
+            kmeans(data, 2, [0])
 
 
 class TestContingency:
@@ -512,9 +509,9 @@ class TestProtocolMemo:
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return _kmeans_repeats(*args, **kwargs)
+            return kmeans(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "_kmeans_repeats", counted)
+        monkeypatch.setattr(evaluation, "kmeans", counted)
         return calls
 
     def test_same_input_clusters_once(self, passes):

@@ -463,6 +463,24 @@ class TestBlockUpdate:
         gram, _ = graph_products(graphs, v, blocks)
         assert np.max(np.abs(gram - graph_products(graphs, v)[0])) <= 1e-12
 
+    def test_union_of_lists_over_budget_runs_dense(self, monkeypatch):
+        # budget (0.5 * 24^2 - 3 * 8^2) / 8 = 12: each list of 8 fits, their union of 16 not
+        monkeypatch.setattr(graph, "EXTRA_COST", 8)
+        rng = np.random.default_rng(52)
+        v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng, off_block=0)
+        at = rng.choice(off_block(np.ones((24, 24)), cluster_bounds(v)), size=16, replace=False)
+        for g, mine in zip(graphs[1:], (at[:8], at[8:])):
+            g.flat[mine] = 3.0
+            g /= g.sum(axis=0)
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        assert blocks.budget == 12
+        expect = updated(0, graphs, r, alpha, 3.0, v)
+        s = update_similarity(0, graphs, r, alpha, 3.0, v, blocks=blocks)
+        assert [len(blocks.entries[k]) for k in (1, 2)] == [8, 8]
+        assert blocks.entries[0] is None  # the dense update ran
+        assert s is graphs[0]
+        assert np.max(np.abs(s - expect)) <= 1e-12
+
 
 def _loop_update_similarity(v, graphs, r, alpha, gamma, h):
     """Reference S update: the target built from explicit cross-view residuals,
