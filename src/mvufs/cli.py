@@ -6,10 +6,12 @@ Subcommands:
   validate  check a config file, printing one diagnostic per violation
   run       execute the full sweep, writing report/trace/selection artifacts
 
-A config that cannot be read or parsed, or whose dataset cannot be loaded or
-evaluated (no labels, one class, fewer instances than clusters), is reported
-as one `error:` line; `run` then writes nothing. So are a `synth` spec that
-cannot be built and an `--out` that names a file.
+A config that cannot be read or parsed or breaks a RULES table (of
+solver.Hyperparameters or datamodel.SyntheticSpec: NaN, infinities, negative
+seeds), or whose dataset cannot be loaded or evaluated (no labels, one class,
+one view, fewer instances than clusters), is reported as one `error:` line;
+`run` then writes nothing. So are a `synth` spec that cannot be built, an
+`--out` that names a file and a `run --out` naming a non-empty directory.
 
 `run` masks the dataset once per missing ratio; every cell of that ratio
 fits on the same masked dataset and shares one memo of evaluation reports,
@@ -122,17 +124,15 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.dataset_path is None and cfg.synthetic is None:
         errors.append("config names neither a dataset directory nor a synthetic spec")
     for key, (name, _, many) in CONFIG_KEYS.items():
-        if many and not key.startswith("synthetic_") and not getattr(cfg, name):
+        if key.startswith("synthetic_"):
+            continue
+        values = getattr(cfg, name) if many else [getattr(cfg, name)]
+        if many and not values:
             errors.append(f"{key} list is empty")
-    for g in cfg.gamma:
-        if g <= 1:
-            errors.append(f"gamma={g}: gamma must exceed 1")
-    for pv in cfg.p:
-        if not (0 < pv <= 1):
-            errors.append(f"p={pv}: p must lie in (0, 1]")
-    for lv in cfg.lam + cfg.beta:
-        if lv < 0:
-            errors.append(f"negative regularization weight {lv}")
+        rule = solver.Hyperparameters.RULES.get("n_clusters" if key == "clusters" else name)
+        for x in values if rule else ():
+            if x is not None and not rule[0](x):
+                errors.append(f"{key}={x}: {rule[1]}")
     for m in cfg.missing_ratios:
         if not (0 <= m <= 0.5):
             errors.append(f"missing ratio {m}: a missing ratio must lie in [0, 0.5]")
@@ -145,24 +145,21 @@ def validate_config(cfg: ExperimentConfig):
             warnings.append(f"feature ratio {f} outside the usual 10-50% range")
     if cfg.repeats < 1:
         errors.append("repeats must be at least 1")
-    if cfg.knn < 1:
-        errors.append(f"knn={cfg.knn}: knn must be at least 1")
-    if cfg.clusters is not None and cfg.clusters < 2:
-        errors.append(f"clusters={cfg.clusters}: need at least 2 clusters")
-    if cfg.max_iter < 0:
-        errors.append(f"max_iter={cfg.max_iter}: max_iter must be nonnegative")
     return errors, warnings
 
 
 def _load_base_dataset(cfg: ExperimentConfig):
-    """The dataset before masking and the cluster count. A dataset that the
-    evaluation protocol cannot score, one without labels, with fewer than two
-    clusters or with fewer instances than clusters, is refused before any
-    fit, and so is a `knn` that a masked view keeps too few instances for."""
+    """The dataset before masking and the cluster count. A dataset of one
+    view, or one that the evaluation protocol cannot score (without labels,
+    with fewer than two clusters or with fewer instances than clusters), is
+    refused before any fit, and so is a `knn` that a masked view keeps too
+    few instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
         dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
+    if dataset.n_views < 2:
+        raise ValueError("the dataset has one view; the model needs at least two")
     if dataset.labels is None:
         if cfg.clusters is None:
             raise ValueError("cluster count unknown: set 'clusters' or provide labels")
@@ -201,6 +198,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
         try:
             base, c = _load_base_dataset(cfg)
             os.makedirs(out_dir, exist_ok=True)
+            if os.listdir(out_dir):
+                raise ValueError(f"output directory {out_dir} is not empty")
         except (OSError, ValueError) as exc:
             errors = [str(exc)]
     for w in warnings:

@@ -98,6 +98,12 @@ class SyntheticSpec:
     noise_scale: float = 0.1
     seed: int = 0
 
+    # field -> (a test every valid value passes, message), as Hyperparameters.RULES
+    RULES = {
+        "noise_scale": (lambda x: 0 <= x < np.inf, "noise_scale must be nonnegative and finite"),
+        "seed": (lambda x: x >= 0, "seed must be nonnegative"),
+    }
+
     def __post_init__(self):
         object.__setattr__(self, "features", tuple(int(d) for d in self.features))
         object.__setattr__(
@@ -110,8 +116,9 @@ class SyntheticSpec:
         for d, m in zip(self.features, self.informative):
             if not (0 <= m <= d):
                 raise DatasetError("informative count must be within [0, d_v]")
-        if self.noise_scale < 0:
-            raise DatasetError("noise_scale must be nonnegative")
+        for name, (valid, message) in self.RULES.items():
+            if not valid(getattr(self, name)):
+                raise DatasetError(f"{name}={getattr(self, name)}: {message}")
 
 
 def build_view_weights(dataset: MultiViewDataset) -> tuple:
@@ -133,7 +140,9 @@ def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> Mult
     Sampling is independent across views; instances that end up absent
     everywhere are repaired by swapping presence with a randomly chosen
     instance that can spare a view, keeping per-view absence counts exact.
-    Data entries of absent instances are retained in storage.
+    A count that leaves fewer present slots than instances (one view, any
+    nonzero count) is refused before any draw. Data entries of absent
+    instances are retained in storage.
     """
     if not dataset.is_complete:
         raise DatasetError("simulate_missing expects a complete dataset")
@@ -143,6 +152,9 @@ def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> Mult
     n_absent = int(np.floor(ratio * n))
     if n_absent == 0:
         return dataset
+    if l * (n - n_absent) < n:  # fewer present slots than instances: no repair can help
+        raise DatasetError(f"masking {n_absent} of {n} instances in each of {l} view(s) "
+                           f"leaves some instance in no view")
     rng = np.random.default_rng(seed)
     presence = np.ones((n, l), dtype=int)
     for v in range(l):

@@ -66,29 +66,33 @@ class SolverDivergence(RuntimeError):
 
 @dataclass(frozen=True)
 class Hyperparameters:
+    """The model's hyperparameters; RULES states once which values each field may take."""
     lam: float  # row-sparsity weight
     beta: float  # graph / complementarity weight
-    gamma: float  # view-weight exponent, must exceed 1
-    p: float  # sparsity exponent in (0, 1]
+    gamma: float  # view-weight exponent
+    p: float  # sparsity exponent
     n_clusters: int
     max_iter: int = 300
     rel_tol: float = 1e-6
     seed: int = 0
     knn: int = 5
 
+    # field -> (a test every valid value passes, message); NaN and +inf fail every bound
+    RULES = {
+        "lam": (lambda x: 0 <= x < np.inf, "lam must be finite and nonnegative"),
+        "beta": (lambda x: 0 <= x < np.inf, "beta must be finite and nonnegative"),
+        "gamma": (lambda x: 1 < x < np.inf, "gamma must exceed 1 and be finite"),
+        "p": (lambda x: 0 < x <= 1, "p must lie in (0, 1]"),
+        "n_clusters": (lambda x: x >= 2, "need at least 2 clusters"),
+        "max_iter": (lambda x: x >= 0, "max_iter must be nonnegative"),
+        "seed": (lambda x: x >= 0, "seed must be nonnegative"),
+        "knn": (lambda x: x >= 1, "knn must be at least 1"),
+    }
+
     def __post_init__(self):
-        if self.lam < 0 or self.beta < 0:
-            raise ValueError("lam and beta must be nonnegative")
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
-        if not (0 < self.p <= 1):
-            raise ValueError("p must lie in (0, 1]")
-        if self.n_clusters < 2:
-            raise ValueError("need at least 2 clusters")
-        if self.max_iter < 0:
-            raise ValueError("max_iter must be nonnegative")
-        if self.knn < 1:
-            raise ValueError("knn must be at least 1")
+        for name, (valid, message) in self.RULES.items():
+            if not valid(getattr(self, name)):
+                raise ValueError(f"{name}={getattr(self, name)}: {message}")
 
 
 @dataclass
@@ -513,23 +517,16 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     carry.keep(state, products)  # the first V update reuses the initial products
     converged = False
-    iterations = 0
     for _ in range(hyper.max_iter):
         d = sweep(state, dataset, hyper, carry)
         trace.append(objective(state, dataset, hyper, d))
-        iterations += 1
         prev, cur = trace[-2], trace[-1]
         if abs(cur - prev) / max(1.0, prev) < hyper.rel_tol:
             converged = True
             break
     if order is not None:
         _permute_state(state, np.argsort(order))
-    return SolverResult(
-        state=state,
-        trace=np.asarray(trace),
-        iterations=iterations,
-        converged=converged,
-    )
+    return SolverResult(state, np.asarray(trace), len(trace) - 1, converged)
 
 
 def save_trace(trace: np.ndarray, path: str) -> None:

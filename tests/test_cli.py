@@ -305,9 +305,19 @@ CONFIG_FAULTS = [
      "c.txt: synthetic spec: features/informative must have one entry per view"),
     (None, "No such file or directory"),
     ("per_view true", "c.txt:2: unknown key 'per_view'"),
+    ("lambda 0.1 nan", "lambda=nan: lam must be finite and nonnegative"),
+    ("lambda inf", "lambda=inf: lam must be finite and nonnegative"),
+    ("beta nan", "beta=nan: beta must be finite and nonnegative"),
+    ("gamma nan", "gamma=nan: gamma must exceed 1 and be finite"),
+    ("gamma inf", "gamma=inf: gamma must exceed 1 and be finite"),
+    ("seed -1", "seed=-1: seed must be nonnegative"),
+    ("synthetic_noise nan",
+     "c.txt: synthetic spec: noise_scale=nan: noise_scale must be nonnegative and finite"),
+    ("synthetic_seed -1", "c.txt: synthetic spec: seed=-1: seed must be nonnegative"),
 ]
 FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file",
-             "removed-per-view"]
+             "removed-per-view", "nan-lambda", "inf-lambda", "nan-beta", "nan-gamma",
+             "inf-gamma", "negative-seed", "nan-synthetic-noise", "negative-synthetic-seed"]
 
 
 def fault_config(tmp_path, lines):
@@ -397,6 +407,38 @@ class TestConfigFaults:
         (line,) = captured.err.splitlines()
         assert captured.out == "" and line.startswith("error: ") and message in line
         assert not out.exists()
+
+    @pytest.mark.parametrize("ratio", ["0", "0.2"])
+    def test_one_view_dataset_runs_nothing(self, tmp_path, capsys, ratio):
+        path = tmp_path / "ds"
+        assert cli.main(["synth", "--out", str(path), "--instances", "12", "--views", "1",
+                         "--features", "8", "--informative", "3"]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\nmissing_ratios {ratio}\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the dataset has one view; the model needs at least two"]
+        assert not out.exists()
+
+    def test_non_empty_out_prints_one_error(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "trace_0003.txt").write_text("earlier\n")
+        cfg = write_config(tmp_path / "c.txt", SMALL_SWEEP)
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: output directory {out} is not empty"]
+        assert [p.name for p in out.iterdir()] == ["trace_0003.txt"]
+        assert (out / "trace_0003.txt").read_text() == "earlier\n"
+
+    def test_empty_out_runs(self, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        cfg = write_config(tmp_path / "c.txt", SMALL_SWEEP)
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "report.txt").exists()
 
     @pytest.mark.parametrize("command", ["run", "synth"])
     def test_out_naming_a_file_prints_one_error(self, tmp_path, capsys, command):

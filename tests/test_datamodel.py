@@ -110,6 +110,17 @@ class TestSimulateMissing:
         with pytest.raises(DatasetError, match="complete"):
             simulate_missing(ds, 0.3, seed=1)
 
+    def test_one_view_refused_before_any_repair(self, monkeypatch):
+        ds = small_dataset(n=10, l=1)
+        assert simulate_missing(ds, 0.05, seed=0) is ds  # floor(0.05 N) = 0 masks nothing
+        monkeypatch.setattr(np.random, "default_rng", None)  # no draw may happen
+        with pytest.raises(DatasetError, match="in each of 1 view"):
+            simulate_missing(ds, 0.2, seed=0)
+
+    def test_two_views_at_half_keep_each_instance_once(self):
+        ds = simulate_missing(small_dataset(n=12, l=2), 0.5, seed=3)
+        assert np.all(ds.presence.sum(axis=1) == 1)
+
 
 class TestImpute:
     def test_complete_view_unchanged(self):
@@ -156,6 +167,17 @@ class TestSynthetic:
         _, planted = generate_synthetic(spec)
         for idx in planted:
             assert np.array_equal(idx, np.arange(5))
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("noise_scale", -1.0, "noise_scale=-1.0: noise_scale must be nonnegative and finite"),
+        ("noise_scale", np.nan, "noise_scale=nan: noise_scale must be nonnegative and finite"),
+        ("noise_scale", np.inf, "noise_scale=inf: noise_scale must be nonnegative and finite"),
+        ("seed", -1, "seed=-1: seed must be nonnegative"),
+    ])
+    def test_invalid_noise_or_seed_rejected(self, field, value, message):
+        with pytest.raises(DatasetError) as info:
+            SyntheticSpec(12, 2, 3, (5, 5), (2, 2), **{field: value})
+        assert str(info.value) == message
 
     def test_deterministic(self):
         spec = SyntheticSpec(15, 3, 3, (4, 5, 6), (2, 2, 2), seed=7)

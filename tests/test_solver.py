@@ -68,6 +68,24 @@ class TestHyperparameters:
             hyper(knn=0)
         assert hyper(knn=1).knn == 1
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("lam", -1.0, "lam=-1.0: lam must be finite and nonnegative"),
+        ("lam", np.inf, "lam=inf: lam must be finite and nonnegative"),
+        ("beta", np.nan, "beta=nan: beta must be finite and nonnegative"),
+        ("gamma", np.nan, "gamma=nan: gamma must exceed 1 and be finite"),
+        ("gamma", np.inf, "gamma=inf: gamma must exceed 1 and be finite"),
+        ("p", np.nan, "p=nan: p must lie in (0, 1]"),
+        ("seed", -1, "seed=-1: seed must be nonnegative"),
+    ])
+    def test_non_finite_values_and_negative_seed_rejected(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            hyper(**{field: value})
+        assert str(info.value) == message
+
+    def test_bounds_accepted(self):
+        h = hyper(lam=0.0, beta=0.0, p=1.0, n_clusters=2, max_iter=0, seed=0)
+        assert (h.lam, h.beta, h.p, h.n_clusters, h.max_iter, h.seed) == (0.0, 0.0, 1.0, 2, 0, 0)
+
 
 class TestObjective:
     def test_exact_factorization_is_zero(self):
@@ -924,11 +942,15 @@ def _property_cases():
     presence[4, 0] = 0  # exactly one absent instance in view 0
     presence[np.random.default_rng(66).permutation(30)[:15], 1] = 0  # half of view 1
     yield "one and half absent", MultiViewDataset(full.views, presence)
+    yield "knn 1", simulate_missing(synthetic(20, 3, 67), 0.3, seed=68)
+    yield "knn one below the sparsest view", simulate_missing(synthetic(16, 3, 69), 0.25, seed=70)
+    yield "two views at half missing", simulate_missing(synthetic(24, 2, 71), 0.5, seed=72)
 
 
 @pytest.mark.parametrize("name,ds", list(_property_cases()))
 def test_degenerate_inputs_stay_feasible_and_monotone(name, ds):
-    h = hyper()
+    sparsest = int(ds.presence.sum(axis=0).min())
+    h = hyper(knn={"knn 1": 1, "knn one below the sparsest view": sparsest - 1}.get(name, 5))
     state = initialize(ds, h)
     carry = SweepCarry.start(ds.n_instances, ds.n_views)
     prev = objective(state, ds, h)
