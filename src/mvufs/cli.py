@@ -8,15 +8,15 @@ Subcommands:
 
 A config that cannot be read or parsed or breaks a RULES table (of
 solver.Hyperparameters or datamodel.SyntheticSpec: NaN, infinities, negative
-seeds), or whose dataset cannot be loaded or evaluated (no labels, one class,
-one view, fewer instances than clusters), is reported as one `error:` line;
-`run` then writes nothing. So are a `synth` spec that cannot be built, an
-`--out` that names a file and a `run --out` naming a non-empty directory.
+seeds), or whose dataset cannot be loaded, masked or evaluated (see
+_load_datasets), is reported as one `error:` line; `run` then writes nothing.
+So are a `synth` spec that cannot be built, an `--out` that names a file and
+a `run --out` naming a non-empty directory.
 
-`run` masks the dataset once per missing ratio; every cell of that ratio
-fits on the same masked dataset and shares one memo of evaluation reports,
-so each distinct feature selection of the ratio is clustered once. Every
-cell still writes its own report row, trace and selection.
+`run` masks the dataset for every missing ratio before the first fit; the
+cells of a ratio fit on its masked dataset and share one memo of evaluation
+reports, so each distinct feature selection of the ratio is clustered once.
+Every cell still writes its own report row, trace and selection.
 """
 
 from __future__ import annotations
@@ -148,18 +148,18 @@ def validate_config(cfg: ExperimentConfig):
     return errors, warnings
 
 
-def _load_base_dataset(cfg: ExperimentConfig):
-    """The dataset before masking and the cluster count. A dataset of one
-    view, or one that the evaluation protocol cannot score (without labels,
-    with fewer than two clusters or with fewer instances than clusters), is
-    refused before any fit, and so is a `knn` that a masked view keeps too
-    few instances for."""
+def _load_datasets(cfg: ExperimentConfig):
+    """Each missing ratio's masked dataset (ratio 0: the dataset as is) and
+    the cluster count. Refused before any fit: a view count outside
+    [2, solver.MAX_VIEWS], a dataset the evaluation protocol cannot score (no
+    labels, fewer than two clusters or fewer instances than clusters),
+    absent instances at a nonzero ratio (simulate_missing masks complete
+    datasets only) and a `knn` that a masked view keeps too few instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
         dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
-    if dataset.n_views < 2:
-        raise ValueError("the dataset has one view; the model needs at least two")
+    solver.check_view_count(dataset.n_views)
     if dataset.labels is None:
         if cfg.clusters is None:
             raise ValueError("cluster count unknown: set 'clusters' or provide labels")
@@ -169,12 +169,15 @@ def _load_base_dataset(cfg: ExperimentConfig):
         raise ValueError("the labels hold one class: set 'clusters' to 2 or more")
     if c > dataset.n_instances:
         raise ValueError(f"cannot form {c} clusters from {dataset.n_instances} instances")
-    for m in cfg.missing_ratios:  # simulate_missing masks floor(m N) instances per view
-        kept = int(dataset.presence.sum(axis=0).min()) - int(np.floor(m * dataset.n_instances))
+    # a ratio listed twice keeps the mask of its last position
+    masked = {m: datamodel.simulate_missing(dataset, m, seed=cfg.seed + 1000 * i) if m else dataset
+              for i, m in enumerate(cfg.missing_ratios)}
+    for m, ds in masked.items():
+        kept = int(ds.presence.sum(axis=0).min())
         if cfg.knn >= kept:
             raise ValueError(f"knn={cfg.knn} must be smaller than the {kept} instances "
                              f"a view keeps at missing ratio {m:g}")
-    return dataset, c
+    return masked, c
 
 
 def _run_cell(cfg, dataset, c, cell, reports):
@@ -196,7 +199,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     errors, warnings = validate_config(cfg)
     if not errors:
         try:
-            base, c = _load_base_dataset(cfg)
+            masked, c = _load_datasets(cfg)
             os.makedirs(out_dir, exist_ok=True)
             if os.listdir(out_dir):
                 raise ValueError(f"output directory {out_dir} is not empty")
@@ -211,7 +214,6 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     cells = itertools.product(
         cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
     )
-    miss_index = {m: i for i, m in enumerate(cfg.missing_ratios)}
     report_lines = [
         "# missing_ratio feature_ratio lambda beta gamma p "
         "acc_mean acc_std nmi_mean nmi_std"
@@ -221,17 +223,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
     # The missing ratio varies slowest, so the cells of one ratio are a run
     # that shares one masked dataset and one memo of protocol reports.
     for ratio, group in itertools.groupby(enumerate(cells), lambda item: item[1][0]):
-        try:
-            dataset = base if ratio == 0 else datamodel.simulate_missing(
-                base, ratio, seed=cfg.seed + 1000 * miss_index[ratio])
-        except Exception as exc:  # every cell of the ratio fails, the others run
-            dataset, mask_error = None, exc
         reports = {}
         for idx, cell in group:
             try:
-                if dataset is None:
-                    raise mask_error
-                result, ranking, selected, report = _run_cell(cfg, dataset, c, cell, reports)
+                result, ranking, selected, report = _run_cell(cfg, masked[ratio], c, cell, reports)
             except Exception as exc:  # a divergent cell must not abort the sweep
                 failures.append(f"cell {idx} {cell}: {type(exc).__name__}: {exc}")
                 continue

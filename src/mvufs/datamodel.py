@@ -39,6 +39,8 @@ class MultiViewDataset:
         for v, x in enumerate(views):
             if x.ndim != 2:
                 raise DatasetError(f"view {v} is not a matrix")
+            if x.shape[0] == 0:
+                raise DatasetError(f"view {v} has no features")
             if x.shape[1] != n:
                 raise DatasetError(
                     f"view {v} has {x.shape[1]} instances, expected {n}"
@@ -286,6 +288,8 @@ def load_dataset(directory: str) -> MultiViewDataset:
                 elif key == "view":
                     if len(vals) != 3:
                         raise ValueError("expected 'view <file> <d> <N>'")
+                    if int(vals[1]) < 1:
+                        raise ValueError(f"view {vals[0]} needs at least one feature")
                     view_entries.append((vals[0], int(vals[1]), int(vals[2])))
                 elif key == "labels":
                     labels_path = vals[0]

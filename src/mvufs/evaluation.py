@@ -25,6 +25,7 @@ from .datamodel import impute_missing  # noqa: F401
 # Bound on the entries (repeats x instances x features) that the k-means
 # repeats of one protocol chunk stack up: about 2 MB per stacked array.
 CHUNK_ENTRIES = 1 << 18
+KMEANS_MAX_ITER = 300  # Lloyd's iterations per repeat at most
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,19 @@ def _reseed_empty(d2: np.ndarray, assign: np.ndarray, counts: np.ndarray) -> Non
         assign[worst] = j
 
 
-def kmeans(data: np.ndarray, c: int, seeds, max_iter: int = 300):
+def kmeans(data: np.ndarray, c: int, seeds):
     """Lloyd's iterations from k-means++ seeding, one repeat per seed, run
     side by side; columns of data are instances.
 
     Returns the (repeats, N) assignments, the (repeats, c, features) centres
     and each repeat's iteration count. Each repeat stops when its assignment
-    repeats and then leaves the active set. A centre is the sum of its
-    members in index order (one flat bincount over every active repeat,
-    cluster and feature) divided by their count; with two or more features
-    that is bitwise numpy's mean over rows (with one, numpy sums pairwise),
-    so each repeat's result equals a one-seed call. Empty clusters are
-    re-seeded: each takes the point farthest from its centre among those
-    whose cluster keeps another member.
+    repeats, or after KMEANS_MAX_ITER iterations, and then leaves the active
+    set. A centre is the sum of its members in index order (one flat bincount
+    over every active repeat, cluster and feature) divided by their count;
+    with two or more features that is bitwise numpy's mean over rows (with
+    one, numpy sums pairwise), so each repeat's result equals a one-seed
+    call. Empty clusters are re-seeded: each takes the point farthest from
+    its centre among those whose cluster keeps another member.
     """
     points = np.asarray(data, dtype=float).T  # instances x features
     n, f = points.shape
@@ -100,8 +101,6 @@ def kmeans(data: np.ndarray, c: int, seeds, max_iter: int = 300):
         raise ValueError(f"cannot form {c} clusters from {n} instances")
     if not np.isfinite(points).all():
         raise ValueError("k-means input holds non-finite values (NaN or inf)")
-    if max_iter < 1:
-        raise ValueError(f"max_iter={max_iter}: k-means needs at least one iteration")
     centers = _kmeanspp_centers(points, c, [np.random.default_rng(s) for s in seeds])
     assign = np.full((len(seeds), n), -1)
     iterations = np.zeros(len(seeds), dtype=int)
@@ -110,7 +109,7 @@ def kmeans(data: np.ndarray, c: int, seeds, max_iter: int = 300):
     # the bincount's weights and keys; the active repeats use a prefix of each
     tiled = np.tile(points.ravel(), len(seeds))
     keys = np.empty(tiled.size, dtype=np.intp)
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         if active.size == 0:
             break
         iterations[active] += 1

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -30,11 +31,12 @@ def score_features(u_list) -> FeatureRanking:
 
 def select_top(ranking: FeatureRanking, ratio=None, count=None):
     """Top-h entries of the global ranking; h = ceil(ratio * total) when a
-    ratio is given."""
+    ratio is given, taken exactly on the decimal the ratio prints as, so
+    ratio 0.07 of 100 features is 7 although 0.07 * 100 rounds above 7."""
     total = len(ranking.entries)
     if (ratio is None) == (count is None):
         raise ValueError("give exactly one of ratio or count")
-    h = int(math.ceil(ratio * total)) if ratio is not None else int(count)
+    h = math.ceil(Fraction(str(ratio)) * total) if ratio is not None else int(count)
     if not (0 < h <= total):
         raise ValueError(f"selection size {h} outside (0, {total}]")
     return [(v, f) for v, f, _ in ranking.entries[:h]]

@@ -58,10 +58,20 @@ from .simplex import project_offdiag_simplex  # noqa: F401
 DENOM_FLOOR = 1e-12
 XI = 1e7  # orthogonality penalty on V
 EPS = 1e-10  # l2,p reweighting floor
+REL_TOL = 1e-6  # `fit` stops at a relative objective change below this
+MAX_VIEWS = 8  # see check_view_count
 
 
 class SolverDivergence(RuntimeError):
     """Raised when the objective or an update produces a non-finite value."""
+
+
+def check_view_count(l: int) -> None:
+    """Refuse l outside [2, MAX_VIEWS]: each view's graph is rebuilt from the
+    others, and update_r's one stack of 2^l - 2 supports (0.75 MiB at l = 8)
+    doubles in time and memory with every view."""
+    if not 2 <= l <= MAX_VIEWS:
+        raise ValueError(f"the model needs 2 to {MAX_VIEWS} views; the dataset has {l}")
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,6 @@ class Hyperparameters:
     p: float  # sparsity exponent
     n_clusters: int
     max_iter: int = 300
-    rel_tol: float = 1e-6
     seed: int = 0
     knn: int = 5
 
@@ -317,33 +326,22 @@ def update_r(gram: np.ndarray) -> np.ndarray:
     2^l - 2 supports and every column's right-hand side [G[A, v]; 1]: each
     system is padded to order l + 1 by r_k = 0 for k outside A. The
     candidates are scored at once, those with v in A or a negative weight
-    are discarded, and each column takes the first best one. The supports go
-    through in chunks of about BLOCK_ENTRIES KKT entries, so memory stays
-    bounded as 2^l grows; a chunk replaces a column's best so far only with a
-    strictly smaller score. At l <= 8 one chunk covers every support.
+    are discarded, and each column takes the first best one. The stack holds
+    (2^l - 2)(l + 1)^2 numbers, which `check_view_count` bounds through l.
     """
     l = len(gram)
     quad = gram + np.eye(l)
-    supports = _candidate_supports(l)
-    step = max(1, BLOCK_ENTRIES // (l + 1) ** 2)
-    r_new, best = np.zeros((l, l)), np.full(l, np.inf)
-    for start in range(0, len(supports), step):
-        member = supports[start:start + step]
-        kkt = np.zeros((len(member), l + 1, l + 1))
-        kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
-        kkt[:, :l, l] = kkt[:, l, :l] = member
-        rhs = np.ones((len(member), l + 1, l))
-        rhs[:, :l] = member[:, :, None] * gram
-        cand = np.linalg.solve(kkt, rhs)[:, :l]  # cand[a, :, v]: support a's minimizer for column v
-        score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
-        score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
-        first = np.argmin(score, axis=0)
-        pick = np.take_along_axis(cand, first[None, None], axis=0)[0]
-        top = score[first, range(l)]
-        better = top < best
-        r_new[:, better] = pick[:, better]
-        best[better] = top[better]
-    return r_new
+    member = _candidate_supports(l)
+    kkt = np.zeros((len(member), l + 1, l + 1))
+    kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
+    kkt[:, :l, l] = kkt[:, l, :l] = member
+    rhs = np.ones((len(member), l + 1, l))
+    rhs[:, :l] = member[:, :, None] * gram
+    cand = np.linalg.solve(kkt, rhs)[:, :l]  # cand[a, :, v]: support a's minimizer for column v
+    score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
+    score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
+    first = np.argmin(score, axis=0)
+    return np.take_along_axis(cand, first[None, None], axis=0)[0]
 
 
 def view_losses(
@@ -412,13 +410,12 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     nonnegative orthogonal manifold is what lets the huge-XI penalty keep the
     objective monotone: from a generic positive matrix the support-splitting
     required by V'V = I is a slow process during which the penalty drags the
-    unpenalized objective upward.
+    unpenalized objective upward. Refuses l outside [2, MAX_VIEWS].
     """
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
     l = dataset.n_views
-    if l < 2:
-        raise ValueError("complementary reconstruction needs at least two views")
+    check_view_count(l)
     rng = np.random.default_rng(hyper.seed)
     c = hyper.n_clusters
     u = [rng.uniform(0.1, 1.1, size=(d, c)) for d in dataset.feature_counts]
@@ -498,7 +495,7 @@ def _permute_state(state: SolverState, order: np.ndarray) -> None:
 
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
-    rel_tol or max_iter sweeps elapse.
+    REL_TOL or max_iter sweeps elapse.
 
     Graphs of at least BLOCK_MIN_ENTRIES entries are fitted with the
     instances sorted by the initial V's labels, so that the sweeps can work
@@ -521,7 +518,7 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         d = sweep(state, dataset, hyper, carry)
         trace.append(objective(state, dataset, hyper, d))
         prev, cur = trace[-2], trace[-1]
-        if abs(cur - prev) / max(1.0, prev) < hyper.rel_tol:
+        if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True
             break
     if order is not None:

@@ -74,9 +74,7 @@ def solver_suite():
         )
         base, _ = generate_synthetic(spec)
         dataset = simulate_missing(base, 0.2, seed=seed + 500)
-        hyper = solver.Hyperparameters(
-            **HYPER, max_iter=MAX_SWEEPS, rel_tol=1e-6, seed=seed
-        )
+        hyper = solver.Hyperparameters(**HYPER, max_iter=MAX_SWEEPS, seed=seed)
         state = solver.initialize(dataset, hyper)
         trace = [solver.objective(state, dataset, hyper)]
         violations = []
@@ -88,7 +86,7 @@ def solver_suite():
                 f"seed {seed} sweep {t}: {e}"
                 for e in constraint_errors(state, check_ortho=False)
             )
-            if abs(trace[-1] - trace[-2]) / max(1.0, trace[-2]) < hyper.rel_tol:
+            if abs(trace[-1] - trace[-2]) / max(1.0, trace[-2]) < solver.REL_TOL:
                 converged_at = t + 1
                 break
         violations.extend(

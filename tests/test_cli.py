@@ -230,23 +230,26 @@ class TestRunCommand:
         assert [r.split()[:2] for r in rows] == [["0", "1"], ["0.5", "1"]]
         assert not (out / "failures.txt").exists()
 
-    def test_failed_mask_fails_each_cell_of_its_ratio(self, tmp_path):
+    def test_failed_mask_fails_each_cell_of_its_ratio(self, tmp_path, capsys):
+        # a dataset saved with absent instances cannot be masked again, so a
+        # nonzero missing ratio refuses the whole run before the first fit
         ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
             n_instances=30, n_views=2, n_clusters=3, features=(8, 8), informative=(3, 3),
             noise_scale=0.05, seed=4))
         datamodel.save_dataset(datamodel.simulate_missing(ds, 0.2, seed=1), str(tmp_path / "ds"))
-        text = (f"dataset {tmp_path / 'ds'}\nmissing_ratios 0.2 0 0.3\nfeature_ratios 0.4\n"
+        text = (f"dataset {tmp_path / 'ds'}\nfeature_ratios 0.4\n"
                 "lambda 0.1 1\nbeta 0.1\ngamma 3\np 0.5\nrepeats 3\nmax_iter 40\nseed 1\n")
         out = tmp_path / "o"
-        assert cli.main(["run", "--config", write_config(tmp_path / "cfg.txt", text),
-                         "--out", str(out)]) == 0
-        error = "DatasetError: simulate_missing expects a complete dataset"
-        assert (out / "failures.txt").read_text() == "".join(
-            f"cell {idx} ({m}, 0.4, {lam}, 0.1, 3.0, 0.5): {error}\n"
-            for idx, m, lam in [(0, 0.2, 0.1), (1, 0.2, 1.0), (4, 0.3, 0.1), (5, 0.3, 1.0)])
+        cfg = write_config(tmp_path / "cfg.txt", text + "missing_ratios 0.2 0 0.3\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: simulate_missing expects a complete dataset"]
+        assert not out.exists()
+        cfg = write_config(tmp_path / "cfg.txt", text + "missing_ratios 0\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
         rows = (out / "report.txt").read_text().splitlines()[1:]
         assert [r.split()[:3] for r in rows] == [["0", "0.4", "0.1"], ["0", "0.4", "1"]]
-        assert sorted(p.name for p in out.glob("trace_*")) == ["trace_0002.txt", "trace_0003.txt"]
+        assert not (out / "failures.txt").exists()
 
 
 # 24 cells; on this dataset each missing ratio's 12 cells make two distinct
@@ -396,6 +399,8 @@ class TestConfigFaults:
         "views-without-feature-counts": (
             ["--views", "2"], "features/informative must have one entry per view"),
         "negative-noise": (["--noise", "-1"], "noise_scale must be nonnegative"),
+        "view-without-features": (["--views", "2", "--features", "0", "8", "--informative",
+                                   "0", "3", "--instances", "30"], "view 0 has no features"),
     }
 
     @pytest.mark.parametrize("case", list(SYNTH_FAULTS))
@@ -418,7 +423,19 @@ class TestConfigFaults:
         cfg = write_config(tmp_path / "c.txt", f"dataset {path}\nmissing_ratios {ratio}\n")
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
-            "error: the dataset has one view; the model needs at least two"]
+            "error: the model needs 2 to 8 views; the dataset has 1"]
+        assert not out.exists()
+
+    def test_nine_view_dataset_runs_nothing(self, tmp_path, capsys):
+        path = tmp_path / "ds"
+        assert cli.main(["synth", "--out", str(path), "--instances", "12", "--views", "9",
+                         "--features", *["4"] * 9, "--informative", *["2"] * 9]) == 0
+        capsys.readouterr()
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\nmissing_ratios 0\n")
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: the model needs 2 to 8 views; the dataset has 9"]
         assert not out.exists()
 
     def test_non_empty_out_prints_one_error(self, tmp_path, capsys):

@@ -19,6 +19,9 @@ def test_same_tree_is_identical(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fit-n1000 config_0: 4 files, identical" in out
     assert "total: 4 files compared, 0 differences or failed runs" in out
+    lines = compare_runs.source_lines(ROOT)
+    assert lines > 1000
+    assert f"src/mvufs: {lines} lines in parent, {lines} in change (+0)\n" in out
 
 
 def test_changed_output_and_failed_run_fail(tmp_path, capsys):
@@ -33,4 +36,7 @@ def test_changed_output_and_failed_run_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config_0: 4 files, DIFFER: trace_0000.txt\n" in out
     assert compare_runs.compare(ROOT, str(tmp_path / "none"), SHRUNK, 7, str(tmp_path / "b")) == 1
-    assert "fit-n1000 config_0: FAILED under change" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "fit-n1000 config_0: FAILED under change" in out
+    lines = compare_runs.source_lines(ROOT)
+    assert f"src/mvufs: {lines} lines in parent, 0 in change ({-lines:+d})\n" in out

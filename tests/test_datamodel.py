@@ -28,6 +28,10 @@ class TestInvariants:
         with pytest.raises(DatasetError, match="negative"):
             MultiViewDataset((x,), np.ones((4, 1), dtype=int))
 
+    def test_view_without_features_rejected(self):
+        with pytest.raises(DatasetError, match="view 1 has no features"):
+            MultiViewDataset((np.ones((3, 4)), np.ones((0, 4))), np.ones((4, 2), dtype=int))
+
     def test_mismatched_instance_counts_rejected(self):
         with pytest.raises(DatasetError, match="instances"):
             MultiViewDataset(
@@ -236,8 +240,10 @@ class TestIO:
          "malformed file .*l.txt"),
         ("views 1\nview v.txt 1 2\nmask m.txt\n", {"m.txt": "1\nx\n"}, "malformed file .*m.txt"),
         ("views 0\n", {}, "manifest line 1: a dataset needs at least one view"),
+        ("views 1\nview v.txt 0 2\n", {},
+         "manifest line 2: view v.txt needs at least one feature"),
     ], ids=["views-not-int", "view-size-not-int", "views-no-value", "labels-no-value",
-            "labels-not-int", "mask-not-int", "no-views"])
+            "labels-not-int", "mask-not-int", "no-views", "view-without-features"])
     def test_malformed_manifest_or_integer_file(self, tmp_path, manifest, files, match):
         (tmp_path / "manifest.txt").write_text(manifest)
         for name, text in {"v.txt": "1 2\n", **files}.items():

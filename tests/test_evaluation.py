@@ -246,10 +246,6 @@ class TestKMeans:
         with pytest.raises(ValueError, match=f"c={c}"):
             kmeans(np.ones((2, 5)), c, [0])
 
-    def test_zero_iterations_rejected(self):
-        with pytest.raises(ValueError, match="max_iter=0"):
-            kmeans(np.ones((2, 5)), 2, [0], max_iter=0)
-
     def test_seeding_overflow_is_named(self):
         # differences up to 3e154: their squares leave the float range
         data = np.array([[0.0, 1e154, 2e154, 3e154]] * 3)

@@ -48,6 +48,13 @@ def test_select_ceiling_arithmetic():
     assert sel == [(0, 0), (0, 1)]
 
 
+def test_select_ratio_is_exact_on_its_decimal():
+    # 0.07 * 100 is 7.000000000000001 in binary floating point
+    ranking = score_features([np.diag(np.arange(100, 0, -1.0))])
+    assert select_top(ranking, ratio=0.07) == [(0, f) for f in range(7)]
+    assert len(select_top(ranking, ratio=0.071)) == 8
+
+
 def test_select_requires_exactly_one_size_argument():
     ranking = score_features([np.ones((2, 2))])
     with pytest.raises(ValueError):

@@ -7,14 +7,16 @@ PARENT_ROOT and CHANGE_ROOT are checkouts, each with its package under
 `perfbench/workloads.write_inputs` of this checkout at `--seed`; then each
 config runs as `mvufs run` under both trees, in fresh interpreters with one
 BLAS thread. Every file of the two output directories is compared byte for
-byte. The script prints one line per config and a total, and exits 1 when a
-run fails, a file differs or exists on one side only, or nothing was compared.
+byte. The script prints one line per config, a total and both trees'
+`src/mvufs` line counts, and exits 1 when a run fails, a file differs or
+exists on one side only, or nothing was compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import glob
 import importlib.util
 import os
 import subprocess
@@ -47,6 +49,15 @@ def differing(a: str, b: str) -> tuple:
     return len(names), sorted(mismatch + errors)
 
 
+def source_lines(root: str) -> int:
+    """Lines in the `src/mvufs` Python files of the checkout at `root`."""
+    total = 0
+    for path in glob.glob(os.path.join(root, "src", "mvufs", "*.py")):
+        with open(path) as fh:
+            total += sum(1 for _ in fh)
+    return total
+
+
 def compare(parent: str, change: str, chosen, seed: int, work: str) -> int:
     """Run the configs of every workload in `chosen` under both trees inside
     `work`; 0 when every output directory is byte-identical, else 1."""
@@ -71,6 +82,9 @@ def compare(parent: str, change: str, chosen, seed: int, work: str) -> int:
             verdict = "identical" if not diff else "DIFFER: " + " ".join(diff)
             print(f"{workload.name} {name}: {count} files, {verdict}")
     print(f"total: {total} files compared, {bad} differences or failed runs")
+    lines = [source_lines(root) for root in (parent, change)]
+    print(f"src/mvufs: {lines[0]} lines in parent, {lines[1]} in change "
+          f"({lines[1] - lines[0]:+d})")
     return 1 if bad or not total else 0
 
 
