@@ -684,6 +684,15 @@ class TestUpdateR:
             assert r.flags.c_contiguous
             assert_r_matches_enumeration(r, gram)
 
+    @pytest.mark.parametrize("l,step", [(2, 1), (3, 1), (3, 4), (5, 1), (5, 7)])
+    def test_chunked_supports_match_enumeration(self, l, step):
+        # `step` supports per chunk, so several chunks run: a running best
+        # over chunks keeps each column's first best, as update_r's one solve does
+        for gram in _r_test_grams(l, np.random.default_rng(80 + l)):
+            r = _chunked_r_reference(gram, step)
+            assert_r_matches_enumeration(r, gram)
+            assert np.max(np.abs(update_r(gram) - r)) <= 1e-14
+
     @pytest.mark.parametrize("l", [solver.MAX_VIEWS])
     def test_memory_stays_bounded_at_many_views(self, l):
         rng = np.random.default_rng(l)
@@ -745,6 +754,31 @@ def _enumerate_r_reference(gram):
                     candidates.append(np.zeros(l))
                     candidates[-1][idx] = r
         r_new[:, v] = min(candidates, key=lambda c: c @ quad @ c - 2.0 * gram[:, v] @ c)
+    return r_new
+
+
+def _chunked_r_reference(gram, step):
+    """update_r with its supports solved `step` at a time; a chunk replaces a
+    column's best so far only with a strictly smaller score."""
+    l = len(gram)
+    quad = gram + np.eye(l)
+    supports = solver._candidate_supports(l)
+    r_new, best = np.zeros((l, l)), np.full(l, np.inf)
+    for start in range(0, len(supports), step):
+        member = supports[start:start + step]
+        kkt = np.zeros((len(member), l + 1, l + 1))
+        kkt[:, :l, :l] = np.where(member[:, :, None] & member[:, None, :], quad, np.eye(l))
+        kkt[:, :l, l] = kkt[:, l, :l] = member
+        rhs = np.ones((len(member), l + 1, l))
+        rhs[:, :l] = member[:, :, None] * gram
+        cand = np.linalg.solve(kkt, rhs)[:, :l]
+        score = np.einsum("akv,akv->av", cand, quad @ cand - 2.0 * gram)
+        score[member | ~np.all(cand >= 0.0, axis=1)] = np.inf
+        first = np.argmin(score, axis=0)
+        top = score[first, range(l)]
+        better = top < best
+        r_new[:, better] = np.take_along_axis(cand, first[None, None], axis=0)[0][:, better]
+        best[better] = top[better]
     return r_new
 
 
