@@ -3,15 +3,17 @@ feature ratios and solver hyperparameters.
 
 Subcommands:
   synth     write a synthetic dataset directory
-  validate  check a config file, printing one diagnostic per violation
+  validate  make every check `run` makes before its first fit
   run       execute the full sweep, writing report/trace/selection artifacts
 
-A config that cannot be read or parsed or breaks a RULES table (of
-solver.Hyperparameters or datamodel.SyntheticSpec: NaN, infinities, negative
-seeds), or whose dataset cannot be loaded, masked or evaluated (see
-_load_datasets), is reported as one `error:` line; `run` then writes nothing.
-So are a `synth` spec that cannot be built, an `--out` that names a file and
-a `run --out` naming a non-empty directory.
+`validate` and `run` share `preflight`. A config that cannot be read or
+parsed, breaks a RULES table (of solver.Hyperparameters or
+datamodel.SyntheticSpec: NaN, infinities, negative seeds) or lists a grid
+value twice, or whose dataset cannot be loaded, masked or evaluated (see
+_load_datasets), is one `error:` line: on stdout with exit code 1 for
+`validate`, on stderr with exit code 2 for `run`, which then writes nothing.
+So are a `synth` spec that cannot be built (stderr, exit code 2), an `--out`
+that names a file and a `run --out` naming a non-empty directory.
 
 `run` masks the dataset for every missing ratio before the first fit; the
 cells of a ratio fit on its masked dataset and share one memo of evaluation
@@ -133,6 +135,8 @@ def validate_config(cfg: ExperimentConfig):
         for x in values if rule else ():
             if x is not None and not rule[0](x):
                 errors.append(f"{key}={x}: {rule[1]}")
+        for x in dict.fromkeys(x for i, x in enumerate(values) if x in values[:i]):
+            errors.append(f"{key} lists {x} more than once")
     for m in cfg.missing_ratios:
         if not (0 <= m <= 0.5):
             errors.append(f"missing ratio {m}: a missing ratio must lie in [0, 0.5]")
@@ -169,7 +173,6 @@ def _load_datasets(cfg: ExperimentConfig):
         raise ValueError("the labels hold one class: set 'clusters' to 2 or more")
     if c > dataset.n_instances:
         raise ValueError(f"cannot form {c} clusters from {dataset.n_instances} instances")
-    # a ratio listed twice keeps the mask of its last position
     masked = {m: datamodel.simulate_missing(dataset, m, seed=cfg.seed + 1000 * i) if m else dataset
               for i, m in enumerate(cfg.missing_ratios)}
     for m, ds in masked.items():
@@ -195,22 +198,29 @@ def _run_cell(cfg, dataset, c, cell, reports):
     return result, ranking, selected, report
 
 
-def run_sweep(cfg: ExperimentConfig, out_dir: str) -> int:
-    errors, warnings = validate_config(cfg)
-    if not errors:
-        try:
+def preflight(config: str, out_dir: str | None, stream):
+    """Every check `run` makes before its first fit: parse the config, apply
+    validate_config, load and mask the dataset and, given `out_dir`, make it or
+    find it empty. Prints one line per warning and error to `stream`; returns
+    (cfg, masked datasets, cluster count), or None after an error."""
+    errors, warnings = [], []
+    try:
+        cfg = parse_config(config)
+        errors, warnings = validate_config(cfg)
+        if not errors:
             masked, c = _load_datasets(cfg)
-            os.makedirs(out_dir, exist_ok=True)
-            if os.listdir(out_dir):
-                raise ValueError(f"output directory {out_dir} is not empty")
-        except (OSError, ValueError) as exc:
-            errors = [str(exc)]
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
-    if errors:
-        for e in errors:
-            print(f"error: {e}", file=sys.stderr)
-        return 2
+            if out_dir is not None:
+                os.makedirs(out_dir, exist_ok=True)
+                if os.listdir(out_dir):
+                    raise ValueError(f"output directory {out_dir} is not empty")
+    except (OSError, ValueError) as exc:
+        errors = [str(exc)]
+    for line in [f"warning: {w}" for w in warnings] + [f"error: {e}" for e in errors]:
+        print(line, file=stream)
+    return None if errors else (cfg, masked, c)
+
+
+def run_sweep(cfg: ExperimentConfig, masked: dict, c: int, out_dir: str) -> int:
     cells = itertools.product(
         cfg.missing_ratios, cfg.feature_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p
     )
@@ -286,24 +296,12 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            errors, warnings = validate_config(parse_config(args.config))
-        except (OSError, ValueError) as exc:
-            errors, warnings = [str(exc)], []
-        for w in warnings:
-            print(f"warning: {w}")
-        for e in errors:
-            print(f"error: {e}")
-        return 1 if errors else 0
-
-    if args.command == "run":
-        try:
-            cfg = parse_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return run_sweep(cfg, args.out)
+    if args.command != "synth":
+        stream = sys.stdout if args.command == "validate" else sys.stderr
+        checked = preflight(args.config, getattr(args, "out", None), stream)
+        if args.command == "validate":
+            return 0 if checked else 1
+        return run_sweep(*checked, args.out) if checked else 2
 
     # synth
     try:

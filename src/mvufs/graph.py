@@ -82,7 +82,10 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     Edges are kept when either endpoint lists the other among its k nearest
     present neighbors. Absent instances get uniform 1/(N-1) similarity to all
     others. The kernel bandwidth sigma is the mean kth-neighbor distance
-    among present instances (falling back to 1 when that mean is zero).
+    among present instances (falling back to 1 when that mean is zero). A
+    column whose every kernel weight underflows to 0 (an instance far from
+    all others) is weighed with the exponent shifted by its nearest edge's
+    distance, which the normalization cancels, so every column sums to 1.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
@@ -111,7 +114,15 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
         s[:, absent] = 1.0 / (n - 1)
         s[absent, absent] = 0.0
     colsum = s.sum(axis=0)
-    colsum[colsum == 0.0] = 1.0
+    zero = colsum == 0.0
+    if zero.any():
+        # every kernel weight of these columns (no absent row) underflowed:
+        # weigh their edges again, each exponent shifted by the nearest edge
+        edge = np.full((n, n), np.inf)
+        edge[i, j] = edge[j, i] = near
+        edge = edge[:, zero]
+        s[:, zero] = np.exp(-(edge - edge.min(axis=0)) / (2.0 * sigma * sigma))
+        colsum = s.sum(axis=0)
     s /= colsum  # nonnegative entries over a sum at least each: already in [0, 1]
     return s
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,15 @@ simulate_missing = datamodel.simulate_missing
 def write_config(path, text):
     path.write_text(text)
     return str(path)
+
+
+@pytest.fixture
+def small_dataset(tmp_path):
+    """A labelled 30-instance, 2-view dataset that the default grids run on."""
+    ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
+        n_instances=30, n_views=2, n_clusters=3, features=(8, 8), informative=(3, 3), seed=4))
+    datamodel.save_dataset(ds, str(tmp_path / "ds"))
+    return tmp_path / "ds"
 
 
 class TestParseConfig:
@@ -111,8 +122,8 @@ class TestSynthCommand:
 
 
 class TestValidateCommand:
-    def test_exit_codes(self, tmp_path, capsys):
-        good = write_config(tmp_path / "good.txt", "dataset d\n")
+    def test_exit_codes(self, tmp_path, capsys, small_dataset):
+        good = write_config(tmp_path / "good.txt", f"dataset {small_dataset}\n")
         assert cli.main(["validate", "--config", good]) == 0
         bad = write_config(tmp_path / "bad.txt", "dataset d\ngamma 1\n")
         assert cli.main(["validate", "--config", bad]) == 1
@@ -125,8 +136,10 @@ class TestValidateCommand:
         ("max_iter -1", 1, "error: max_iter=-1: max_iter must be nonnegative"),
         ("max_iter 0", 0, ""),
     ])
-    def test_cluster_count_and_sweep_cap(self, tmp_path, capsys, line, code, message):
-        cfg = write_config(tmp_path / "c.txt", f"dataset d\n{line}\n")
+    def test_cluster_count_and_sweep_cap(
+        self, tmp_path, capsys, small_dataset, line, code, message
+    ):
+        cfg = write_config(tmp_path / "c.txt", f"dataset {small_dataset}\n{line}\n")
         assert cli.main(["validate", "--config", cfg]) == code
         assert capsys.readouterr().out.strip() == message
 
@@ -139,8 +152,8 @@ class TestValidateCommand:
         ("feature_ratios 1.5", 1, "error: feature ratio 1.5: a feature ratio must lie in (0, 1]"),
         ("feature_ratios 0.2 1", 0, "warning: feature ratio 1.0 outside the usual 10-50% range"),
     ])
-    def test_ratio_bounds(self, tmp_path, capsys, line, code, message):
-        cfg = write_config(tmp_path / "c.txt", f"dataset d\n{line}\n")
+    def test_ratio_bounds(self, tmp_path, capsys, small_dataset, line, code, message):
+        cfg = write_config(tmp_path / "c.txt", f"dataset {small_dataset}\n{line}\n")
         assert cli.main(["validate", "--config", cfg]) == code
         assert capsys.readouterr().out.strip() == message
 
@@ -230,23 +243,18 @@ class TestRunCommand:
         assert [r.split()[:2] for r in rows] == [["0", "1"], ["0.5", "1"]]
         assert not (out / "failures.txt").exists()
 
-    def test_failed_mask_fails_each_cell_of_its_ratio(self, tmp_path, capsys):
-        # a dataset saved with absent instances cannot be masked again, so a
-        # nonzero missing ratio refuses the whole run before the first fit
+    def test_pre_masked_dataset_runs_at_ratio_zero(self, tmp_path):
+        # a dataset saved with absent instances runs as it is at ratio 0
+        # (UNLOADABLE["pre-masked"]: any nonzero ratio refuses it)
         ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
             n_instances=30, n_views=2, n_clusters=3, features=(8, 8), informative=(3, 3),
             noise_scale=0.05, seed=4))
         datamodel.save_dataset(datamodel.simulate_missing(ds, 0.2, seed=1), str(tmp_path / "ds"))
-        text = (f"dataset {tmp_path / 'ds'}\nfeature_ratios 0.4\n"
+        text = (f"dataset {tmp_path / 'ds'}\nfeature_ratios 0.4\nmissing_ratios 0\n"
                 "lambda 0.1 1\nbeta 0.1\ngamma 3\np 0.5\nrepeats 3\nmax_iter 40\nseed 1\n")
         out = tmp_path / "o"
-        cfg = write_config(tmp_path / "cfg.txt", text + "missing_ratios 0.2 0 0.3\n")
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: simulate_missing expects a complete dataset"]
-        assert not out.exists()
-        cfg = write_config(tmp_path / "cfg.txt", text + "missing_ratios 0\n")
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert cli.main(["run", "--config", write_config(tmp_path / "cfg.txt", text),
+                         "--out", str(out)]) == 0
         rows = (out / "report.txt").read_text().splitlines()[1:]
         assert [r.split()[:3] for r in rows] == [["0", "0.4", "0.1"], ["0", "0.4", "1"]]
         assert not (out / "failures.txt").exists()
@@ -317,10 +325,13 @@ CONFIG_FAULTS = [
     ("synthetic_noise nan",
      "c.txt: synthetic spec: noise_scale=nan: noise_scale must be nonnegative and finite"),
     ("synthetic_seed -1", "c.txt: synthetic spec: seed=-1: seed must be nonnegative"),
+    ("missing_ratios 0.2 0.2", "missing_ratios lists 0.2 more than once"),
+    ("lambda 0.1 0.1", "lambda lists 0.1 more than once"),
 ]
 FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file",
              "removed-per-view", "nan-lambda", "inf-lambda", "nan-beta", "nan-gamma",
-             "inf-gamma", "negative-seed", "nan-synthetic-noise", "negative-synthetic-seed"]
+             "inf-gamma", "negative-seed", "nan-synthetic-noise", "negative-synthetic-seed",
+             "repeated-missing-ratio", "repeated-lambda"]
 
 
 def fault_config(tmp_path, lines):
@@ -346,38 +357,47 @@ class TestConfigFaults:
         assert captured.out == "" and line.startswith("error: ") and message in line
         assert not out.exists()
 
-    # (the labels saved with the dataset as a function of the synthetic ones,
+    # (the dataset saved as a function of a labelled 12-instance, 2-view one,
     # None: no dataset; config lines; message)
     UNLOADABLE = {
         "no-dataset": (None, "", "no manifest.txt in {path}"),
-        "no-labels": (lambda y: None, "",
+        "no-labels": (lambda ds: replace(ds, labels=None), "",
                       "cluster count unknown: set 'clusters' or provide labels"),
         "no-labels-with-clusters": (
-            lambda y: None, "clusters 3\n",
+            lambda ds: replace(ds, labels=None), "clusters 3\n",
             "the dataset has no labels, which the evaluation protocol needs"),
         "too-many-clusters": (
-            lambda y: y, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
+            lambda ds: ds, "clusters 30\n", "cannot form 30 clusters from 12 instances"),
         "knn-above-masked-view": (
-            lambda y: y, "missing_ratios 0 0.5\nknn 6\n",
+            lambda ds: ds, "missing_ratios 0 0.5\nknn 6\n",
             "knn=6 must be smaller than the 6 instances a view keeps at missing ratio 0.5"),
-        "one-class": (np.zeros_like, "",
+        "one-class": (lambda ds: replace(ds, labels=np.zeros(12, dtype=int)), "",
                       "the labels hold one class: set 'clusters' to 2 or more"),
+        "nine-views": (
+            lambda ds: replace(ds, views=ds.views * 4 + ds.views[:1],
+                               presence=np.ones((12, 9), dtype=int)),
+            "missing_ratios 0\n", "the model needs 2 to 8 views; the dataset has 9"),
+        "pre-masked": (
+            lambda ds: datamodel.simulate_missing(ds, 0.2, seed=1), "missing_ratios 0.2 0 0.3\n",
+            "simulate_missing expects a complete dataset"),
     }
 
     @pytest.mark.parametrize("case", list(UNLOADABLE))
     def test_unloadable_dataset_runs_nothing(self, tmp_path, capsys, case):
-        relabel, lines, message = self.UNLOADABLE[case]
+        make, lines, message = self.UNLOADABLE[case]
         path = tmp_path / "ds"
-        if relabel is not None:
+        if make is not None:
             ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
                 n_instances=12, n_views=2, n_clusters=3, features=(4, 4),
                 informative=(2, 2)))
-            datamodel.save_dataset(
-                datamodel.MultiViewDataset(ds.views, ds.presence, relabel(ds.labels)), str(path))
-        out = tmp_path / "o"
+            datamodel.save_dataset(make(ds), str(path))
+        line = "error: " + message.format(path=path)
         cfg = write_config(tmp_path / "c.txt", f"dataset {path}\n{lines}")
+        assert cli.main(["validate", "--config", cfg]) == 1
+        assert capsys.readouterr() == (line + "\n", "")
+        out = tmp_path / "o"
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == ["error: " + message.format(path=path)]
+        assert capsys.readouterr() == ("", line + "\n")
         assert not out.exists()
 
     def test_one_class_with_clusters_runs(self, tmp_path):
@@ -424,18 +444,6 @@ class TestConfigFaults:
         assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err.splitlines() == [
             "error: the model needs 2 to 8 views; the dataset has 1"]
-        assert not out.exists()
-
-    def test_nine_view_dataset_runs_nothing(self, tmp_path, capsys):
-        path = tmp_path / "ds"
-        assert cli.main(["synth", "--out", str(path), "--instances", "12", "--views", "9",
-                         "--features", *["4"] * 9, "--informative", *["2"] * 9]) == 0
-        capsys.readouterr()
-        out = tmp_path / "o"
-        cfg = write_config(tmp_path / "c.txt", f"dataset {path}\nmissing_ratios 0\n")
-        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 2
-        assert capsys.readouterr().err.splitlines() == [
-            "error: the model needs 2 to 8 views; the dataset has 9"]
         assert not out.exists()
 
     def test_non_empty_out_prints_one_error(self, tmp_path, capsys):

@@ -3,6 +3,8 @@ import importlib.util
 import os
 import shutil
 
+from mvufs import cli
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
     "compare_runs", os.path.join(ROOT, "tools", "compare_runs.py"))
@@ -40,3 +42,12 @@ def test_changed_output_and_failed_run_fail(tmp_path, capsys):
     assert "fit-n1000 config_0: FAILED under change" in out
     lines = compare_runs.source_lines(ROOT)
     assert f"src/mvufs: {lines} lines in parent, 0 in change ({-lines:+d})\n" in out
+
+
+def test_benchmark_configs_pass_validate(tmp_path, capsys):
+    # a pre-flight that refused these configs would fail every cell of a workload
+    for workload in compare_runs.workloads.WORKLOADS.values():
+        (config,) = compare_runs.workloads.write_inputs(
+            dataclasses.replace(workload, datasets=1), 7, str(tmp_path / workload.name))
+        assert cli.main(["validate", "--config", config]) == 0
+    assert capsys.readouterr() == ("", "")

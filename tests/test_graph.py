@@ -140,6 +140,23 @@ class TestBuildInitialSimilarity:
                 expect = _argsort_initial_similarity(x, presence, k=k)
                 assert np.array_equal(s, expect), (m, k)
 
+    def test_far_instance_column_sums_to_one(self):
+        # instance 0 lies so far from the rest that every kernel weight of its
+        # column underflows to 0; the column must still be the normalised
+        # kernel over its edges
+        x = np.random.default_rng(0).uniform(0, 1, (5, 300))
+        x[:, 0] += 60
+        s = build_initial_similarity(x, np.ones(300, dtype=int), k=3)
+        check_similarity(s)
+        d2 = pairwise_sq_dists(x.T)
+        np.fill_diagonal(d2, np.inf)
+        knn = np.argsort(d2, axis=1)[:, :3]
+        sigma = np.sqrt(d2[np.arange(300), knn[:, 2]]).mean()
+        edges = np.isin(np.arange(300), knn[0]) | np.any(knn == 0, axis=1)
+        z = np.where(edges, -d2[:, 0] / (2.0 * sigma * sigma), -np.inf)
+        exact = np.exp(z - z.max())
+        assert np.abs(s[:, 0] - exact / exact.sum()).max() < 1e-12
+
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_duplicate_instances(self, k):
         # every instance has an identical twin, so its twin and itself are
