@@ -10,14 +10,16 @@ no N x N distance matrix or second graph exists. When the instances are
 sorted by V's cluster labels, it repairs only the diagonal blocks of the
 clusters plus the few off-block entries that the other graphs list
 (ClusterBlocks), and checks per column that the dense update would give the
-same graph.
+same graph. A block whose columns keep every entry, as they do once the
+graphs have settled, is projected from its column sums
+(simplex.project_full_support).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .simplex import project_offdiag_columns
+from .simplex import project_full_support, project_offdiag_columns
 # Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
 from .simplex import project_offdiag_simplex  # noqa: F401
 
@@ -27,13 +29,14 @@ COLSUM_TOL = 1e-8
 BLOCK_ENTRIES = 32768
 # Graphs of fewer entries are always updated densely. Measured over 20-sweep
 # fits (30% missing, 4 clusters, one BLAS thread), blocks against dense:
-# 1.7x the time at N=120, 1.3x at N=200, 1.1x at N=300, 0.90x at N=400,
-# 0.59x at N=1000.
+# 1.64x the time at N=120, 1.21x at N=200, 0.93x at N=300, 0.71x at N=400,
+# 0.48x at N=1000.
 BLOCK_MIN_ENTRIES = 350**2
 # A view's S update runs on the blocks only while its work, the diagonal
 # blocks' entries plus EXTRA_COST per listed off-block candidate, stays below
 # this share of N^2; beyond it the dense update is cheaper. A candidate costs
-# 0.37 us against 0.014 us per block entry (N=1000, one BLAS thread).
+# 0.41 us against 0.010 us per block entry, about 40 entries (N=1000, one
+# BLAS thread; 0.40 against 0.014 us without the full-support projection).
 BLOCK_SHARE = 0.5
 EXTRA_COST = 25
 
@@ -221,6 +224,10 @@ class ClusterBlocks:
         check takes `off_bound` first and the exact minimum for the columns
         the bound does not settle; a column that fails it sends the view to
         the dense update.
+
+        Each block's target is projected by project_full_support when every
+        column keeps all its block entries, and otherwise, the target
+        untouched, by the threshold search of project_offdiag_columns.
         """
         out = graphs[v]
         n = len(out)
@@ -253,7 +260,9 @@ class ClusterBlocks:
             mine = block == b
             extra = values[mine]
             theta = thresholds[b0:b1]
-            project_offdiag_columns(p, out=p, thresholds=theta, extra=(cols[mine] - b0, extra))
+            candidates = (cols[mine] - b0, extra)
+            if not project_full_support(p, theta, candidates):
+                project_offdiag_columns(p, out=p, thresholds=theta, extra=candidates)
             loose = scale * self.off_bound[b0:b1] > theta
             if loose.any():
                 cols_loose = b0 + np.flatnonzero(loose)

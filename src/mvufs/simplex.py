@@ -122,3 +122,45 @@ def project_offdiag_columns(
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
     return out
+
+
+def project_full_support(p: np.ndarray, thresholds: np.ndarray, extra: tuple) -> bool:
+    """project_offdiag_columns(p, out=p, thresholds=thresholds, extra=extra)
+    for a square p whose every column keeps all its off-diagonal coordinates;
+    returns whether it applied.
+
+    The off-diagonal sums take one pass over p, summed in the order of
+    project_offdiag_columns. The threshold search then runs over the extras
+    alone: they all start in the support and leave it at or below their
+    column's threshold, so the thresholds only rise. When every off-diagonal
+    entry lies strictly above its column's final threshold, every coordinate
+    left in the support lies above it and every other at or below, which
+    makes the threshold exact: p, `thresholds` and the extras' values are
+    then overwritten as project_offdiag_columns would. Otherwise, or when a
+    threshold is not finite, nothing is written and False is returned; the
+    guesses in `thresholds` are not read.
+    """
+    m = len(p)
+    cols, values = extra
+    diag = np.einsum("ii->i", p)  # a writable view, cheaper to set than fill_diagonal
+    saved = diag.copy()
+    on = np.ones(len(cols), dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        diag *= 0.0  # as the einsum's mask: a non-finite diagonal entry still counts
+        block = p.sum(axis=0)  # by rows, as the masked einsum of project_offdiag_columns
+        while True:
+            total = block + np.bincount(cols, values * on, minlength=m)
+            theta = (total - 1.0) / (m - 1 + np.bincount(cols[on], minlength=m))
+            kept = on & (values > theta[cols])
+            if not np.all(np.isfinite(theta)) or np.array_equal(kept, on):
+                break
+            on = kept
+    diag[...] = np.inf
+    if not (np.all(np.isfinite(theta)) and np.all(p.min(axis=0) > theta)):
+        diag[...] = saved
+        return False
+    thresholds[...] = theta
+    np.maximum(values - theta[cols], 0.0, out=values)
+    np.subtract(p, theta, out=p)
+    diag[...] = 0.0
+    return True

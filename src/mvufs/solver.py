@@ -22,12 +22,13 @@ checks that V, U, the S updates and the view losses stay finite and raises
 SolverDivergence naming the first that does not.
 
 V acts as a cluster indicator, so the repaired graphs concentrate on V's
-clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `fit` sorts the
-instances by the initial V's labels, and while the labels stay sorted runs
-of two or more members, a sweep updates each graph on the diagonal blocks
-of the runs plus the few off-block entries that the other graphs
-list (graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads
-only those. A per-column check proves that the dense update would give the
+clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `initialize`
+builds V and the graphs with the instances sorted by V's labels and `fit`
+puts the dataset in that order, and while the labels stay sorted runs of two
+or more members, a sweep updates each graph on the diagonal blocks of the
+runs plus the few off-block entries that the other graphs list
+(graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads only
+those. A per-column check proves that the dense update would give the
 same graph; a view that fails it, graphs with too many off-block entries,
 unsorted labels and singleton clusters take the dense update.
 """
@@ -111,6 +112,9 @@ class SolverState:
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
+    # None, or the order of the dataset's instances that V and the graphs
+    # hold (see initialize): sweep them with the dataset in that order
+    order: np.ndarray | None = None
 
 
 @dataclass
@@ -411,6 +415,12 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     objective monotone: from a generic positive matrix the support-splitting
     required by V'V = I is a slow process during which the penalty drags the
     unpenalized objective upward. Refuses l outside [2, MAX_VIEWS].
+
+    Graphs of at least BLOCK_MIN_ENTRIES entries are built with the
+    instances sorted by V's labels (stable), so that the sweeps can work on
+    the labels' blocks: V and the graphs then hold the dataset's instances
+    in the state's `order`, and the dataset must be put in that order to
+    sweep them. The k-means start and U do not depend on the order.
     """
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
@@ -421,15 +431,20 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     u = [rng.uniform(0.1, 1.1, size=(d, c)) for d in dataset.feature_counts]
     imputed = impute_missing(dataset)
     assignments = kmeans(np.vstack(imputed), c, [hyper.seed])[0][0]
-    v = np.full((dataset.n_instances, c), 1e-3)
-    v[np.arange(dataset.n_instances), assignments] = 1.0
+    n = dataset.n_instances
+    v = np.full((n, c), 1e-3)
+    v[np.arange(n), assignments] = 1.0
     v /= np.linalg.norm(v, axis=0, keepdims=True)
-    s = [build_initial_similarity(imputed[k], dataset.presence[:, k], k=hyper.knn)
-         for k in range(l)]
+    order, presence = None, dataset.presence
+    if n ** 2 >= BLOCK_MIN_ENTRIES:
+        order = np.argsort(np.argmax(v, axis=1), kind="stable")
+        v, presence = v[order], presence[order]
+        imputed = [x[:, order] for x in imputed]
+    s = [build_initial_similarity(imputed[k], presence[:, k], k=hyper.knn) for k in range(l)]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
     alpha = np.full(l, 1.0 / l)
-    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha)
+    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha, order=order)
 
 
 def _finite(values: np.ndarray, source: str) -> np.ndarray:
@@ -484,30 +499,29 @@ def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
     return MultiViewDataset(views, dataset.presence[order], labels)
 
 
-def _permute_state(state: SolverState, order: np.ndarray) -> None:
-    """Put the instances of V and the graphs in `order`, the graphs in place."""
+def _restore_order(state: SolverState) -> None:
+    """Put the instances of V and the graphs back in the dataset's order,
+    the graphs in place."""
+    order = np.argsort(state.order)
     state.v = state.v[order]
     rows = np.empty_like(state.s[0])
     for s in state.s:
         np.take(s, order, axis=0, out=rows, mode="clip")  # "raise" would buffer
         np.take(rows, order, axis=1, out=s, mode="clip")
+    state.order = None
 
 
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
     REL_TOL or max_iter sweeps elapse.
 
-    Graphs of at least BLOCK_MIN_ENTRIES entries are fitted with the
-    instances sorted by the initial V's labels, so that the sweeps can work
-    on the labels' blocks; the result is in the dataset's order.
+    The sweeps run in the instance order the initial state was built in
+    (SolverState.order, see initialize); the result is in the dataset's
+    order.
     """
     state = initialize(dataset, hyper)
-    order = None
-    if dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES:
-        # V's clusters as contiguous runs let the sweeps work on their blocks
-        order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
-        dataset = _permuted(dataset, order)
-        _permute_state(state, order)
+    if state.order is not None:
+        dataset = _permuted(dataset, state.order)
     gram, products = graph_products(state.s, state.v)
     d = view_losses(state, dataset, hyper, gram, products)
     trace = [objective(state, dataset, hyper, d)]
@@ -521,8 +535,8 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True
             break
-    if order is not None:
-        _permute_state(state, np.argsort(order))
+    if state.order is not None:
+        _restore_order(state)
     return SolverResult(state, np.asarray(trace), len(trace) - 1, converged)
 
 

@@ -418,6 +418,32 @@ class TestBlockUpdate:
                 assert np.max(np.abs(s - dense[k])) <= 1e-12
                 assert np.max(np.abs(thresholds[k] - expect_thresholds[k])) <= 1e-12
 
+    def test_route_declines_for_one_block_only(self, monkeypatch):
+        # Uniform graphs within the blocks give targets that keep every
+        # entry; in column 9, view 0's sources put all mass on row 10, so the
+        # projection drops entries of block 1 and the route declines there.
+        v = block_problem((8, 8, 8), 3, np.random.default_rng(53), off_block=0)[0]
+        labels = np.repeat(np.arange(3), 8)
+        same = (labels[:, None] == labels[None, :]) & ~np.eye(24, dtype=bool)
+        graphs = [same / 7.0 for _ in range(3)]
+        for g in graphs[1:]:
+            g[8:16, 9] = 0.0
+            g[10, 9] = 1.0
+        r = np.full((3, 3), 0.5)
+        np.fill_diagonal(r, 0.0)
+        routes = []
+        route = graph.project_full_support
+        monkeypatch.setattr(graph, "project_full_support",
+                            lambda *a: routes.append(route(*a)) or routes[-1])
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        alpha = np.full(3, 1.0 / 3.0)
+        expect = updated(0, graphs, r, alpha, 3.0, v)
+        s = update_similarity(0, graphs, r, alpha, 3.0, v, blocks=blocks)
+        assert routes == [True, False, True]
+        assert blocks.entries[0] is not None  # the block path ran
+        assert np.max(np.abs(s - expect)) <= 1e-12
+        assert np.count_nonzero(s[8:16, 9]) < 7
+
     def test_failed_check_falls_back_to_dense(self):
         rng = np.random.default_rng(48)
         v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng, off_block=0)

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from mvufs.simplex import project_offdiag_columns, project_offdiag_simplex, project_simplex
+from mvufs.simplex import (
+    project_full_support,
+    project_offdiag_columns,
+    project_offdiag_simplex,
+    project_simplex,
+)
 
 
 def bisection_oracle(y, excluded=None):
@@ -258,3 +263,89 @@ class TestExtraCoordinates:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError):
                 project_offdiag_columns(np.zeros((3, 3)), extra=(np.array([0]), np.array([bad])))
+
+
+class TestFullSupport:
+    """The route for columns that keep every off-diagonal coordinate."""
+
+    @staticmethod
+    def full_block(m, rng, extras):
+        """A block whose columns keep every off-diagonal entry: each column is
+        a level plus spread below 1 / (2m), so the column's mass 1 cannot
+        push an entry below the threshold. `extras` per column: half sit at
+        the column's level (they enter), half far below it (they leave)."""
+        level = rng.uniform(-1.0, 1.0, size=m)
+        p = level + rng.uniform(size=(m, m)) / (2 * m)
+        cols = np.repeat(np.arange(m), extras)
+        values = level[cols] + rng.uniform(size=len(cols)) / (2 * m)
+        values[1::2] -= 5.0
+        return p, cols, values
+
+    @pytest.mark.parametrize("m", [2, 3, 64, 257])
+    @pytest.mark.parametrize("extras", [0, 1, 4])
+    def test_matches_the_threshold_search(self, m, extras):
+        rng = np.random.default_rng(90 + m + extras)
+        p, cols, values = self.full_block(m, rng, extras)
+        expect_values, expect_thresholds = values.copy(), rng.normal(size=m)
+        expect = project_offdiag_columns(p, thresholds=expect_thresholds,
+                                         extra=(cols, expect_values))
+        assert np.all(expect + np.eye(m) > 0.0)  # every off-diagonal entry kept
+        if extras > 1:
+            assert np.any(expect_values > 0.0) and np.any(expect_values == 0.0)
+        thresholds = np.full(m, np.nan)
+        assert project_full_support(p, thresholds, (cols, values))
+        assert np.max(np.abs(p - expect)) <= 1e-15
+        assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-15
+        assert len(cols) == 0 or np.max(np.abs(values - expect_values)) <= 1e-15
+
+    @staticmethod
+    def declined(p, extra=(np.zeros(0, dtype=int), np.zeros(0))):
+        """Run the route on p, which it must decline, and check that it
+        wrote nothing."""
+        thresholds = np.arange(len(p), dtype=float)
+        before = (p.copy(), thresholds.copy(), extra[1].copy())
+        assert not project_full_support(p, thresholds, extra)
+        assert np.array_equal(p, before[0], equal_nan=True)
+        assert np.array_equal(thresholds, before[1])
+        assert np.array_equal(extra[1], before[2], equal_nan=True)
+
+    def test_entry_on_the_threshold_declines(self):
+        # column 0: (2.5 - 1) / 3 = 0.5, exactly its last entry
+        p = np.full((4, 4), 0.5)
+        p[1:3, 0] = 1.0
+        self.declined(p)
+        assert project_offdiag_columns(p)[3, 0] == 0.0
+
+    def test_entry_below_the_threshold_declines(self):
+        p = np.full((4, 4), 0.5)
+        p[1:3, 0] = 1.0
+        p[3, 0] = 0.25
+        self.declined(p)
+        p[3, 0] = 0.6  # above (2.6 - 1) / 3 alone; one entering extra lifts it to 0.65
+        extra = (np.array([0, 2]), np.array([1.0, -3.0]))
+        self.declined(p, extra)
+        out = project_offdiag_columns(p, extra=(extra[0], extra[1].copy()))
+        assert out[3, 0] == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_decline_then_raise(self, bad):
+        for where in ((1, 0), (0, 0), None):
+            p = np.full((3, 3), 0.5)
+            values = np.array([0.1, 0.2])
+            if where is None:
+                values[1] = bad
+            else:
+                p[where] = bad
+            extra = (np.array([0, 2]), values)
+            self.declined(p, extra)
+            with pytest.raises(ValueError):
+                project_offdiag_columns(p, extra=extra)
+
+    def test_overflowing_sum_declines_then_raises(self):
+        # finite extras whose sum overflows: dropping them would leave a
+        # finite threshold that no longer accounts for them
+        p = np.full((3, 3), 0.5)
+        extra = (np.array([1, 1]), np.array([1e308, 1e308]))
+        self.declined(p, extra)
+        with pytest.raises(ValueError):
+            project_offdiag_columns(p, extra=extra)

@@ -285,12 +285,12 @@ class TestGraphProducts:
 
 
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
-    """make_problem with the instances sorted by the initial V's labels."""
+    """make_problem with the instances sorted by the initial V's labels: with
+    BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order, and
+    the dataset is put in it as fit does."""
     ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
-    order = np.argsort(np.argmax(state.v, axis=1), kind="stable")
-    ds = solver._permuted(ds, order)
-    solver._permute_state(state, order)
-    return ds, h, state
+    assert state.order is not None
+    return solver._permuted(ds, state.order), h, state
 
 
 def dense_sweep(monkeypatch, *args):
@@ -415,11 +415,14 @@ class TestBlockSweeps:
         original = solver.sweep
         monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[3]) or original(*a))
         res = fit(ds, hy)
+        start = initialize(ds, hy)
+        assert np.any(np.diff(start.order) < 0)  # fit did reorder
+        assert np.all(np.diff(np.argmax(start.v, axis=1)) >= 0)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
         expect = fit(ds, hy)
+        assert initialize(ds, hy).order is None
         assert carries[0].block_updates > 0 and carries[-1].block_updates == 0
-        start = initialize(ds, hy)
-        assert np.any(np.diff(np.argmax(start.v, axis=1)) < 0)  # fit did reorder
+        assert res.state.order is None
         assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
         assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
         for a, b in zip(res.state.s, expect.state.s):
@@ -434,12 +437,16 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     # fit-n1000's shape at N=400 and the real size constant: every S update
     # takes the block path from the third sweep on. The second reads the
     # first sweep's graphs, whose absent instances still fill rows and
-    # columns off the blocks.
+    # columns off the blocks. From the fourth sweep on, every block keeps
+    # its whole columns, so every block projection takes the full-support
+    # route. initialize builds the graphs in cluster order, so the N x N
+    # graphs are gathered once, back into the caller's order at the end.
     assert 400**2 >= solver.BLOCK_MIN_ENTRIES
     spec = SyntheticSpec(400, 3, 4, (50, 50, 50), (5, 5, 5), 0.1, 7000)
     ds = simulate_missing(generate_synthetic(spec)[0], 0.3, seed=7)
-    counts = []
-    original = solver.sweep
+    hy = Hyperparameters(lam=0.1, beta=0.1, gamma=3, p=0.5, n_clusters=4, max_iter=20, seed=7)
+    counts, routes, restored = [], [], []
+    original, route, restore = solver.sweep, graph.project_full_support, solver._restore_order
 
     def counted(*args):
         d = original(*args)
@@ -447,11 +454,24 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
         return d
 
     monkeypatch.setattr(solver, "sweep", counted)
-    res = fit(ds, Hyperparameters(lam=0.1, beta=0.1, gamma=3, p=0.5, n_clusters=4,
-                                  max_iter=20, seed=7))
+    monkeypatch.setattr(graph, "project_full_support",
+                        lambda *a: routes.append((len(counts), route(*a))) or routes[-1][1])
+    monkeypatch.setattr(solver, "_restore_order",
+                        lambda state: restored.append(len(counts)) or restore(state))
+    res = fit(ds, hy)
     per_sweep = np.diff([0] + counts)
     assert res.iterations >= 10
     assert per_sweep[0] == 0 and np.all(per_sweep[2:] == 3), per_sweep
+    late = [taken for at, taken in routes if at >= 3]
+    assert len(late) == 3 * 4 * (res.iterations - 3) and all(late)
+    assert restored == [res.iterations]
+    monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
+    expect = fit(ds, hy)
+    assert len(restored) == 1 and expect.iterations == res.iterations
+    assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
+    assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
+    for a, b in zip(res.state.s, expect.state.s):
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 def copy_state(state):

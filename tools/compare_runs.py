@@ -1,15 +1,18 @@
 """Check that two source trees give byte-identical `mvufs run` output directories.
 
-    python tools/compare_runs.py PARENT_ROOT CHANGE_ROOT [--seed 7]
+    python tools/compare_runs.py PARENT_ROOT CHANGE_ROOT [--seed 1 3 7]
 
 PARENT_ROOT and CHANGE_ROOT are checkouts, each with its package under
-`src/`. The inputs of every benchmark workload are written once, by
-`perfbench/workloads.write_inputs` of this checkout at `--seed`; then each
-config runs as `mvufs run` under both trees, in fresh interpreters with one
-BLAS thread. Every file of the two output directories is compared byte for
-byte. The script prints one line per config, a total and both trees'
-`src/mvufs` line counts, and exits 1 when a run fails, a file differs or
-exists on one side only, or nothing was compared.
+`src/`. For each `--seed` (default 7), the inputs of every benchmark
+workload are written once, by `perfbench/workloads.write_inputs` of this
+checkout at that seed; then each config runs as `mvufs run` under both
+trees, in fresh interpreters with one BLAS thread. Every file of the two
+output directories is compared byte for byte. The script prints one line
+per seed and config, then, for each objective trace that differs, the worst
+relative difference of its objective column (a last-digit rounding flip of
+the `%.12g` text reads about 1e-12 or less), then one total over all seeds
+and both trees' `src/mvufs` line counts. It exits 1 when a run fails, a
+file differs or exists on one side only, or nothing was compared.
 """
 
 from __future__ import annotations
@@ -18,10 +21,13 @@ import argparse
 import filecmp
 import glob
 import importlib.util
+import itertools
 import os
 import subprocess
 import sys
 import tempfile
+
+import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))  # perfbench/workloads.py imports mvufs
@@ -49,6 +55,16 @@ def differing(a: str, b: str) -> tuple:
     return len(names), sorted(mismatch + errors)
 
 
+def trace_difference(a: str, b: str) -> str:
+    """The worst relative difference between the objective columns of two
+    trace files, or how their sweep counts differ."""
+    x, y = (np.loadtxt(path, ndmin=2)[:, 1] for path in (a, b))
+    if len(x) != len(y):
+        return f"sweep counts differ ({len(x) - 1} against {len(y) - 1})"
+    worst = np.max(np.abs(x - y) / np.maximum(np.abs(x), np.finfo(float).tiny))
+    return f"worst relative objective difference {worst:.3g}"
+
+
 def source_lines(root: str) -> int:
     """Lines in the `src/mvufs` Python files of the checkout at `root`."""
     total = 0
@@ -58,21 +74,22 @@ def source_lines(root: str) -> int:
     return total
 
 
-def compare(parent: str, change: str, chosen, seed: int, work: str) -> int:
-    """Run the configs of every workload in `chosen` under both trees inside
-    `work`; 0 when every output directory is byte-identical, else 1."""
+def compare(parent: str, change: str, chosen, seeds, work: str) -> int:
+    """Run the configs of every workload in `chosen` at every seed in `seeds`
+    under both trees inside `work`; 0 when every output directory is
+    byte-identical, else 1."""
     total, bad = 0, 0
-    for workload in chosen:
-        inputs = os.path.join(work, workload.name)
+    for seed, workload in itertools.product(seeds, chosen):
+        inputs = os.path.join(work, f"seed{seed}", workload.name)
         os.makedirs(inputs)
         for config in workloads.write_inputs(workload, seed, inputs):
-            name = os.path.splitext(os.path.basename(config))[0]
-            outs = [os.path.join(inputs, f"{name}.{side}") for side in ("parent", "change")]
+            name = f"seed {seed} {workload.name} {os.path.splitext(os.path.basename(config))[0]}"
+            outs = [f"{os.path.splitext(config)[0]}.{side}" for side in ("parent", "change")]
             runs = [run_tree(root, config, out) for root, out in zip((parent, change), outs)]
             failed = [side for side, run in zip(("parent", "change"), runs) if run.returncode]
             if failed:
                 bad += 1
-                print(f"{workload.name} {name}: FAILED under {' and '.join(failed)}")
+                print(f"{name}: FAILED under {' and '.join(failed)}")
                 for run in runs:
                     sys.stdout.write(run.stderr)
                 continue
@@ -80,7 +97,11 @@ def compare(parent: str, change: str, chosen, seed: int, work: str) -> int:
             total += count
             bad += len(diff)
             verdict = "identical" if not diff else "DIFFER: " + " ".join(diff)
-            print(f"{workload.name} {name}: {count} files, {verdict}")
+            print(f"{name}: {count} files, {verdict}")
+            for file in diff:
+                paths = [os.path.join(out, file) for out in outs]
+                if file.startswith("trace_") and all(map(os.path.exists, paths)):
+                    print(f"  {file}: {trace_difference(*paths)}")
     print(f"total: {total} files compared, {bad} differences or failed runs")
     lines = [source_lines(root) for root in (parent, change)]
     print(f"src/mvufs: {lines[0]} lines in parent, {lines[1]} in change "
@@ -92,7 +113,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seed", type=int, nargs="+", default=[7])
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="compare_runs-") as work:
         return compare(args.parent, args.change, workloads.WORKLOADS.values(), args.seed, work)
