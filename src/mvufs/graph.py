@@ -27,6 +27,10 @@ COLSUM_TOL = 1e-8
 # Entries per row block when the S-update target is accumulated: a block of
 # scratch (256 KiB) stays in cache, so each graph is streamed from memory once.
 BLOCK_ENTRIES = 32768
+# Distances per row block of the kNN search. At N=1000 (one BLAS thread)
+# 65536 ran 0.90-0.95x the time of 32768; 131072 was within 2% of 65536 but
+# raised a complete N=600 build's peak from 1.65 to 2.2 graphs.
+KNN_BLOCK_ENTRIES = 65536
 # Graphs of fewer entries are always updated densely. Measured over 20-sweep
 # fits (30% missing, 4 clusters, one BLAS thread), blocks against dense:
 # 1.64x the time at N=120, 1.21x at N=200, 0.93x at N=300, 0.71x at N=400,
@@ -89,6 +93,12 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     column whose every kernel weight underflows to 0 (an instance far from
     all others) is weighed with the exponent shifted by its nearest edge's
     distance, which the normalization cancels, so every column sums to 1.
+
+    The search forms one Gram matrix of the m present instances and reads
+    the distances from it a row block at a time, each block bitwise the rows
+    of `pairwise_sq_dists`. The Gram matrix is freed before the N x N graph
+    is allocated, and the other arrays are row blocks and O(m k) edge lists,
+    so the build holds about one N x N array at a time.
     """
     x = np.asarray(x, dtype=float)
     n = x.shape[1]
@@ -96,18 +106,17 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     m = present.size
     if k >= m:
         raise ValueError(f"k={k} must be smaller than the {m} present instances")
-    d2 = pairwise_sq_dists(x[:, present].T)
-    np.fill_diagonal(d2, np.inf)  # no instance is its own neighbor, even with duplicates
-    knn = np.argpartition(d2, k - 1, axis=1)[:, :k]
-    rows = np.repeat(np.arange(m), k)
-    near = d2[rows, knn.ravel()]
-    sigma = float(np.sqrt(near.reshape(m, k).max(axis=1)).mean())
+    v = x[:, present].T
+    knn, near = _nearest(v @ v.T, np.sum(v * v, axis=1), k)
+    sigma = float(np.sqrt(near.max(axis=1)).mean())
     if sigma <= 0.0:
         sigma = 1.0
-    # The kernel is evaluated on the kNN edges only; d2 is exactly symmetric,
-    # so an edge listed from both ends gets the same weight twice.
+    # The kernel is evaluated on the kNN edges only; the distances are
+    # exactly symmetric, so an edge listed from both ends gets the same
+    # weight twice.
+    near = near.ravel()
     weight = np.exp(-near / (2.0 * sigma * sigma))
-    i, j = present[rows], present[knn.ravel()]
+    i, j = present.repeat(k), present[knn.ravel()]
     s = np.zeros((n, n))
     s[i, j] = weight
     s[j, i] = weight
@@ -120,14 +129,50 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     zero = colsum == 0.0
     if zero.any():
         # every kernel weight of these columns (no absent row) underflowed:
-        # weigh their edges again, each exponent shifted by the nearest edge
-        edge = np.full((n, n), np.inf)
-        edge[i, j] = edge[j, i] = near
-        edge = edge[:, zero]
-        s[:, zero] = np.exp(-(edge - edge.min(axis=0)) / (2.0 * sigma * sigma))
+        # weigh their edges again, each exponent shifted by the column's
+        # nearest edge
+        rows, cols, dist = np.concatenate([i, j]), np.concatenate([j, i]), np.tile(near, 2)
+        at = zero[cols]
+        rows, cols, dist = rows[at], cols[at], dist[at]
+        nearest = np.full(n, np.inf)
+        np.minimum.at(nearest, cols, dist)
+        s[rows, cols] = np.exp(-(dist - nearest[cols]) / (2.0 * sigma * sigma))
         colsum = s.sum(axis=0)
     s /= colsum  # nonnegative entries over a sum at least each: already in [0, 1]
     return s
+
+
+def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
+    """The k nearest others of each of m vectors, given their Gram matrix
+    and squared norms, and the squared distances to them: both m x k, in
+    `np.argpartition`'s order.
+
+    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0) made
+    symmetric as 0.5 (h + h^T), the formula of `pairwise_sq_dists`, so with
+    gram = v @ v.T the blocks are bitwise its rows. Where the block's rows
+    of the Gram matrix equal its columns, h^T is h and 0.5 (h + h) is h, so
+    the transpose is skipped; the bound on the squared norms keeps h + h
+    from overflowing there.
+    """
+    m = len(gram)
+    exact = np.max(sq) < np.finfo(float).max / 16  # then h < max / 4
+    step = max(1, KNN_BLOCK_ENTRIES // m)
+    knn = np.empty((m, k), dtype=np.intp)
+    near = np.empty((m, k))
+    for start in range(0, m, step):
+        rows = slice(start, start + step)
+        h = sq[rows, None] + sq[None, :] - 2.0 * gram[rows]
+        np.maximum(h, 0.0, out=h)
+        if not (exact and np.array_equal(gram[rows], gram[:, rows].T)):
+            ht = sq[rows, None] + sq[None, :] - 2.0 * gram[:, rows].T
+            np.maximum(ht, 0.0, out=ht)
+            h += ht
+            h *= 0.5
+        # no instance is its own neighbor, even with duplicates
+        h[np.arange(len(h)), np.arange(start, start + len(h))] = np.inf
+        knn[rows] = np.argpartition(h, k - 1, axis=1)[:, :k]
+        near[rows] = np.take_along_axis(h, knn[rows], axis=1)
+    return knn, near
 
 
 def laplacian(s: np.ndarray):

@@ -499,15 +499,58 @@ def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
     return MultiViewDataset(views, dataset.presence[order], labels)
 
 
+def _cycle_walk(perm: np.ndarray):
+    """Every index once, cycle by cycle along i -> perm[i], each cycle from
+    its smallest index; and for each step of the walk, the step at which its
+    cycle began."""
+    nxt = perm.tolist()
+    seen = [False] * len(nxt)
+    walk, first = [], []
+    for i in range(len(nxt)):
+        start = len(walk)
+        while not seen[i]:
+            seen[i] = True
+            walk.append(i)
+            first.append(start)
+            i = nxt[i]
+    return np.array(walk, dtype=np.intp), np.array(first, dtype=np.intp)
+
+
 def _restore_order(state: SolverState) -> None:
     """Put the instances of V and the graphs back in the dataset's order,
-    the graphs in place."""
+    the graphs in place with no N x N scratch.
+
+    Row i of a graph takes its row order[i], so the rows move along the
+    cycles of `order`: each step of the walk takes the row of the next step
+    of its cycle, and a cycle's last step the row of its first. The walk is
+    taken a row block at a time; each block's rows are gathered, their
+    columns gathered into the dataset's order, and the block written back.
+    A block reads only rows that are still unwritten, except where a cycle
+    that began in an earlier block ends: its first row is held aside,
+    columns gathered, before it is overwritten. Scratch: two blocks of
+    BLOCK_ENTRIES / 2 entries and a few O(N) index arrays.
+    """
     order = np.argsort(state.order)
     state.v = state.v[order]
-    rows = np.empty_like(state.s[0])
+    walk, first = _cycle_walk(order)
+    n = len(walk)
+    ends = np.append(first[1:] != first[:-1], True)
+    reads = order[walk]
+    step = max(1, BLOCK_ENTRIES // (2 * n))
+    rows, block = np.empty((2, min(step, n), n))
+    held = None
     for s in state.s:
-        np.take(s, order, axis=0, out=rows, mode="clip")  # "raise" would buffer
-        np.take(rows, order, axis=1, out=s, mode="clip")
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            # mode "clip": "raise" would buffer
+            got = np.take(s, reads[start:stop], axis=0, out=rows[:stop - start], mode="clip")
+            out = np.take(got, order, axis=1, out=block[:stop - start], mode="clip")
+            stale = ends[start:stop] & (first[start:stop] < start)
+            if stale.any():
+                out[stale] = held
+            if stop < n and start <= first[stop] < stop:
+                held = s[walk[first[stop]]].take(order)  # a cycle open across `stop`
+            s[walk[start:stop]] = out
     state.order = None
 
 

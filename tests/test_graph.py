@@ -148,6 +148,7 @@ class TestBuildInitialSimilarity:
         x[:, 0] += 60
         s = build_initial_similarity(x, np.ones(300, dtype=int), k=3)
         check_similarity(s)
+        assert np.array_equal(s, _full_matrix_initial_similarity(x, np.ones(300, dtype=int), k=3))
         d2 = pairwise_sq_dists(x.T)
         np.fill_diagonal(d2, np.inf)
         knn = np.argsort(d2, axis=1)[:, :3]
@@ -168,12 +169,138 @@ class TestBuildInitialSimilarity:
         presence[3] = 0
         s = build_initial_similarity(x, presence, k=k)
         check_similarity(s)
+        assert np.array_equal(s, _full_matrix_initial_similarity(x, presence, k=k))
         present = np.flatnonzero(presence)
         for i in present:
             assert np.count_nonzero(s[present, i]) >= k
         twins = (present + 8) % 16
         paired = presence[twins] == 1
         assert np.all(s[twins[paired], present[paired]] > 0)
+
+
+class TestBlockedKnnSearch:
+    """build_initial_similarity against the full-matrix construction it
+    replaced: every case bitwise (duplicates and the far instance are checked
+    in TestBuildInitialSimilarity)."""
+
+    @staticmethod
+    def assert_matches_full_matrix(x, presence, k):
+        s = build_initial_similarity(x, presence, k=k)
+        assert np.array_equal(s, _full_matrix_initial_similarity(x, presence, k=k))
+        return s
+
+    def test_far_outliers_at_different_distances(self):
+        # two all-underflow columns, each shifted by its own nearest edge
+        x = np.random.default_rng(46).uniform(0, 1, (5, 300))
+        x[0, 0] += 60
+        x[1, 1] += 80
+        s = self.assert_matches_full_matrix(x, np.ones(300, dtype=int), 3)
+        check_similarity(s)
+
+    @pytest.mark.parametrize("masked", [0.0, 0.5])
+    def test_complete_and_half_masked_views(self, masked):
+        rng = np.random.default_rng(41)
+        n = 120
+        x = rng.uniform(size=(6, n))
+        presence = np.ones(n, dtype=int)
+        presence[rng.choice(n, size=int(masked * n), replace=False)] = 0
+        self.assert_matches_full_matrix(x, presence, 5)
+
+    def test_k_one_and_all_others(self):
+        rng = np.random.default_rng(42)
+        x = rng.uniform(size=(4, 50))
+        presence = np.ones(50, dtype=int)
+        presence[::7] = 0
+        m = int(presence.sum())
+        for k in (1, m - 1):
+            self.assert_matches_full_matrix(x, presence, k)
+
+    def test_several_row_blocks(self):
+        rng = np.random.default_rng(43)
+        m = 700
+        assert graph.KNN_BLOCK_ENTRIES // m < m // 4  # the search runs in several blocks
+        x = rng.uniform(size=(20, m))
+        self.assert_matches_full_matrix(x, np.ones(m, dtype=int), 5)
+
+    def test_asymmetric_gram_takes_the_two_sided_form(self):
+        # numpy's v @ v.T is exactly symmetric here; a Gram matrix that is
+        # not must give the rows of 0.5 (h + h^T) all the same
+        rng = np.random.default_rng(44)
+        v = rng.uniform(size=(300, 4))
+        gram, sq = v @ v.T, np.sum(v * v, axis=1)
+        gram *= 1.0 + rng.uniform(-1e-12, 1e-12, gram.shape)
+        assert not np.array_equal(gram, gram.T)
+        knn, near = graph._nearest(gram, sq, 4)
+        h = sq[:, None] + sq[None, :] - 2.0 * gram
+        np.maximum(h, 0.0, out=h)
+        d2 = 0.5 * (h + h.T)
+        np.fill_diagonal(d2, np.inf)
+        assert np.array_equal(knn, np.argpartition(d2, 3, axis=1)[:, :4])
+        assert np.array_equal(near, np.take_along_axis(d2, knn, axis=1))
+
+    def test_huge_distances_take_the_two_sided_form(self):
+        # h + h^T overflows where h exceeds half the largest float, as it
+        # does in pairwise_sq_dists
+        v = np.array([[0.0], [1.2e154], [1.0], [2.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            knn, near = graph._nearest(v @ v.T, np.sum(v * v, axis=1), 2)
+            d2 = pairwise_sq_dists(v)
+        np.fill_diagonal(d2, np.inf)
+        assert np.all(np.isinf(near[1]))  # h itself is finite, about 1.44e308
+        assert np.array_equal(knn, np.argpartition(d2, 1, axis=1)[:, :2])
+        assert np.array_equal(near, np.take_along_axis(d2, knn, axis=1))
+
+    def test_build_holds_under_two_graphs(self):
+        # the full-matrix construction peaked at 3.46 graphs here
+        n = 600
+        x = np.random.default_rng(45).uniform(size=(50, n))
+        presence = np.ones(n, dtype=int)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            s = build_initial_similarity(x, presence, k=5)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        check_similarity(s)
+        assert peak < 2 * 8 * n * n, peak / (8 * n * n)
+
+
+def _full_matrix_initial_similarity(x, presence, k=5):
+    """Reference kNN graph: the whole distance matrix at once, and the
+    all-underflow column fix from an N x N edge array."""
+    x = np.asarray(x, dtype=float)
+    n = x.shape[1]
+    present = np.flatnonzero(np.asarray(presence) == 1)
+    m = present.size
+    d2 = pairwise_sq_dists(x[:, present].T)
+    np.fill_diagonal(d2, np.inf)
+    knn = np.argpartition(d2, k - 1, axis=1)[:, :k]
+    rows = np.repeat(np.arange(m), k)
+    near = d2[rows, knn.ravel()]
+    sigma = float(np.sqrt(near.reshape(m, k).max(axis=1)).mean())
+    if sigma <= 0.0:
+        sigma = 1.0
+    weight = np.exp(-near / (2.0 * sigma * sigma))
+    i, j = present[rows], present[knn.ravel()]
+    s = np.zeros((n, n))
+    s[i, j] = weight
+    s[j, i] = weight
+    absent = np.setdiff1d(np.arange(n), present)
+    if absent.size:
+        s[absent, :] = 1.0 / (n - 1)
+        s[:, absent] = 1.0 / (n - 1)
+        s[absent, absent] = 0.0
+    colsum = s.sum(axis=0)
+    zero = colsum == 0.0
+    if zero.any():
+        edge = np.full((n, n), np.inf)
+        edge[i, j] = edge[j, i] = near
+        edge = edge[:, zero]
+        s[:, zero] = np.exp(-(edge - edge.min(axis=0)) / (2.0 * sigma * sigma))
+        colsum = s.sum(axis=0)
+    s /= colsum
+    return s
 
 
 def _argsort_initial_similarity(x, presence, k=5):

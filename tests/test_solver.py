@@ -433,6 +433,76 @@ class TestBlockSweeps:
         assert res.iterations == expect.iterations
 
 
+class TestRestoreOrder:
+    """_restore_order against the buffered two-gather restore it replaced:
+    V and every graph bitwise."""
+
+    @staticmethod
+    def random_state(order, rng, l=3, c=4):
+        n = len(order)
+        return SolverState(u=[], v=rng.uniform(size=(n, c)),
+                           s=[rng.uniform(size=(n, n)) for _ in range(l)],
+                           r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l), order=order)
+
+    @staticmethod
+    def assert_restores_like_reference(state):
+        expect = copy_state(state)
+        expect.order = state.order.copy()
+        _buffered_restore_reference(expect)
+        graphs = [id(g) for g in state.s]
+        solver._restore_order(state)
+        assert state.order is None
+        assert [id(g) for g in state.s] == graphs  # in place
+        assert np.array_equal(state.v, expect.v)
+        for got, want in zip(state.s, expect.s):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n", [1, 2, 401])
+    @pytest.mark.parametrize("kind", ["identity", "one cycle", "two-cycles", "label sort"])
+    def test_matches_buffered_gathers(self, kind, n):
+        # at N=401 the walk runs in row blocks of 40, so cycles cross them
+        rng = np.random.default_rng(n)
+        idx = np.arange(n)
+        order = {
+            "identity": idx,
+            "one cycle": np.roll(idx, 1),
+            "two-cycles": np.minimum(idx ^ 1, n - 1),  # odd N: the last stays
+            "label sort": np.argsort(rng.integers(0, 4, n), kind="stable"),  # as initialize
+        }[kind]
+        self.assert_restores_like_reference(self.random_state(order, rng))
+
+    def test_state_from_initialize(self):
+        _, _, state = make_problem(n=401, c=4, seed=3, missing=0.3)
+        assert state.order is not None and np.any(state.order != np.arange(401))
+        self.assert_restores_like_reference(state)
+
+    def test_allocates_under_five_percent_of_a_graph(self):
+        # the buffered restore allocated one whole graph
+        n = 1000
+        rng = np.random.default_rng(5)
+        state = self.random_state(np.argsort(rng.integers(0, 4, n), kind="stable"), rng)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            solver._restore_order(state)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * 8 * n * n, peak / (8 * n * n)
+
+
+def _buffered_restore_reference(state):
+    """Reference restore: each graph's rows gathered into an N x N buffer,
+    then its columns gathered back."""
+    order = np.argsort(state.order)
+    state.v = state.v[order]
+    rows = np.empty_like(state.s[0])
+    for s in state.s:
+        np.take(s, order, axis=0, out=rows, mode="clip")
+        np.take(rows, order, axis=1, out=s, mode="clip")
+    state.order = None
+
+
 def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     # fit-n1000's shape at N=400 and the real size constant: every S update
     # takes the block path from the third sweep on. The second reads the
