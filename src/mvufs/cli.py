@@ -105,6 +105,8 @@ def parse_config(path: str) -> ExperimentConfig:
                 if key not in CONFIG_KEYS:
                     raise ValueError(f"unknown key '{key}'")
                 name, kind, many = CONFIG_KEYS[key]
+                if not many and len(vals) > 1:
+                    raise ValueError(f"'{key}' takes one value")
                 target = synth if key.startswith("synthetic_") else fields
                 target[name] = [kind(x) for x in vals] if many else kind(vals[0])
             except IndexError:

@@ -281,6 +281,8 @@ def load_dataset(directory: str) -> MultiViewDataset:
                 continue
             key, *vals = line.split()
             try:
+                if key in ("views", "labels", "mask") and len(vals) > 1:
+                    raise ValueError(f"'{key}' takes one value")
                 if key == "views":
                     declared_views = int(vals[0])
                     if declared_views < 1:

@@ -9,10 +9,10 @@ row block or a cluster block at a time, and writes the new graph in place:
 no N x N distance matrix or second graph exists. When the instances are
 sorted by V's cluster labels, it repairs only the diagonal blocks of the
 clusters plus the few off-block entries that the other graphs list
-(ClusterBlocks), and checks per column that the dense update would give the
-same graph. A block whose columns keep every entry, as they do once the
-graphs have settled, is projected from its column sums
-(simplex.project_full_support).
+(ClusterBlocks), and checks per column, from a lower bound on its off-block
+distances, that the dense update would give the same graph. A block whose
+columns keep every entry, as they do once the graphs have settled, is
+projected from its column sums (simplex.project_full_support).
 """
 
 from __future__ import annotations
@@ -239,12 +239,6 @@ class ClusterBlocks:
             self.off_bound = bound.min(axis=0)
         return self._inner
 
-    def off_min(self, b0: int, b1: int, cols: np.ndarray) -> np.ndarray:
-        """Each column's smallest h over the rows outside block [b0, b1)."""
-        h = shifted_sq_dists(self.v, cols=cols)
-        h[b0:b1] = np.inf
-        return h.min(axis=0)
-
     def entries_of(self, k: int, graph: np.ndarray):
         """entries[k], listed from `graph` when unknown; False past the budget."""
         if self.entries[k] is None:
@@ -263,12 +257,12 @@ class ClusterBlocks:
         Each column's candidates are its block's rows and the positions that
         the other graphs list in it, where the target is exactly the dense
         one. Every other row r off the block has target scale * h[r, j] in
-        column j (scale <= 0), at most scale times the column's smallest
-        off-block h: when that is at most the column's threshold, those rows
-        are zero in the dense update too and the projection is exact. The
-        check takes `off_bound` first and the exact minimum for the columns
-        the bound does not settle; a column that fails it sends the view to
-        the dense update.
+        column j (scale <= 0), at most scale times `off_bound`, a lower bound
+        on the column's smallest off-block h: when that is at most the
+        column's threshold, those rows are zero in the dense update too and
+        the projection is exact. A column the bound does not settle sends the
+        view to the dense update. While V stays near one-hot the bound is
+        nearly the minimum, and it settled every column of every probed fit.
 
         Each block's target is projected by project_full_support when every
         column keeps all its block entries, and otherwise, the target
@@ -308,11 +302,8 @@ class ClusterBlocks:
             candidates = (cols[mine] - b0, extra)
             if not project_full_support(p, theta, candidates):
                 project_offdiag_columns(p, out=p, thresholds=theta, extra=candidates)
-            loose = scale * self.off_bound[b0:b1] > theta
-            if loose.any():
-                cols_loose = b0 + np.flatnonzero(loose)
-                if np.any(scale * self.off_min(b0, b1, cols_loose) > theta[loose]):
-                    return False
+            if np.any(scale * self.off_bound[b0:b1] > theta):
+                return False
             out[b0:b1, b0:b1] = p
             kept = extra > 0.0
             np.put(out, at[mine][kept], extra[kept])

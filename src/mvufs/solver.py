@@ -9,17 +9,17 @@ view weights alpha (closed form on the simplex).
 
 The sweep touches each N x N graph only a few times and forms no other N x N
 array of floats: the S update writes each graph in place from V, and one pass
-over the new graphs gives their l x l Gram matrix and every S_k [V 1]. The
-Gram matrix serves the R update and the view losses (whose reconstruction
-term it gives exactly), the products serve the losses and, because nothing
-changes V or the graphs in between, the next sweep's V update; `fit` seeds
-the first sweep with the products of the initial objective's pass. `fit` also
-hands each sweep's final S-projection thresholds to the next as starting
-guesses (SweepCarry); a sweep without a carry runs as with a fresh one. No
-residual graph or Laplacian is ever formed. The weighted-NMF weights are the
-dataset's own (MultiViewDataset.weights), so no update takes them. Each sweep
-checks that V, U, the S updates and the view losses stay finite and raises
-SolverDivergence naming the first that does not.
+over the new graphs (graph_products, the only code that forms either) gives
+their l x l Gram matrix and every S_k [V 1]. The Gram matrix serves the R
+update and the view losses (whose reconstruction term it gives exactly), the
+products serve the losses and, as nothing changes V or the graphs in between,
+the next sweep's V update; a sweep without them (`fit` carries the initial
+pass's) makes the pass itself. Each sweep's final S-projection thresholds
+start the next (SweepCarry); a sweep without a carry runs as with a fresh
+one. No residual graph or Laplacian is ever formed. The weighted-NMF weights
+are the dataset's own (MultiViewDataset.weights), so no update takes them.
+Each sweep checks that V, U, the S updates and the view losses stay finite
+and raises SolverDivergence naming the first that does not.
 
 V acts as a cluster indicator, so the repaired graphs concentrate on V's
 clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `initialize`
@@ -28,7 +28,7 @@ puts the dataset in that order, and while the labels stay sorted runs of two
 or more members, a sweep updates each graph on the diagonal blocks of the
 runs plus the few off-block entries that the other graphs list
 (graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads only
-those. A per-column check proves that the dense update would give the
+those. A per-column bound proves that the dense update would give the
 same graph; a view that fails it, graphs with too many off-block entries,
 unsorted labels and singleton clusters take the dense update.
 """
@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,7 +112,7 @@ class SolverState:
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
     # None, or the order of the dataset's instances that V and the graphs
-    # hold (see initialize): sweep them with the dataset in that order
+    # hold (see initialize); sweep and objective put the dataset in it
     order: np.ndarray | None = None
 
 
@@ -123,11 +122,11 @@ class SweepCarry:
 
     thresholds: per view, the S projection's final per-column thresholds,
     the next sweep's starting guesses (NaN: start cold).
-    products: per view, S_k [V 1] for the V and graphs the last sweep left;
-    the next V update reuses them while the state still holds exactly those
-    arrays. `basis` refers to the arrays weakly, so it keeps no replaced
-    array alive. A sweep replaces V before any S update writes a graph in
-    place, so products never outlive the graphs they came from.
+    products: per view, S_k [V 1] for the V and graphs the last sweep left
+    (`basis`); the next V update reuses them while the state still holds
+    exactly those arrays. Every S update writes its graph in place and a
+    sweep replaces V before the first of them, so products never outlive
+    the graphs they came from.
     blocks: the ClusterBlocks of the last sweep's labels with the graphs'
     off-block lists, kept while the labels stay the same and the state
     holds the arrays the last sweep left.
@@ -155,11 +154,11 @@ class SweepCarry:
 
     def keep(self, state: SolverState, products: list) -> None:
         self.products = products
-        self.basis = tuple(weakref.ref(a) for a in (state.v, *state.s))
+        self.basis = (state.v, *state.s)
 
     def products_for(self, state: SolverState) -> list | None:
         held = (state.v, *state.s)
-        if len(held) != len(self.basis) or any(r() is not a for r, a in zip(self.basis, held)):
+        if len(held) != len(self.basis) or any(b is not a for b, a in zip(self.basis, held)):
             return None
         return self.products
 
@@ -196,10 +195,12 @@ def objective(
     """Full model objective sum_v alpha_v^gamma (d_v + beta ||R||_F^2).
 
     `losses` are the view losses d of the current state when the caller
-    already has them; otherwise they are computed.
+    already has them; otherwise one graph pass gives them.
     """
     if losses is None:
-        losses = view_losses(state, dataset, hyper)
+        if state.order is not None:
+            dataset = _permuted(dataset, state.order)
+        losses = view_losses(state, dataset, hyper, *graph_products(state.s, state.v))
     r_term = hyper.beta * float(np.vdot(state.r, state.r))
     total = float(np.sum(state.alpha ** hyper.gamma * (losses + r_term)))
     if not np.isfinite(total):
@@ -228,16 +229,15 @@ def update_v(
     state: SolverState,
     dataset: MultiViewDataset,
     hyper: Hyperparameters,
-    products: list | None = None,
+    products: list,
 ) -> np.ndarray:
     """Multiplicative update of the consensus indicator with orthogonality penalty.
 
-    `products` are the S_k [V 1] of the current state when the caller already
-    has them; otherwise each is formed here, one pass over each graph.
+    `products` are the S_k [V 1] (S_k V and the row sums of S_k) of the
+    current state, from `graph_products`.
     """
     v_mat = state.v
     c = v_mat.shape[1]
-    v_one = np.column_stack([v_mat, np.ones(len(v_mat))])
     ag = state.alpha ** hyper.gamma
     e = np.zeros_like(v_mat)
     q = np.zeros_like(v_mat)
@@ -245,8 +245,7 @@ def update_v(
         x = dataset.views[k]
         w2 = dataset.weights[k] ** 2
         u = state.u[k]
-        # SV and the row sums of S in one pass over S
-        sv_deg = state.s[k] @ v_one if products is None else products[k]
+        sv_deg = products[k]
         e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * sv_deg[:, :c])
         q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * sv_deg[:, c:] * v_mat)
     two_xi = 2.0 * XI
@@ -352,8 +351,8 @@ def view_losses(
     state: SolverState,
     dataset: MultiViewDataset,
     hyper: Hyperparameters,
-    gram: np.ndarray | None = None,
-    products: list | None = None,
+    gram: np.ndarray,
+    products: list,
 ) -> np.ndarray:
     """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
 
@@ -363,11 +362,9 @@ def view_losses(
     ||S_v - sum_{i != v} r_iv S_i||^2 = e'Ge with e = e_v - R[:, v] and G the
     Gram matrix of the graphs, so no residual graph is formed. Rounding can
     leave e'Ge slightly negative when the graphs coincide; it is clamped at
-    zero. `gram` and `products` (the S_k [V 1]) come from `graph_products`;
-    unless both are given, both are computed.
+    zero. `gram` and `products` (the S_k [V 1]) of the current state come
+    from `graph_products`.
     """
-    if gram is None or products is None:
-        gram, products = graph_products(state.s, state.v)
     l = dataset.n_views
     c = state.v.shape[1]
     row_sq = np.sum(state.v * state.v, axis=1)
@@ -419,8 +416,9 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     Graphs of at least BLOCK_MIN_ENTRIES entries are built with the
     instances sorted by V's labels (stable), so that the sweeps can work on
     the labels' blocks: V and the graphs then hold the dataset's instances
-    in the state's `order`, and the dataset must be put in that order to
-    sweep them. The k-means start and U do not depend on the order.
+    in the state's `order`, into which `sweep` and `objective` put the
+    dataset (`fit` does so once and clears it). The k-means start and U do
+    not depend on the order.
     """
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
@@ -464,14 +462,18 @@ def sweep(
     Returns the view losses of the final state, from which alpha was set.
     `carry` holds what the previous sweep of this state left (see
     SweepCarry) and receives what this one leaves. A sweep without one runs
-    as with a fresh SweepCarry: the V update forms its own graph products
-    and every projection starts cold.
+    as with a fresh SweepCarry: one graph pass forms the V update's products
+    and every projection starts cold. The dataset is put in the state's
+    `order`, if it holds one.
     """
+    if state.order is not None:
+        dataset = _permuted(dataset, state.order)
     if carry is None:
         carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     products = carry.products_for(state)
     if products is None:  # the graphs are not the ones the carry's lists describe
         carry.blocks = None
+        products = graph_products(state.s, state.v)[1]
     state.v = _finite(update_v(state, dataset, hyper, products), "the V update")
     for k in range(dataset.n_views):
         state.u[k] = _finite(update_u(k, state, dataset, hyper), "the U update")
@@ -516,21 +518,22 @@ def _cycle_walk(perm: np.ndarray):
     return np.array(walk, dtype=np.intp), np.array(first, dtype=np.intp)
 
 
-def _restore_order(state: SolverState) -> None:
-    """Put the instances of V and the graphs back in the dataset's order,
-    the graphs in place with no N x N scratch.
+def _restore_order(state: SolverState, held_order: np.ndarray) -> None:
+    """Put the instances of V and the graphs, held in `held_order` (see
+    initialize), back in the dataset's order, the graphs in place with no
+    N x N scratch.
 
-    Row i of a graph takes its row order[i], so the rows move along the
-    cycles of `order`: each step of the walk takes the row of the next step
-    of its cycle, and a cycle's last step the row of its first. The walk is
-    taken a row block at a time; each block's rows are gathered, their
-    columns gathered into the dataset's order, and the block written back.
-    A block reads only rows that are still unwritten, except where a cycle
-    that began in an earlier block ends: its first row is held aside,
-    columns gathered, before it is overwritten. Scratch: two blocks of
-    BLOCK_ENTRIES / 2 entries and a few O(N) index arrays.
+    Row i of a graph takes its row order[i], order = argsort(held_order), so
+    the rows move along the cycles of `order`: each step of the walk takes
+    the row of the next step of its cycle, and a cycle's last step the row
+    of its first. The walk is taken a row block at a time; each block's rows
+    are gathered, their columns gathered into the dataset's order, and the
+    block written back. A block reads only rows that are still unwritten,
+    except where a cycle that began in an earlier block ends: its first row
+    is held aside, columns gathered, before it is overwritten. Scratch: two
+    blocks of BLOCK_ENTRIES / 2 entries and a few O(N) index arrays.
     """
-    order = np.argsort(state.order)
+    order = np.argsort(held_order)
     state.v = state.v[order]
     walk, first = _cycle_walk(order)
     n = len(walk)
@@ -551,7 +554,6 @@ def _restore_order(state: SolverState) -> None:
             if stop < n and start <= first[stop] < stop:
                 held = s[walk[first[stop]]].take(order)  # a cycle open across `stop`
             s[walk[start:stop]] = out
-    state.order = None
 
 
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
@@ -559,12 +561,13 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     REL_TOL or max_iter sweeps elapse.
 
     The sweeps run in the instance order the initial state was built in
-    (SolverState.order, see initialize); the result is in the dataset's
-    order.
+    (SolverState.order, see initialize): the dataset is put in it once and
+    the order taken off the state. The result is in the dataset's order.
     """
     state = initialize(dataset, hyper)
-    if state.order is not None:
-        dataset = _permuted(dataset, state.order)
+    order, state.order = state.order, None
+    if order is not None:
+        dataset = _permuted(dataset, order)
     gram, products = graph_products(state.s, state.v)
     d = view_losses(state, dataset, hyper, gram, products)
     trace = [objective(state, dataset, hyper, d)]
@@ -578,8 +581,8 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True
             break
-    if state.order is not None:
-        _restore_order(state)
+    if order is not None:
+        _restore_order(state, order)
     return SolverResult(state, np.asarray(trace), len(trace) - 1, converged)
 
 

@@ -327,11 +327,15 @@ CONFIG_FAULTS = [
     ("synthetic_seed -1", "c.txt: synthetic spec: seed=-1: seed must be nonnegative"),
     ("missing_ratios 0.2 0.2", "missing_ratios lists 0.2 more than once"),
     ("lambda 0.1 0.1", "lambda lists 0.1 more than once"),
+    ("seed 7 8", "c.txt:2: 'seed' takes one value"),
+    ("clusters 3 4", "c.txt:2: 'clusters' takes one value"),
+    ("repeats 2 5", "c.txt:2: 'repeats' takes one value"),
 ]
 FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file",
              "removed-per-view", "nan-lambda", "inf-lambda", "nan-beta", "nan-gamma",
              "inf-gamma", "negative-seed", "nan-synthetic-noise", "negative-synthetic-seed",
-             "repeated-missing-ratio", "repeated-lambda"]
+             "repeated-missing-ratio", "repeated-lambda", "two-seeds", "two-cluster-counts",
+             "two-repeat-counts"]
 
 
 def fault_config(tmp_path, lines):

@@ -242,8 +242,14 @@ class TestIO:
         ("views 0\n", {}, "manifest line 1: a dataset needs at least one view"),
         ("views 1\nview v.txt 0 2\n", {},
          "manifest line 2: view v.txt needs at least one feature"),
+        ("views 1 2\n", {}, "manifest line 1: 'views' takes one value"),
+        ("views 1\nview v.txt 1 2\nlabels l.txt m.txt\n", {"l.txt": "0\n1\n"},
+         "manifest line 3: 'labels' takes one value"),
+        ("views 1\nview v.txt 1 2\nmask m.txt l.txt\n", {"m.txt": "1\n1\n"},
+         "manifest line 3: 'mask' takes one value"),
     ], ids=["views-not-int", "view-size-not-int", "views-no-value", "labels-no-value",
-            "labels-not-int", "mask-not-int", "no-views", "view-without-features"])
+            "labels-not-int", "mask-not-int", "no-views", "view-without-features",
+            "two-view-counts", "two-label-files", "two-mask-files"])
     def test_malformed_manifest_or_integer_file(self, tmp_path, manifest, files, match):
         (tmp_path / "manifest.txt").write_text(manifest)
         for name, text in {"v.txt": "1 2\n", **files}.items():

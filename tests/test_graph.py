@@ -587,17 +587,18 @@ class TestBlockUpdate:
             assert np.max(np.abs(s - expect)) <= 1e-12
             assert np.any(s[8:, :8] > 0.0)  # off-block entries that no graph listed
 
-    def test_loose_bound_settled_by_exact_minimum(self, monkeypatch):
+    def test_unsettled_bound_runs_dense(self, monkeypatch):
         rng = np.random.default_rng(49)
         v, graphs, r, alpha = block_problem((7, 9, 6), 3, rng)
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
         blocks.inner()
-        blocks.off_bound[:] = -1e3  # every column left to the exact minimum
+        blocks.off_bound[:] = -1e3  # no column settled by the bound
         monkeypatch.setattr(blocks, "inner", lambda: blocks._inner)
         dense = [g.copy() for g in graphs]
         for k in range(3):
             s = update_similarity(k, graphs, r, alpha, 3.0, v, blocks=blocks)
             update_similarity(k, dense, r, alpha, 3.0, v)
+            assert blocks.entries[k] is None  # the dense update ran
             assert s is graphs[k]
             assert np.max(np.abs(s - dense[k])) <= 1e-12
 
@@ -614,9 +615,6 @@ class TestBlockUpdate:
         exact = np.array([np.min(np.delete(h[:, j], np.arange(b0, b1)))
                           for b0, b1 in zip(edges[:-1], edges[1:]) for j in range(b0, b1)])
         assert np.all(blocks.off_bound <= exact + 1e-15)
-        for b0, b1 in zip(edges[:-1], edges[1:]):
-            cols = np.arange(b0, b1)
-            assert np.allclose(blocks.off_min(b0, b1, cols), exact[b0:b1], rtol=0, atol=1e-15)
         if signs == "nonnegative":  # near one-hot V: the bound is nearly the minimum
             assert np.max(exact - blocks.off_bound) <= 0.02 * np.max(np.abs(exact))
 

@@ -129,7 +129,8 @@ class TestObjective:
     def test_reuses_view_losses(self):
         ds, h, state = make_problem(missing=0.2, seed=3)
         d = sweep(state, ds, h)
-        assert np.allclose(d, view_losses(state, ds, h), rtol=1e-13, atol=0.0)
+        gram, products = graph_products(state.s, state.v)
+        assert np.allclose(d, view_losses(state, ds, h, gram, products), rtol=1e-13, atol=0.0)
         assert objective(state, ds, h, d) == objective(state, ds, h)
         assert objective(state, ds, h) == pytest.approx(
             _naive_objective(state, ds, h), rel=1e-10
@@ -141,13 +142,17 @@ class TestReconstructionTerm:
 
     @staticmethod
     def losses(graphs, r, gram=None):
-        # zero data, factors and indicator leave beta * reconstruction as the only loss
+        # zero data, factors and indicator leave beta * reconstruction as the
+        # only loss; `gram` replaces the graphs' own Gram matrix
         l, n = len(graphs), graphs[0].shape[0]
         ds = MultiViewDataset(tuple(np.zeros((3, n)) for _ in range(l)),
                               np.ones((n, l), dtype=int))
-        state = SolverState(u=[np.zeros((3, 2)) for _ in range(l)], v=np.zeros((n, 2)),
+        v = np.zeros((n, 2))
+        state = SolverState(u=[np.zeros((3, 2)) for _ in range(l)], v=v,
                             s=graphs, r=r, alpha=np.full(l, 1.0 / l))
-        return view_losses(state, ds, hyper(lam=0.0, beta=1.0, n_clusters=2), gram)
+        own, products = graph_products(graphs, v)
+        return view_losses(state, ds, hyper(lam=0.0, beta=1.0, n_clusters=2),
+                           own if gram is None else gram, products)
 
     @pytest.mark.parametrize("l", [2, 3, 5])
     def test_matches_direct_residual(self, l):
@@ -167,7 +172,9 @@ class TestReconstructionTerm:
             ])
             got = self.losses(graphs, r)
             assert np.max(np.abs(got - direct) / direct) <= 1e-10
-            assert np.array_equal(self.losses(graphs, r, graph_products(graphs)[0]), got)
+            gram = graph_products(graphs)[0]
+            assert np.array_equal(self.losses(graphs, r, gram), got)
+            assert np.array_equal(self.losses(graphs, r, 2.0 * gram), 2.0 * got)  # it is read
 
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
     def test_nonnegative_on_identical_graphs(self, l):
@@ -287,10 +294,11 @@ class TestGraphProducts:
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
     """make_problem with the instances sorted by the initial V's labels: with
     BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order, and
-    the dataset is put in it as fit does."""
+    the dataset is put in it and the order cleared, as fit does."""
     ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
-    assert state.order is not None
-    return solver._permuted(ds, state.order), h, state
+    order, state.order = state.order, None
+    assert order is not None
+    return solver._permuted(ds, order), h, state
 
 
 def dense_sweep(monkeypatch, *args):
@@ -406,6 +414,25 @@ class TestBlockSweeps:
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates == 0
 
+    def test_loop_on_the_callers_dataset_reproduces_fit(self, monkeypatch):
+        # initialize returns V and the graphs in cluster order; objective and
+        # sweep must put the caller's dataset in it, as fit does
+        ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 81))
+        ds = simulate_missing(ds, 0.3, seed=82)
+        monkeypatch.setattr(solver, "REL_TOL", 0.0)
+        hy = hyper(max_iter=6, seed=83)
+        expect = fit(ds, hy)
+        state = initialize(ds, hy)
+        assert np.any(np.diff(state.order) < 0)
+        trace = [objective(state, ds, hy)]
+        carry = SweepCarry.start(ds.n_instances, ds.n_views)
+        for _ in range(hy.max_iter):
+            d = sweep(state, ds, hy, carry)
+            trace.append(objective(state, ds, hy, d))
+        assert carry.block_updates > 0
+        assert np.max(np.abs(np.array(trace) - expect.trace) / expect.trace) <= 1e-12
+        assert abs(objective(state, ds, hy) - trace[-1]) <= 1e-12 * trace[-1]
+
     def test_fit_returns_the_callers_order(self, monkeypatch):
         ds, _ = generate_synthetic(SyntheticSpec(48, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 77))
         ds = simulate_missing(ds, 0.3, seed=78)
@@ -450,8 +477,8 @@ class TestRestoreOrder:
         expect.order = state.order.copy()
         _buffered_restore_reference(expect)
         graphs = [id(g) for g in state.s]
-        solver._restore_order(state)
-        assert state.order is None
+        order, state.order = state.order, None  # as fit takes it
+        solver._restore_order(state, order)
         assert [id(g) for g in state.s] == graphs  # in place
         assert np.array_equal(state.v, expect.v)
         for got, want in zip(state.s, expect.s):
@@ -484,7 +511,7 @@ class TestRestoreOrder:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            solver._restore_order(state)
+            solver._restore_order(state, state.order)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -527,7 +554,7 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     monkeypatch.setattr(graph, "project_full_support",
                         lambda *a: routes.append((len(counts), route(*a))) or routes[-1][1])
     monkeypatch.setattr(solver, "_restore_order",
-                        lambda state: restored.append(len(counts)) or restore(state))
+                        lambda *a: restored.append(len(counts)) or restore(*a))
     res = fit(ds, hy)
     per_sweep = np.diff([0] + counts)
     assert res.iterations >= 10
@@ -551,18 +578,23 @@ def copy_state(state):
 
 
 def _reference_sweep(state, ds, h):
-    """sweep with the loop S update on the exact distance matrix of V and no
-    shared Gram matrix."""
-    state.v = update_v(state, ds, h)
+    """sweep with the loop S update on the exact distance matrix of V and a
+    graph pass of its own for each step that reads one."""
+    state.v = own_pass_update_v(state, ds, h)
     for k in range(ds.n_views):
         state.u[k] = update_u(k, state, ds, h)
     dist = pairwise_sq_dists(state.v)
     for k in range(ds.n_views):
         state.s[k] = _loop_update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
     state.r = update_r(graph_products(state.s)[0])
-    d = view_losses(state, ds, h)
+    d = view_losses(state, ds, h, *graph_products(state.s, state.v))
     state.alpha = update_alpha(d, h.gamma)
     return d
+
+
+def own_pass_update_v(state, ds, h):
+    """update_v on the products of a graph pass of the current state."""
+    return update_v(state, ds, h, graph_products(state.s, state.v)[1])
 
 
 def _naive_objective(state, ds, h):
@@ -676,7 +708,7 @@ class TestUpdateV:
             s=[np.zeros((n, n))] * l, r=np.zeros((l, l)),
             alpha=np.full(l, 0.5),
         )
-        new = update_v(state, ds, hyper(lam=0.0, beta=0.0, n_clusters=c))
+        new = own_pass_update_v(state, ds, hyper(lam=0.0, beta=0.0, n_clusters=c))
         assert np.allclose(new, v, atol=1e-9)
 
     def test_penalized_subobjective_nonincreasing(self):
@@ -695,14 +727,14 @@ class TestUpdateV:
 
         prev = sub()
         for _ in range(30):
-            state.v = update_v(state, ds, h)
+            state.v = own_pass_update_v(state, ds, h)
             cur = sub()
             assert cur <= prev + 1e-10 * max(1.0, prev)
             prev = cur
 
     def test_nonnegative_output(self):
         ds, h, state = make_problem(seed=7)
-        assert np.all(update_v(state, ds, h) >= 0)
+        assert np.all(own_pass_update_v(state, ds, h) >= 0)
 
 
 class TestUpdateR:
@@ -997,14 +1029,14 @@ class TestInitializeAndFit:
         calls = []
         passes = []
         monkeypatch.setattr(solver, "graph_products",
-                            lambda *a: passes.append(1) or graph_products(*a))
+                            lambda *a: passes.append(graph_products(*a)) or passes[-1])
         monkeypatch.setattr(solver, "update_v",
-                            lambda *a: calls.append(a[3] is not None) or update_v(*a))
+                            lambda *a: calls.append(a[3] is passes[-1][1]) or update_v(*a))
         ds, _ = generate_synthetic(SyntheticSpec(20, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 5))
         monkeypatch.setattr(solver, "REL_TOL", 0.0)
         res = fit(ds, hyper(max_iter=3))
         assert res.iterations == 3
-        assert calls == [True] * 3  # every V update reuses carried products
+        assert calls == [True] * 3  # every V update takes the last pass's products
         assert len(passes) == 1 + res.iterations
 
     @pytest.mark.parametrize("update", ["update_v", "update_u", "update_alpha"])
