@@ -12,7 +12,8 @@ clusters plus the few off-block entries that the other graphs list
 (ClusterBlocks), and checks per column, from a lower bound on its off-block
 distances, that the dense update would give the same graph. A block whose
 columns keep every entry, as they do once the graphs have settled, is
-projected from its column sums (simplex.project_full_support).
+projected from its column sums (simplex.project_full_support); another
+block with listed candidates sends the view to the dense update.
 """
 
 from __future__ import annotations
@@ -46,21 +47,20 @@ EXTRA_COST = 25
 
 
 def check_similarity(s: np.ndarray, tol: float = COLSUM_TOL) -> None:
-    if np.any(s < -tol) or np.any(s > 1 + tol):
-        raise ValueError("similarity entries outside [0, 1]")
-    if np.any(np.abs(np.diag(s)) > tol):
-        raise ValueError("similarity diagonal is not zero")
-    if np.any(np.abs(s.sum(axis=0) - 1.0) > tol):
-        raise ValueError("similarity columns do not sum to 1")
+    _check_columns(s, "similarity", tol)
 
 
 def check_coefficients(r: np.ndarray, tol: float = COLSUM_TOL) -> None:
-    if np.any(r < -tol) or np.any(r > 1 + tol):
-        raise ValueError("coefficient entries outside [0, 1]")
-    if np.any(np.abs(np.diag(r)) > tol):
-        raise ValueError("coefficient diagonal is not zero")
-    if np.any(np.abs(r.sum(axis=0) - 1.0) > tol):
-        raise ValueError("coefficient columns do not sum to 1")
+    _check_columns(r, "coefficient", tol)
+
+
+def _check_columns(m: np.ndarray, noun: str, tol: float) -> None:
+    if np.any(m < -tol) or np.any(m > 1 + tol):
+        raise ValueError(f"{noun} entries outside [0, 1]")
+    if np.any(np.abs(np.diag(m)) > tol):
+        raise ValueError(f"{noun} diagonal is not zero")
+    if np.any(np.abs(m.sum(axis=0) - 1.0) > tol):
+        raise ValueError(f"{noun} columns do not sum to 1")
 
 
 def pairwise_sq_dists(v: np.ndarray) -> np.ndarray:
@@ -224,16 +224,15 @@ class ClusterBlocks:
         """h on each diagonal block. Also sets `off_bound`, a lower bound on
         each column's smallest h over the rows outside its block: over the
         rows r of block a, h[r, j] >= min_a |v_r|^2 - 2 max_a(v_r . v_j), and
-        v_r . v_j is at most the sum over k of the larger of max_a(V[:, k])
-        v_jk and min_a(V[:, k]) v_jk."""
+        for V >= 0, as the solver keeps it (initialize floors V at 1e-3 and
+        update_v scales it by square roots of ratios >= 0), v_r . v_j is at
+        most the sum over k of max_a(V[:, k]) v_jk."""
         if self._inner is None:
             self._inner = [shifted_sq_dists(self.v, slice(b0, b1), slice(b0, b1))
                            for b0, b1 in self.spans]
             least = np.array([self.row_sq[b0:b1].min() for b0, b1 in self.spans])
             top = np.array([self.v[b0:b1].max(axis=0) for b0, b1 in self.spans])
-            low = np.array([self.v[b0:b1].min(axis=0) for b0, b1 in self.spans])
-            dots = top @ np.maximum(self.v, 0.0).T + low @ np.minimum(self.v, 0.0).T
-            bound = least[:, None] - 2.0 * dots
+            bound = least[:, None] - 2.0 * (top @ self.v.T)
             for a, (b0, b1) in enumerate(self.spans):
                 bound[a, b0:b1] = np.inf
             self.off_bound = bound.min(axis=0)
@@ -264,9 +263,10 @@ class ClusterBlocks:
         view to the dense update. While V stays near one-hot the bound is
         nearly the minimum, and it settled every column of every probed fit.
 
-        Each block's target is projected by project_full_support when every
-        column keeps all its block entries, and otherwise, the target
-        untouched, by the threshold search of project_offdiag_columns.
+        A block whose columns keep all their entries is projected with its
+        listed candidates by project_full_support. Any other block takes the
+        threshold search of project_offdiag_columns when it has no
+        candidates, and sends the view to the dense update when it has.
         """
         out = graphs[v]
         n = len(out)
@@ -299,9 +299,10 @@ class ClusterBlocks:
             mine = block == b
             extra = values[mine]
             theta = thresholds[b0:b1]
-            candidates = (cols[mine] - b0, extra)
-            if not project_full_support(p, theta, candidates):
-                project_offdiag_columns(p, out=p, thresholds=theta, extra=candidates)
+            if not project_full_support(p, theta, (cols[mine] - b0, extra)):
+                if len(extra):
+                    return False
+                project_offdiag_columns(p, out=p, thresholds=theta)
             if np.any(scale * self.off_bound[b0:b1] > theta):
                 return False
             out[b0:b1, b0:b1] = p

@@ -37,7 +37,6 @@ def project_offdiag_columns(
     p: np.ndarray,
     out: np.ndarray | None = None,
     thresholds: np.ndarray | None = None,
-    extra: tuple | None = None,
 ) -> np.ndarray:
     """Project every column c of the square matrix p as project_offdiag_simplex(p[:, c], c).
 
@@ -57,11 +56,6 @@ def project_offdiag_columns(
     guess. The output depends only on the support the search ends at.
     Non-finite entries raise ValueError. The result goes to `out` when given,
     which may be p itself.
-
-    `extra`, when given, is a pair (cols, values) of further coordinates
-    that p does not hold: values[e] is one more coordinate of column
-    cols[e]. They take part in the search like the entries of p, and
-    `values` is overwritten with their projections.
     """
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
@@ -69,55 +63,39 @@ def project_offdiag_columns(
         raise ValueError("need a square matrix of order at least two")
     if thresholds is None:
         thresholds = np.full(n, np.nan)
-    cols, values = extra if extra is not None else (None, None)
 
-    def size(support, on):
-        count = support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
-        if extra is not None:
-            count += np.bincount(cols[on], minlength=n)
-        return count
+    def size(support):
+        return support.sum(axis=0, dtype=np.int32)  # twice as fast as count_nonzero
 
-    def threshold(support, on, count):
+    def threshold(support, count):
         # einsum sums over an irregular mask several times faster than where=,
         # and an entry it masks out still turns a column's sum non-finite.
-        total = np.einsum("ij,ij->j", p, support)
-        if extra is not None:
-            total += np.bincount(cols, values * on, minlength=n)
-        return (total - 1.0) / count
+        return (np.einsum("ij,ij->j", p, support) - 1.0) / count
 
     support = p > thresholds  # a NaN guess compares False
     np.fill_diagonal(support, False)
-    on = None if extra is None else values > thresholds[cols]
-    count = size(support, on)
+    count = size(support)
     cold = count == 0
     if cold.any():  # start these columns from every off-diagonal coordinate
         support |= cold
         np.fill_diagonal(support, False)
-        if extra is not None:
-            on |= cold[cols]
-        count = size(support, on)
+        count = size(support)
     with np.errstate(invalid="ignore", over="ignore"):
-        theta = threshold(support, on, count)
+        theta = threshold(support, count)
     if not np.all(np.isfinite(theta)):
         raise ValueError("projection needs finite entries")
     np.greater(p, theta, out=support)  # A and this are nested: equal counts, equal sets
     np.fill_diagonal(support, False)
-    if extra is not None:
-        on = values > theta[cols]
     while True:
-        shrunk = size(support, on)
+        shrunk = size(support)
         if not shrunk.all():
             raise ValueError("projection lost its support: huge entries")
         if np.array_equal(shrunk, count):
             break
         count = shrunk
-        theta = threshold(support, on, count)
+        theta = threshold(support, count)
         support &= p > theta
-        if extra is not None:
-            on &= values > theta[cols]
     thresholds[...] = theta
-    if extra is not None:
-        np.maximum(values - theta[cols], 0.0, out=values)
     out = np.subtract(p, theta, out=out)
     np.maximum(out, 0.0, out=out)
     np.fill_diagonal(out, 0.0)
@@ -125,20 +103,19 @@ def project_offdiag_columns(
 
 
 def project_full_support(p: np.ndarray, thresholds: np.ndarray, extra: tuple) -> bool:
-    """project_offdiag_columns(p, out=p, thresholds=thresholds, extra=extra)
-    for a square p whose every column keeps all its off-diagonal coordinates;
-    returns whether it applied.
+    """project_offdiag_simplex of each column c of the square p with its
+    extras appended, in place, when that keeps every off-diagonal coordinate
+    of p; returns whether it applied. `extra` is a pair (cols, values):
+    values[e] is one more coordinate of column cols[e].
 
     The off-diagonal sums take one pass over p, summed in the order of
     project_offdiag_columns. The threshold search then runs over the extras
     alone: they all start in the support and leave it at or below their
     column's threshold, so the thresholds only rise. When every off-diagonal
-    entry lies strictly above its column's final threshold, every coordinate
-    left in the support lies above it and every other at or below, which
-    makes the threshold exact: p, `thresholds` and the extras' values are
-    then overwritten as project_offdiag_columns would. Otherwise, or when a
-    threshold is not finite, nothing is written and False is returned; the
-    guesses in `thresholds` are not read.
+    entry lies strictly above its column's final threshold, that threshold
+    is exact, and p, `thresholds` and `values` receive the projection.
+    Otherwise, or when a threshold is not finite, nothing is written and
+    False is returned; the guesses in `thresholds` are not read.
     """
     m = len(p)
     cols, values = extra

@@ -451,18 +451,28 @@ class TestUpdateSimilarity:
                 update_similarity(0, trial, r, alpha, 3.0, v, blocks=blocks)
 
 
-def block_problem(sizes, l, rng, off_block=6):
+def block_problem(sizes, l, rng, off_block=6, sparse=False):
     """Sorted cluster indicator V with clusters of `sizes` (zeros allowed),
     graphs that are block diagonal but for `off_block` shared off-block
-    entries large enough to survive an update, coefficients and weights."""
+    entries large enough to survive an update, coefficients and weights.
+
+    By default the blocks are full and nearly uniform, the shape of fits with
+    missing data: their targets keep every entry, so every block takes
+    project_full_support. `sparse` blocks hold about a third of their
+    entries, the shape of complete data, and decline the route."""
     labels = np.repeat(np.arange(len(sizes)), sizes)
     n = len(labels)
     v = 0.01 * rng.uniform(size=(n, len(sizes))) / np.sqrt(n)
     v[np.arange(n), labels] += 1.0 / np.sqrt(np.asarray(sizes)[labels])
     same = labels[:, None] == labels[None, :]
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    neighbour = first + (np.arange(n) - first + 1) % np.repeat(sizes, sizes)
     graphs = []
     for _ in range(l):
-        g = rng.uniform(size=(n, n)) * same
+        g = rng.uniform(1.0, 1.2, size=(n, n)) * same
+        if sparse:
+            g *= rng.uniform(size=(n, n)) < 0.3
+            g[neighbour, np.arange(n)] = 1.0  # no empty column
         np.fill_diagonal(g, 0.0)
         graphs.append(g)
     rows, cols = np.nonzero(~same)
@@ -473,6 +483,16 @@ def block_problem(sizes, l, rng, off_block=6):
     r = random_coefficients(l, rng)
     alpha = rng.dirichlet(np.ones(l))
     return v, graphs, r, alpha
+
+
+def record_routes(monkeypatch):
+    """Log each project_full_support call of the block path as a pair
+    (taken, number of listed candidates)."""
+    routes = []
+    route = graph.project_full_support
+    monkeypatch.setattr(graph, "project_full_support",
+                        lambda p, t, e: routes.append((route(p, t, e), len(e[0]))) or routes[-1][0])
+    return routes
 
 
 def off_block(s, edges):
@@ -503,47 +523,55 @@ class TestBlockUpdate:
     @pytest.mark.parametrize("l", [2, 3, 5])
     @pytest.mark.parametrize("sizes", [(7, 7, 7), (3, 14, 5), (6, 0, 9, 4)],
                              ids=["balanced", "unbalanced", "empty-cluster"])
-    def test_matches_dense_update(self, l, sizes):
+    def test_matches_dense_update(self, monkeypatch, l, sizes):
         rng = np.random.default_rng(40 + l + len(sizes))
-        v, graphs, r, alpha = block_problem(sizes, l, rng)
-        edges = cluster_bounds(v)
-        blocks = ClusterBlocks(edges, l).at(v)
-        dense = [g.copy() for g in graphs]
-        kept = 0
-        for k in range(l):
-            thresholds, expect_thresholds = np.full(len(v), np.nan), np.full(len(v), np.nan)
-            s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds, blocks)
-            expect = update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds)
-            assert s is graphs[k] and blocks.entries[k] is not None  # the block path ran
-            assert expect is dense[k]
-            assert np.max(np.abs(s - expect)) <= 1e-12
-            assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
-            assert np.array_equal(np.sort(blocks.entries[k]), off_block(s, edges))
-            kept += len(blocks.entries[k])
-            check_similarity(s)
-        assert kept > 0  # listed entries of the other graphs survived off the blocks
-        for with_v in (None, v):
-            gram, products = graph_products(graphs, with_v, blocks)
-            expect_gram, expect_products = graph_products(dense, with_v)
-            assert np.max(np.abs(gram - expect_gram) / expect_gram) <= 1e-12
-            if with_v is not None:
-                for a, b in zip(products, expect_products):
-                    assert np.max(np.abs(a - b)) <= 1e-12
+        routes = record_routes(monkeypatch)
+        for sparse in (False, True):  # the shapes of missing and of complete data
+            v, graphs, r, alpha = block_problem(sizes, l, rng, 0 if sparse else 6, sparse)
+            edges = cluster_bounds(v)
+            blocks = ClusterBlocks(edges, l).at(v)
+            dense = [g.copy() for g in graphs]
+            kept = 0
+            for k in range(l):
+                thresholds, expect_thresholds = np.full(len(v), np.nan), np.full(len(v), np.nan)
+                s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds, blocks)
+                expect = update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds)
+                assert s is graphs[k] and blocks.entries[k] is not None  # the block path ran
+                assert expect is dense[k]
+                assert np.max(np.abs(s - expect)) <= 1e-12
+                assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
+                assert np.array_equal(np.sort(blocks.entries[k]), off_block(s, edges))
+                kept += len(blocks.entries[k])
+                check_similarity(s)
+            taken, listed = np.array(routes).T
+            routes.clear()
+            if sparse:  # nothing off the blocks, and some blocks take the search
+                assert kept == 0 and not listed.any() and not taken.all()
+            else:  # listed entries of the other graphs survived off the blocks
+                assert kept > 0 and listed.any() and taken.all()
+            for with_v in (None, v):
+                gram, products = graph_products(graphs, with_v, blocks)
+                expect_gram, expect_products = graph_products(dense, with_v)
+                assert np.max(np.abs(gram - expect_gram) / expect_gram) <= 1e-12
+                if with_v is not None:
+                    for a, b in zip(products, expect_products):
+                        assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_warm_thresholds_and_shrinking_lists(self):
         rng = np.random.default_rng(47)
-        v, graphs, r, alpha = block_problem((8, 6, 9), 3, rng, off_block=10)
-        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-        dense = [g.copy() for g in graphs]
-        thresholds = [np.full(len(v), np.nan) for _ in range(3)]
-        expect_thresholds = [np.full(len(v), np.nan) for _ in range(3)]
-        for _ in range(4):  # later sweeps start warm from the lists the last one left
-            for k in range(3):
-                s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds[k], blocks)
-                update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds[k])
-                assert s is graphs[k]
-                assert np.max(np.abs(s - dense[k])) <= 1e-12
-                assert np.max(np.abs(thresholds[k] - expect_thresholds[k])) <= 1e-12
+        for sparse in (False, True):
+            v, graphs, r, alpha = block_problem((8, 6, 9), 3, rng, 0 if sparse else 10, sparse)
+            blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+            dense = [g.copy() for g in graphs]
+            thresholds = [np.full(len(v), np.nan) for _ in range(3)]
+            expect_thresholds = [np.full(len(v), np.nan) for _ in range(3)]
+            for _ in range(4):  # later sweeps start warm from the lists the last one left
+                for k in range(3):
+                    s = update_similarity(k, graphs, r, alpha, 3.0, v, thresholds[k], blocks)
+                    update_similarity(k, dense, r, alpha, 3.0, v, expect_thresholds[k])
+                    assert s is graphs[k] and blocks.entries[k] is not None
+                    assert np.max(np.abs(s - dense[k])) <= 1e-12
+                    assert np.max(np.abs(thresholds[k] - expect_thresholds[k])) <= 1e-12
 
     def test_route_declines_for_one_block_only(self, monkeypatch):
         # Uniform graphs within the blocks give targets that keep every
@@ -558,18 +586,32 @@ class TestBlockUpdate:
             g[10, 9] = 1.0
         r = np.full((3, 3), 0.5)
         np.fill_diagonal(r, 0.0)
-        routes = []
-        route = graph.project_full_support
-        monkeypatch.setattr(graph, "project_full_support",
-                            lambda *a: routes.append(route(*a)) or routes[-1])
+        routes = record_routes(monkeypatch)
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
         alpha = np.full(3, 1.0 / 3.0)
         expect = updated(0, graphs, r, alpha, 3.0, v)
         s = update_similarity(0, graphs, r, alpha, 3.0, v, blocks=blocks)
-        assert routes == [True, False, True]
+        assert routes == [(True, 0), (False, 0), (True, 0)]  # no candidates: the search
         assert blocks.entries[0] is not None  # the block path ran
         assert np.max(np.abs(s - expect)) <= 1e-12
         assert np.count_nonzero(s[8:16, 9]) < 7
+
+    def test_declined_block_with_candidates_runs_dense(self, monkeypatch):
+        # sparse blocks with listed candidates, a shape no probed fit made:
+        # the route declines a block that holds candidates, and the view
+        # takes the dense update
+        rng = np.random.default_rng(54)
+        v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng, sparse=True)
+        routes = record_routes(monkeypatch)
+        blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
+        thresholds, expect_thresholds = np.full(24, np.nan), np.full(24, np.nan)
+        expect = updated(0, graphs, r, alpha, 3.0, v, expect_thresholds)
+        s = update_similarity(0, graphs, r, alpha, 3.0, v, thresholds, blocks)
+        assert routes[-1][0] is False and routes[-1][1] > 0
+        assert blocks.entries[0] is None  # the dense update ran
+        assert s is graphs[0]
+        assert np.max(np.abs(s - expect)) <= 1e-12
+        assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
 
     def test_failed_check_falls_back_to_dense(self):
         rng = np.random.default_rng(48)
@@ -602,12 +644,9 @@ class TestBlockUpdate:
             assert s is graphs[k]
             assert np.max(np.abs(s - dense[k])) <= 1e-12
 
-    @pytest.mark.parametrize("signs", ["nonnegative", "mixed"])
-    def test_off_bound_is_a_tight_lower_bound(self, signs):
+    def test_off_bound_is_a_tight_lower_bound(self):
         rng = np.random.default_rng(51)
         v = block_problem((5, 9, 2, 6), 2, rng)[0]
-        if signs == "mixed":
-            v -= 0.5 * rng.uniform(size=v.shape) * v.max()
         edges = np.array([0, 5, 14, 16, 22])
         blocks = ClusterBlocks(edges, 2).at(v)
         blocks.inner()
@@ -615,8 +654,8 @@ class TestBlockUpdate:
         exact = np.array([np.min(np.delete(h[:, j], np.arange(b0, b1)))
                           for b0, b1 in zip(edges[:-1], edges[1:]) for j in range(b0, b1)])
         assert np.all(blocks.off_bound <= exact + 1e-15)
-        if signs == "nonnegative":  # near one-hot V: the bound is nearly the minimum
-            assert np.max(exact - blocks.off_bound) <= 0.02 * np.max(np.abs(exact))
+        # near one-hot V: the bound is nearly the minimum
+        assert np.max(exact - blocks.off_bound) <= 0.02 * np.max(np.abs(exact))
 
     def test_too_many_off_block_entries_run_dense(self):
         rng = np.random.default_rng(50)

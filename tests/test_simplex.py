@@ -220,8 +220,8 @@ class TestWarmStart:
                     project_offdiag_columns(p, thresholds=np.full(3, -0.5))
 
 
-class TestExtraCoordinates:
-    """Further coordinates of some columns, given apart from the matrix."""
+class TestFullSupport:
+    """The route for columns that keep every off-diagonal coordinate."""
 
     @staticmethod
     def reference(p, cols, values):
@@ -232,41 +232,6 @@ class TestExtraCoordinates:
             y = project_offdiag_simplex(np.concatenate([p[:, c], values[mine]]), c)
             out[:, c], extra[mine] = y[: len(p)], y[len(p):]
         return out, extra
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_matches_appended_columns(self, seed):
-        rng = np.random.default_rng(60 + seed)
-        n = int(rng.integers(2, 9))
-        p = rng.normal(size=(n, n))
-        cols = rng.integers(n, size=int(rng.integers(0, 3 * n)))
-        values = rng.normal(size=len(cols)) + rng.choice([0.0, 2.0], size=len(cols))
-        expect, expect_extra = self.reference(p, cols, values)
-        guesses = (None, np.full(n, np.nan), rng.normal(size=n), np.full(n, 10.0))
-        for guess in guesses:
-            extra = values.copy()
-            thresholds = None if guess is None else guess.copy()
-            out = project_offdiag_columns(p, thresholds=thresholds, extra=(cols, extra))
-            assert np.max(np.abs(out - expect)) <= 1e-12
-            assert len(cols) == 0 or np.max(np.abs(extra - expect_extra)) <= 1e-12
-            sums = out.sum(axis=0) + np.bincount(cols, extra, minlength=n)
-            assert np.max(np.abs(sums - 1.0)) <= 1e-12
-
-    def test_an_extra_takes_the_whole_column(self):
-        p = np.zeros((3, 3))
-        extra = np.array([5.0, 0.0])
-        thresholds = np.zeros(3)
-        out = project_offdiag_columns(p, thresholds=thresholds, extra=(np.array([1, 2]), extra))
-        assert np.all(out[:, 1] == 0.0) and extra[0] == 1.0
-        assert thresholds[1] == 4.0
-
-    def test_non_finite_extra_rejected(self):
-        for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                project_offdiag_columns(np.zeros((3, 3)), extra=(np.array([0]), np.array([bad])))
-
-
-class TestFullSupport:
-    """The route for columns that keep every off-diagonal coordinate."""
 
     @staticmethod
     def full_block(m, rng, extras):
@@ -286,17 +251,17 @@ class TestFullSupport:
     def test_matches_the_threshold_search(self, m, extras):
         rng = np.random.default_rng(90 + m + extras)
         p, cols, values = self.full_block(m, rng, extras)
-        expect_values, expect_thresholds = values.copy(), rng.normal(size=m)
-        expect = project_offdiag_columns(p, thresholds=expect_thresholds,
-                                         extra=(cols, expect_values))
+        expect, expect_values = self.reference(p, cols, values)
         assert np.all(expect + np.eye(m) > 0.0)  # every off-diagonal entry kept
         if extras > 1:
             assert np.any(expect_values > 0.0) and np.any(expect_values == 0.0)
+        below = (np.arange(m) + 1) % m  # an off-diagonal row of each column
+        expect_thresholds = p[below, np.arange(m)] - expect[below, np.arange(m)]
         thresholds = np.full(m, np.nan)
         assert project_full_support(p, thresholds, (cols, values))
-        assert np.max(np.abs(p - expect)) <= 1e-15
-        assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-15
-        assert len(cols) == 0 or np.max(np.abs(values - expect_values)) <= 1e-15
+        assert np.max(np.abs(p - expect)) <= 1e-12
+        assert np.max(np.abs(thresholds - expect_thresholds)) <= 1e-12
+        assert len(cols) == 0 or np.max(np.abs(values - expect_values)) <= 1e-12
 
     @staticmethod
     def declined(p, extra=(np.zeros(0, dtype=int), np.zeros(0))):
@@ -324,28 +289,27 @@ class TestFullSupport:
         p[3, 0] = 0.6  # above (2.6 - 1) / 3 alone; one entering extra lifts it to 0.65
         extra = (np.array([0, 2]), np.array([1.0, -3.0]))
         self.declined(p, extra)
-        out = project_offdiag_columns(p, extra=(extra[0], extra[1].copy()))
-        assert out[3, 0] == 0.0
+        assert self.reference(p, *extra)[0][3, 0] == 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entries_decline_then_raise(self, bad):
-        for where in ((1, 0), (0, 0), None):
+        extra = (np.array([0, 2]), np.array([0.1, 0.2]))
+        for where in ((1, 0), (0, 0)):
             p = np.full((3, 3), 0.5)
-            values = np.array([0.1, 0.2])
-            if where is None:
-                values[1] = bad
-            else:
-                p[where] = bad
-            extra = (np.array([0, 2]), values)
+            p[where] = bad
+            self.declined(p)
             self.declined(p, extra)
-            with pytest.raises(ValueError):
-                project_offdiag_columns(p, extra=extra)
+            with pytest.raises(ValueError):  # the search a block without candidates takes
+                project_offdiag_columns(p)
+        # a non-finite candidate declines too: its block runs the dense update
+        self.declined(np.full((3, 3), 0.5), (extra[0], np.array([0.1, bad])))
 
     def test_overflowing_sum_declines_then_raises(self):
-        # finite extras whose sum overflows: dropping them would leave a
+        # finite coordinates whose sum overflows: dropping them would leave a
         # finite threshold that no longer accounts for them
         p = np.full((3, 3), 0.5)
-        extra = (np.array([1, 1]), np.array([1e308, 1e308]))
-        self.declined(p, extra)
+        self.declined(p, (np.array([1, 1]), np.array([1e308, 1e308])))
+        p[1:, 0] = 1e308
+        self.declined(p)
         with pytest.raises(ValueError):
-            project_offdiag_columns(p, extra=extra)
+            project_offdiag_columns(p)

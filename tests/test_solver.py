@@ -31,7 +31,7 @@ from mvufs.solver import (
     update_v,
     view_losses,
 )
-from test_graph import _loop_update_similarity
+from test_graph import _loop_update_similarity, record_routes
 
 
 def hyper(**kw):
@@ -343,8 +343,27 @@ class TestBlockSweeps:
         assert carry.block_updates >= 3 * l and ref_carry.block_updates == 0
         assert listed > 0  # graphs held entries off the blocks
 
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_complete_data_matches_dense_sweeps(self, monkeypatch, l):
+        # complete data: nothing lies off the sparse blocks, whose columns
+        # drop entries, so the route declines and the blocks take the search
+        ds, h, state = sorted_problem(l=l, seed=72 + l, missing=0.0)
+        ref = copy_state(state)
+        carry, ref_carry = (SweepCarry.start(ds.n_instances, l) for _ in range(2))
+        routes = record_routes(monkeypatch)
+        for _ in range(4):
+            d = sweep(state, ds, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
+        assert carry.block_updates == 4 * l
+        taken, listed = np.array(routes).T
+        assert not listed.any() and not taken.any()
+
     def test_labels_that_change_run_dense(self, monkeypatch):
-        ds, h, state = sorted_problem(seed=75)
+        # at this seed the moved instance's column keeps its whole new block,
+        # so the block path runs on the new edges (elsewhere the route can
+        # decline that block, whose candidates then send the view dense)
+        ds, h, state = sorted_problem(seed=70)
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(4):
@@ -569,6 +588,26 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
     for a, b in zip(res.state.s, expect.state.s):
         assert np.max(np.abs(a - b)) <= 1e-10
+
+
+def test_listed_candidates_never_decline_the_route(monkeypatch):
+    # A block that holds listed candidates and declines project_full_support
+    # sends its view to the dense update. Probed fits never made one: every
+    # block with candidates took the route, which declined only on complete
+    # data, on blocks with nothing listed. If a model change breaks this,
+    # re-measure the routes' traffic rather than let those views run dense
+    # unnoticed.
+    spec = SyntheticSpec(400, 3, 4, (20, 20, 20), (5, 5, 5), 0.1, 7000)
+    full = generate_synthetic(spec)[0]
+    hy = Hyperparameters(lam=0.1, beta=0.1, gamma=3, p=0.5, n_clusters=4, max_iter=20, seed=7)
+    routes = record_routes(monkeypatch)
+    fit(simulate_missing(full, 0.3, seed=7), hy)
+    taken, listed = np.array(routes).reshape(-1, 2).T
+    assert listed.any() and taken[listed > 0].all(), "re-measure the block routes"
+    routes.clear()
+    fit(full, hy)
+    taken, listed = np.array(routes).reshape(-1, 2).T
+    assert len(routes) and not listed.any(), "re-measure the block routes"
 
 
 def copy_state(state):
