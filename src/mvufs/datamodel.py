@@ -4,7 +4,8 @@ A dataset holds l per-view feature matrices X^(v) of shape (d_v, N) with
 nonnegative entries, an N x l presence mask (1 = instance observed in that
 view) and optional ground-truth labels. All containers are immutable after
 construction; operations are pure given (inputs, seed). A dataset works out
-its own weighted-NMF weights from its presence mask (`weights`).
+its own weighted-NMF weights from its presence mask (`weights`) and keeps the
+solver's starts on it (`starts`), both once per dataset object.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ class DatasetError(ValueError):
     """Raised for malformed datasets, manifests or matrix files."""
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A read-only view of a, the caller's array left as it is: `weights`
+    and `starts` are worked out once, so the arrays they come from must not
+    change through the dataset."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class MultiViewDataset:
     views: tuple  # l arrays, each (d_v, N), nonnegative
@@ -31,7 +41,7 @@ class MultiViewDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        views = tuple(np.asarray(x, dtype=float) for x in self.views)
+        views = tuple(_read_only(np.asarray(x, dtype=float)) for x in self.views)
         object.__setattr__(self, "views", views)
         if len(views) == 0:
             raise DatasetError("dataset needs at least one view")
@@ -49,7 +59,7 @@ class MultiViewDataset:
                 raise DatasetError(f"view {v} contains a negative entry")
             if not np.all(np.isfinite(x)):
                 raise DatasetError(f"view {v} contains a non-finite entry")
-        presence = np.asarray(self.presence)
+        presence = _read_only(np.asarray(self.presence))
         object.__setattr__(self, "presence", presence)
         if presence.shape != (n, len(views)):
             raise DatasetError(
@@ -88,6 +98,12 @@ class MultiViewDataset:
         """Per view, the diagonal WNMF weights of the N instances (see
         build_view_weights), computed once."""
         return build_view_weights(self)
+
+    @functools.cached_property
+    def starts(self) -> dict:
+        """The solver's starts on this dataset, filled by the fits that need
+        them (see solver.initialize) and freed with the dataset."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -5,18 +5,25 @@ column sums equal to 1. The cross-view coefficient matrix R is l x l with
 zero diagonal and off-diagonal column sums equal to 1.
 
 The S update reads V's distances only through `shifted_sq_dists`, formed a
-row block or a cluster block at a time, and writes the new graph in place:
-no N x N distance matrix or second graph exists. When the instances are
-sorted by V's cluster labels, it repairs only the diagonal blocks of the
-clusters plus the few off-block entries that the other graphs list
-(ClusterBlocks), and checks per column, from a lower bound on its off-block
-distances, that the dense update would give the same graph. A block whose
-columns keep every entry, as they do once the graphs have settled, is
-projected from its column sums (simplex.project_full_support); another
-block with listed candidates sends the view to the dense update.
+row block or a cluster block at a time (for a graph of one row block, once
+per sweep: `sweep_dists`), and writes the new graph in place: no N x N
+distance matrix beyond one row block, and no second graph, exists. When the
+instances are sorted by V's cluster labels, it repairs only the diagonal
+blocks of the clusters plus the few off-block entries that the other graphs
+list (ClusterBlocks), and checks per column, from a lower bound on its
+off-block distances, that the dense update would give the same graph. A
+block whose columns keep every entry, as they do once the graphs have
+settled, is projected from its column sums (simplex.project_full_support);
+another block with listed candidates sends the view to the dense update.
+
+The kNN graphs that start a fit are a search (`knn_edges`, O(N k) numbers
+that the solver keeps per dataset) and an assembly (`similarity_from_edges`,
+run by every fit).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +90,45 @@ def shifted_sq_dists(v: np.ndarray, rows=slice(None), cols=slice(None)) -> np.nd
     return h
 
 
+class KnnEdges(NamedTuple):
+    """The kNN search of one view (see `knn_edges`): the positions of the m
+    present instances, and for each the positions among them of its k
+    nearest others and the squared distances to them (both m x k)."""
+    present: np.ndarray
+    knn: np.ndarray
+    near: np.ndarray
+
+
 def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) -> np.ndarray:
-    """Heat-kernel kNN similarity among present instances, column-normalized.
+    """Heat-kernel kNN similarity among present instances, column-normalized:
+    `similarity_from_edges` of `knn_edges`. The search's Gram matrix is freed
+    before the graph is allocated, so the build holds about one N x N array
+    at a time."""
+    return similarity_from_edges(np.shape(x)[1], knn_edges(x, presence, k))
+
+
+def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
+    """The k nearest present neighbors of each present instance (columns of
+    x), O(m k) numbers; the arrays are read-only.
+
+    The search forms one Gram matrix of the m present instances and reads
+    the distances from it a row block at a time, each block bitwise the rows
+    of `pairwise_sq_dists`; the Gram matrix is freed on return.
+    """
+    x = np.asarray(x, dtype=float)
+    present = np.flatnonzero(np.asarray(presence) == 1)
+    m = present.size
+    if k >= m:
+        raise ValueError(f"k={k} must be smaller than the {m} present instances")
+    v = x[:, present].T
+    edges = KnnEdges(present, *_nearest(v @ v.T, np.sum(v * v, axis=1), k))
+    for a in edges:
+        a.flags.writeable = False
+    return edges
+
+
+def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:
+    """The N x N heat-kernel graph of a view's kNN search, a new array.
 
     Edges are kept when either endpoint lists the other among its k nearest
     present neighbors. Absent instances get uniform 1/(N-1) similarity to all
@@ -93,21 +137,10 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     column whose every kernel weight underflows to 0 (an instance far from
     all others) is weighed with the exponent shifted by its nearest edge's
     distance, which the normalization cancels, so every column sums to 1.
-
-    The search forms one Gram matrix of the m present instances and reads
-    the distances from it a row block at a time, each block bitwise the rows
-    of `pairwise_sq_dists`. The Gram matrix is freed before the N x N graph
-    is allocated, and the other arrays are row blocks and O(m k) edge lists,
-    so the build holds about one N x N array at a time.
+    Besides the graph, the assembly holds O(m k) edge lists.
     """
-    x = np.asarray(x, dtype=float)
-    n = x.shape[1]
-    present = np.flatnonzero(np.asarray(presence) == 1)
-    m = present.size
-    if k >= m:
-        raise ValueError(f"k={k} must be smaller than the {m} present instances")
-    v = x[:, present].T
-    knn, near = _nearest(v @ v.T, np.sum(v * v, axis=1), k)
+    present, knn, near = edges
+    k = knn.shape[1]
     sigma = float(np.sqrt(near.max(axis=1)).mean())
     if sigma <= 0.0:
         sigma = 1.0
@@ -120,7 +153,9 @@ def build_initial_similarity(x: np.ndarray, presence: np.ndarray, k: int = 5) ->
     s = np.zeros((n, n))
     s[i, j] = weight
     s[j, i] = weight
-    absent = np.setdiff1d(np.arange(n), present)
+    absent = np.ones(n, dtype=bool)
+    absent[present] = False
+    absent = np.flatnonzero(absent)  # a mask, at a fraction of np.setdiff1d's cost
     if absent.size:
         s[absent, :] = 1.0 / (n - 1)
         s[:, absent] = 1.0 / (n - 1)
@@ -313,6 +348,14 @@ class ClusterBlocks:
         return True
 
 
+def sweep_dists(v: np.ndarray) -> np.ndarray | None:
+    """`shifted_sq_dists(v)` when the dense S update takes a graph as one row
+    block (N^2 <= BLOCK_ENTRIES), for a sweep's l updates to share; there it
+    is bitwise the block each update would form. None for larger graphs,
+    whose updates form their own row blocks, so no N x N scratch is added."""
+    return shifted_sq_dists(v) if len(v) ** 2 <= BLOCK_ENTRIES else None
+
+
 def update_similarity(
     v: int,
     graphs,
@@ -322,6 +365,7 @@ def update_similarity(
     indicator: np.ndarray,
     thresholds: np.ndarray | None = None,
     blocks: ClusterBlocks | None = None,
+    dists: np.ndarray | None = None,
 ) -> np.ndarray:
     """Optimal similarity matrix of view v given all other variables, written
     into graphs[v] in place; returns graphs[v].
@@ -333,13 +377,18 @@ def update_similarity(
     other graphs and the squared distances h between the rows of the
     indicator V: P = (sum_{i != v} w_i S_i - ag_v h / 4) / denom with
     w_i = ag_v r_iv + ag_i r_vi - sum_{k not in {v, i}} ag_k r_vk r_ik.
+    The weights are l^2 scalar operations, done on Python floats: the same
+    IEEE operations as on numpy scalars, at a fraction of the call cost
+    (the squares keep numpy's scalar power).
     h comes from `shifted_sq_dists`, which drops a constant per column: it
     shifts a column of P uniformly, which the projection ignores.
 
     P never reads graphs[v], so it is built there a row block at a time and
-    projected in place. `blocks`, a ClusterBlocks set at V, runs the update
-    on its blocks instead when the block path applies. graphs[v] must not
-    share memory with another view's graph.
+    projected in place. `dists`, when given, is `sweep_dists(indicator)`:
+    the whole h, which a graph of one row block reads instead of forming it
+    again for every view. `blocks`, a ClusterBlocks set at V, runs the
+    update on its blocks instead when the block path applies. graphs[v]
+    must not share memory with another view's graph.
 
     `thresholds` are the projection's per-column threshold guesses, passed to
     `project_offdiag_columns` and overwritten with the final thresholds.
@@ -349,14 +398,19 @@ def update_similarity(
     others = [k for k in range(l) if k != v]
     if any(np.may_share_memory(out, graphs[k]) for k in others):
         raise ValueError(f"graph {v} shares memory with another view's graph")
-    ag = np.asarray(alpha, dtype=float) ** gamma
-    denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
+    ag = (np.asarray(alpha, dtype=float) ** gamma).tolist()
+    r = np.asarray(r, dtype=float)
+    # numpy's scalar power is libm's pow, which can differ from r * r in the last bit
+    square = [float(x ** 2) for x in r[v]]
+    r = r.tolist()
+    rv = r[v]
+    denom = sum(ag[k] * square[k] for k in others) + ag[v]
     if denom <= 0.0:
         raise ValueError("vanishing alpha and coefficients: corrupted state")
     terms = []
     for i in others:
-        cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
-        terms.append((i, (ag[v] * r[i, v] + ag[i] * r[v, i] - cross) / denom))
+        cross = sum(ag[k] * rv[k] * r[i][k] for k in others if k != i)
+        terms.append((i, (ag[v] * r[i][v] + ag[i] * rv[i] - cross) / denom))
     scale = -0.25 * ag[v] / denom
     n = len(out)
     if thresholds is None:
@@ -369,7 +423,8 @@ def update_similarity(
     scratch = np.empty((min(rows, n), n))
     for start in range(0, n, rows):
         part = slice(start, start + rows)
-        block = np.multiply(shifted_sq_dists(indicator, part), scale, out=out[part])
+        h = shifted_sq_dists(indicator, part) if dists is None else dists[part]
+        block = np.multiply(h, scale, out=out[part])
         tmp = scratch[: len(block)]
         for i, w in terms:
             block += np.multiply(graphs[i][part], w, out=tmp)

@@ -17,7 +17,9 @@ the next sweep's V update; a sweep without them (`fit` carries the initial
 pass's) makes the pass itself. Each sweep's final S-projection thresholds
 start the next (SweepCarry); a sweep without a carry runs as with a fresh
 one. No residual graph or Laplacian is ever formed. The weighted-NMF weights
-are the dataset's own (MultiViewDataset.weights), so no update takes them.
+are the dataset's own (MultiViewDataset.weights), so no update takes them;
+so is the start that `initialize` builds the graphs from (Start), made by
+the first fit on a dataset and read by the fits that follow.
 Each sweep checks that V, U, the S updates and the view losses stay finite
 and raises SolverDivergence naming the first that does not.
 
@@ -46,13 +48,15 @@ from .graph import (
     BLOCK_ENTRIES,
     BLOCK_MIN_ENTRIES,
     ClusterBlocks,
-    build_initial_similarity,
     cluster_bounds,
+    knn_edges,
+    similarity_from_edges,
+    sweep_dists,
     update_similarity,
 )
 # Unused here but kept bound: perfbench/tracing.py wraps these names in this module.
 from .datamodel import build_view_weights  # noqa: F401
-from .graph import laplacian, pairwise_sq_dists  # noqa: F401
+from .graph import build_initial_similarity, laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
 
 DENOM_FLOOR = 1e-12
@@ -401,6 +405,53 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
     return powered / powered.sum()
 
 
+@dataclass(frozen=True)
+class Start:
+    """What `initialize` takes from the dataset, `seed`, `knn` and c alone,
+    O(N k l) numbers, all read-only: the k-means labels, the cluster order
+    (None below BLOCK_MIN_ENTRIES) and each view's kNN search
+    (graph.KnnEdges) in that order."""
+    labels: np.ndarray
+    order: np.ndarray | None
+    edges: tuple
+
+
+def _indicator(labels: np.ndarray, c: int) -> np.ndarray:
+    """The soft cluster indicator of the labels: 1 on each instance's label,
+    1e-3 elsewhere, columns normalized."""
+    n = len(labels)
+    v = np.full((n, c), 1e-3)
+    v[np.arange(n), labels] = 1.0
+    v /= np.linalg.norm(v, axis=0, keepdims=True)
+    return v
+
+
+def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
+    """The dataset's Start for (seed, knn, n_clusters), made on the first
+    call and kept in `dataset.starts` for the fits that follow; the key also
+    holds whether the graphs take the cluster order."""
+    from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
+
+    ordered = dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES
+    key = (hyper.seed, hyper.knn, hyper.n_clusters, ordered)
+    start = dataset.starts.get(key)
+    if start is None:
+        imputed = impute_missing(dataset)
+        labels = kmeans(np.vstack(imputed), hyper.n_clusters, [hyper.seed])[0][0]
+        order, presence = None, dataset.presence
+        if ordered:
+            v = _indicator(labels, hyper.n_clusters)
+            order = np.argsort(np.argmax(v, axis=1), kind="stable")
+            presence = presence[order]
+            imputed = [x[:, order] for x in imputed]
+        edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
+        for a in (labels, order):
+            if a is not None:
+                a.flags.writeable = False
+        start = dataset.starts[key] = Start(labels, order, edges)
+    return start
+
+
 def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState:
     """Strictly positive factors, kNN similarity graphs on imputed data,
     uniform coefficients and view weights.
@@ -419,26 +470,25 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     in the state's `order`, into which `sweep` and `objective` put the
     dataset (`fit` does so once and clears it). The k-means start and U do
     not depend on the order.
-    """
-    from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
+    The k-means labels, the order and each view's kNN search depend only on
+    the dataset, `seed`, `knn` and c, so the first call for them computes
+    them and later calls read them from the dataset (see Start); a grid's
+    cells on one masked dataset share them. Every call draws its own U and
+    assembles new graphs (graph.similarity_from_edges), so no two states
+    share an array.
+    """
     l = dataset.n_views
     check_view_count(l)
     rng = np.random.default_rng(hyper.seed)
     c = hyper.n_clusters
     u = [rng.uniform(0.1, 1.1, size=(d, c)) for d in dataset.feature_counts]
-    imputed = impute_missing(dataset)
-    assignments = kmeans(np.vstack(imputed), c, [hyper.seed])[0][0]
-    n = dataset.n_instances
-    v = np.full((n, c), 1e-3)
-    v[np.arange(n), assignments] = 1.0
-    v /= np.linalg.norm(v, axis=0, keepdims=True)
-    order, presence = None, dataset.presence
-    if n ** 2 >= BLOCK_MIN_ENTRIES:
-        order = np.argsort(np.argmax(v, axis=1), kind="stable")
-        v, presence = v[order], presence[order]
-        imputed = [x[:, order] for x in imputed]
-    s = [build_initial_similarity(imputed[k], presence[:, k], k=hyper.knn) for k in range(l)]
+    start = _start(dataset, hyper)
+    v, order = _indicator(start.labels, c), None
+    if start.order is not None:
+        order = start.order.copy()
+        v = v[order]
+    s = [similarity_from_edges(dataset.n_instances, edges) for edges in start.edges]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
     alpha = np.full(l, 1.0 / l)
@@ -478,10 +528,11 @@ def sweep(
     for k in range(dataset.n_views):
         state.u[k] = _finite(update_u(k, state, dataset, hyper), "the U update")
     blocks = carry.blocks_for(state.v)
+    dists = sweep_dists(state.v)
     for k in range(dataset.n_views):
         try:
             update_similarity(k, state.s, state.r, state.alpha, hyper.gamma, state.v,
-                              carry.thresholds[k], blocks)
+                              carry.thresholds[k], blocks, dists)
         except ValueError as exc:
             raise SolverDivergence(f"the S update of view {k} failed: {exc}") from exc
         if blocks is not None and blocks.entries[k] is not None:

@@ -45,6 +45,19 @@ class TestInvariants:
             MultiViewDataset((np.ones((3, 4)), np.ones((2, 4))), presence)
 
 
+def test_views_and_presence_cannot_change_through_the_dataset():
+    # the weights and the solver's starts are worked out from them once
+    x, presence = np.ones((3, 4)), np.ones((4, 2), dtype=int)
+    ds = MultiViewDataset((x, x.copy()), presence)
+    with pytest.raises(ValueError, match="read-only"):
+        ds.views[0][0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.presence[0, 0] = 0
+    x[0, 0] = 2.0  # the caller's own arrays stay writable
+    presence[0, 0] = 0
+    assert ds.views[0][0, 0] == 2.0
+
+
 class TestViewWeights:
     def test_complete_view_all_ones(self):
         w = build_view_weights(small_dataset())

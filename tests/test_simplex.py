@@ -60,6 +60,60 @@ def test_too_short_vector():
         project_offdiag_simplex(np.array([1.0]), excluded=0)
 
 
+def _sort_projection_reference(y):
+    """The sort-based projection as it was before non-finite entries were
+    refused: finite inputs must keep these results bit for bit."""
+    s = np.sort(y)[::-1]
+    cumsum = np.cumsum(s)
+    rho = np.nonzero(s * np.arange(1, y.size + 1) > (cumsum - 1))[0][-1]
+    return np.maximum(y - (cumsum[rho] - 1.0) / (rho + 1.0), 0.0)
+
+
+def test_finite_results_unchanged():
+    rng = np.random.default_rng(12)
+    for scale in (1e-3, 1.0, 1e3, 1e12):
+        for size in (1, 2, 7, 50):
+            y = rng.normal(scale=scale, size=size)
+            assert project_simplex(y).tobytes() == _sort_projection_reference(y).tobytes()
+            v = rng.integers(size) if size > 1 else None
+            if v is not None:
+                expect = np.zeros(size)
+                expect[np.arange(size) != v] = _sort_projection_reference(np.delete(y, v))
+                assert project_offdiag_simplex(y, v).tobytes() == expect.tobytes()
+
+
+# a NaN, a +inf, and finite coordinates whose sum overflows
+NON_FINITE = [[1.0, np.nan, 0.5], [1.0, np.inf, 0.5], [1e308, 1e308, 0.5]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("y", NON_FINITE)
+def test_non_finite_entries_raise_a_clear_error(y):
+    y = np.array(y)
+    with pytest.raises(ValueError, match="projection needs finite entries"):
+        project_simplex(y)
+    with pytest.raises(ValueError, match="projection needs finite entries"):
+        project_offdiag_simplex(y, excluded=2)
+    p = np.zeros((3, 3))
+    p[:, 0] = y[[2, 0, 1]]  # the same coordinates off the diagonal of column 0
+    with pytest.raises(ValueError, match="projection needs finite entries"):
+        project_offdiag_columns(p)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_excluded_entry_raises_as_the_batched_projection():
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="projection needs finite entries"):
+            project_offdiag_simplex(np.array([bad, 0.2, 0.3]), excluded=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_beyond_unit_resolution_lose_the_support():
+    # finite sum, but subtracting 1 changes no partial sum
+    with pytest.raises(ValueError, match="lost its support"):
+        project_simplex(np.array([1e17, 1e17]))
+
+
 def column_reference(p):
     """The per-column projection the batched one must reproduce."""
     return np.column_stack(
@@ -150,6 +204,17 @@ class TestProjectOffdiagColumns:
                 p[where] = bad
                 with pytest.raises(ValueError):
                     project_offdiag_columns(p)
+
+    def test_any_memory_layout(self):
+        # the diagonal is written through a flat slice of contiguous arrays only
+        rng = np.random.default_rng(13)
+        p = rng.normal(size=(14, 14))
+        expect = project_offdiag_columns(np.ascontiguousarray(p))
+        for view in (np.asfortranarray(p), p.T, p[::2, ::2]):
+            assert_matches_reference(view)
+        out = np.zeros((28, 28))[::2, ::2]
+        assert project_offdiag_columns(p, out=out) is out
+        assert np.array_equal(out, expect)
 
 
 def cold_projection(p):

@@ -1,10 +1,12 @@
+import gc
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from mvufs import graph, solver
+from mvufs import evaluation, graph, solver
 from mvufs.datamodel import (
     DatasetError,
     MultiViewDataset,
@@ -13,6 +15,7 @@ from mvufs.datamodel import (
     simulate_missing,
 )
 from mvufs.graph import check_coefficients, check_similarity, pairwise_sq_dists
+from mvufs.simplex import project_offdiag_columns
 from mvufs.solver import (
     Hyperparameters,
     SolverDivergence,
@@ -1105,6 +1108,174 @@ class TestInitializeAndFit:
         check_coefficients(st.r)
         assert all(np.all(u >= 0) for u in st.u)
         assert np.all(st.v >= 0)
+
+
+def masked_dataset(n, seed, ratio=0.3):
+    ds, _ = generate_synthetic(SyntheticSpec(n, 3, 4, (12,) * 3, (3,) * 3, 0.1, seed))
+    return simulate_missing(ds, ratio, seed=seed + 1)
+
+
+def fresh_copy(ds):
+    """The same data in a new dataset object, which holds no start yet."""
+    return MultiViewDataset(tuple(x.copy() for x in ds.views), ds.presence.copy(), ds.labels)
+
+
+def state_bytes(state):
+    arrays = [state.v, state.r, state.alpha, *state.u, *state.s]
+    order = None if state.order is None else state.order.tobytes()
+    return [order, *((a.shape, a.tobytes()) for a in arrays)]
+
+
+def fit_bytes(result):
+    return [result.iterations, result.converged, result.trace.tobytes(),
+            *state_bytes(result.state)]
+
+
+def count_kmeans(monkeypatch):
+    calls = []
+    original = evaluation.kmeans
+    monkeypatch.setattr(evaluation, "kmeans", lambda *a: calls.append(a[1]) or original(*a))
+    return calls
+
+
+# cells of one masked dataset, as a grid of `mvufs run` fits them in turn
+GRID_CELLS = [dict(lam=0.01, beta=0.1, gamma=3.0, p=0.5), dict(lam=1.0, beta=1.0, gamma=5.0, p=1.0),
+              dict(lam=10.0, beta=0.1, gamma=2.0, p=0.1), dict(lam=0.1, beta=10.0, gamma=3.0, p=0.5)]
+
+
+class TestSharedStart:
+    """initialize takes the k-means labels, the cluster order and the kNN
+    searches from the dataset after the first fit that makes them."""
+
+    # N=400 takes the cluster order (N^2 >= BLOCK_MIN_ENTRIES) and the block path
+    @pytest.mark.parametrize("n, max_iter", [(120, 300), (400, 4)])
+    def test_cached_start_equals_a_fresh_one(self, monkeypatch, n, max_iter):
+        ds = masked_dataset(n, 90)
+        calls = count_kmeans(monkeypatch)
+        for cell in GRID_CELLS:
+            h = hyper(n_clusters=4, seed=3, max_iter=max_iter, **cell)
+            assert fit_bytes(fit(ds, h)) == fit_bytes(fit(fresh_copy(ds), h))
+            assert state_bytes(initialize(ds, h)) == state_bytes(initialize(fresh_copy(ds), h))
+        assert (initialize(ds, h).order is None) == (n ** 2 < solver.BLOCK_MIN_ENTRIES)
+        # one k-means for ds, two for each cell's fresh copies
+        assert len(calls) == 1 + 2 * len(GRID_CELLS)
+        assert len(ds.starts) == 1
+
+    def test_kmeans_runs_once_per_masked_dataset(self, monkeypatch):
+        ds = masked_dataset(120, 91)
+        calls = count_kmeans(monkeypatch)
+        for cell in GRID_CELLS:
+            fit(ds, hyper(n_clusters=4, seed=3, max_iter=5, **cell))
+        assert calls == [4]
+
+    def test_changed_seed_knn_or_clusters_rebuild_the_start(self, monkeypatch):
+        ds = masked_dataset(60, 92)
+        calls = count_kmeans(monkeypatch)
+        base = dict(n_clusters=4, seed=3, knn=5, max_iter=3)
+        variants = [base, {**base, "seed": 4}, {**base, "knn": 3}, {**base, "n_clusters": 3}, base]
+        for kw in variants:
+            h = hyper(**kw)
+            assert fit_bytes(fit(ds, h)) == fit_bytes(fit(fresh_copy(ds), h))
+        assert len(ds.starts) == 4  # the last variant repeats the first
+        assert calls == [4, 4, 4, 4, 4, 4, 3, 3, 4]
+
+    def test_fits_share_no_array(self):
+        ds = masked_dataset(400, 93)
+        h = hyper(n_clusters=4, seed=3)
+        a, b = initialize(ds, h), initialize(ds, h)
+        start = ds.starts[(3, 5, 4, True)]
+        held = [start.labels, start.order, *itertools.chain.from_iterable(start.edges)]
+        mine = [a.v, a.r, a.alpha, a.order, *a.u, *a.s]
+        for x, y in itertools.product(mine, [b.v, b.r, b.alpha, b.order, *b.u, *b.s, *held]):
+            assert not np.may_share_memory(x, y)
+        assert not any(x.flags.writeable for x in held)
+
+    def test_start_is_small_and_freed_with_the_dataset(self):
+        n = 400
+        ds = masked_dataset(n, 94)
+        result = fit(ds, hyper(n_clusters=4, seed=3, max_iter=2))
+        (start,) = ds.starts.values()
+        held = [start.labels, start.order, *itertools.chain.from_iterable(start.edges)]
+        assert max(a.size for a in held) < n * n
+        assert sum(a.nbytes for a in held) < 8 * n * n / 4  # a quarter of one graph
+        watch = weakref.ref(start.edges[0].near)
+        del ds, start, held
+        gc.collect()
+        assert watch() is None  # while the fit's result lives on
+        assert result.iterations == 2
+
+
+def _per_view_update_similarity(v, graphs, r, alpha, gamma, indicator, thresholds,
+                                blocks=None, dists=None):
+    """The dense S update of a graph of one row block with the view's own
+    distance product and weights on numpy scalars, ignoring `dists`."""
+    assert blocks is None and len(indicator) ** 2 <= graph.BLOCK_ENTRIES
+    others = [k for k in range(len(graphs)) if k != v]
+    ag = np.asarray(alpha, dtype=float) ** gamma
+    denom = sum(ag[k] * r[v, k] ** 2 for k in others) + ag[v]
+    out = np.multiply(graph.shifted_sq_dists(indicator), -0.25 * ag[v] / denom, out=graphs[v])
+    for i in others:
+        cross = sum(ag[k] * r[v, k] * r[i, k] for k in others if k != i)
+        out += graphs[i] * ((ag[v] * r[i, v] + ag[i] * r[v, i] - cross) / denom)
+    return project_offdiag_columns(out, out=out, thresholds=thresholds)
+
+
+def test_weights_keep_numpy_scalar_rounding():
+    # an r_vk whose numpy scalar square (libm's pow) differs from r_vk * r_vk
+    rng = np.random.default_rng(95)
+    x = next(x for x in rng.random(100000) if np.float64(x) ** 2 != x * x)
+    r = np.array([[0.0, x, 0.4], [0.3, 0.0, 0.6], [0.7, 1.0 - x, 0.0]])
+    n = 12
+    graphs = [project_offdiag_columns(rng.random((n, n))) for _ in range(3)]
+    alpha, indicator = np.array([0.2, 0.3, 0.5]), rng.random((n, 4))
+    for v in range(3):
+        got = graph.update_similarity(v, [g.copy() for g in graphs], r, alpha, 3.0, indicator)
+        expect = _per_view_update_similarity(v, [g.copy() for g in graphs], r, alpha, 3.0,
+                                             indicator, np.full(n, np.nan))
+        assert got.tobytes() == expect.tobytes()
+
+
+def count_dists(monkeypatch):
+    """Records the rows argument, if any, of every graph.shifted_sq_dists call."""
+    calls = []
+    original = graph.shifted_sq_dists
+    monkeypatch.setattr(graph, "shifted_sq_dists", lambda *a: calls.append(a[1:]) or original(*a))
+    return calls
+
+
+class TestSweepDistances:
+    """A graph of one row block reads V's distances from one product per sweep."""
+
+    def test_one_product_per_small_sweep(self, monkeypatch):
+        ds, h, state = make_problem(n=120, missing=0.3)
+        calls = count_dists(monkeypatch)
+        sweep(state, ds, h)
+        assert calls == [()]  # the whole V, where each of the 3 views formed its own
+
+    def test_row_blocks_keep_one_product_per_view_and_block(self, monkeypatch):
+        n = 400
+        ds, h, state = make_problem(n=n, missing=0.3)
+        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)  # the dense path
+        calls = count_dists(monkeypatch)
+        sweep(state, ds, h)
+        rows = graph.BLOCK_ENTRIES // n
+        blocks = [(slice(start, start + rows),) for start in range(0, n, rows)]
+        assert calls == blocks * ds.n_views
+
+    @pytest.mark.parametrize("n", [9, 120, 181])
+    def test_shared_product_equals_per_view_updates(self, monkeypatch, n):
+        ds, h, state = make_problem(n=n, missing=0.3, seed=4)
+        ref = copy_state(state)
+        carry, ref_carry = SweepCarry.start(n, ds.n_views), SweepCarry.start(n, ds.n_views)
+        for _ in range(4):
+            d = sweep(state, ds, h, carry)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "update_similarity", _per_view_update_similarity)
+                d_ref = sweep(ref, ds, h, ref_carry)
+            assert d.tobytes() == d_ref.tobytes()
+            assert state_bytes(state) == state_bytes(ref)
+            for a, b in zip(carry.thresholds, ref_carry.thresholds):
+                assert a.tobytes() == b.tobytes()
 
 
 def _property_cases():
