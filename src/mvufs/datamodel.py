@@ -3,7 +3,8 @@
 A dataset holds l per-view feature matrices X^(v) of shape (d_v, N) with
 nonnegative entries, an N x l presence mask (1 = instance observed in that
 view) and optional ground-truth labels. All containers are immutable after
-construction; operations are pure given (inputs, seed). A dataset works out
+construction: a dataset's views, mask and labels are read-only arrays that no
+caller holds writable. Operations are pure given (inputs, seed). A dataset works out
 its own weighted-NMF weights from its presence mask (`weights`) and keeps the
 solver's starts on it (`starts`), both once per dataset object.
 """
@@ -17,20 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-# Repair steps simulate_missing may take before it gives up.
-REPAIR_STEPS = 1000
-
-
 class DatasetError(ValueError):
     """Raised for malformed datasets, manifests or matrix files."""
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """A read-only view of a, the caller's array left as it is: `weights`
-    and `starts` are worked out once, so the arrays they come from must not
-    change through the dataset."""
-    a = a.view()
-    a.flags.writeable = False
+def _owned(a, dtype=None) -> np.ndarray:
+    """a as an array no caller can change, since `weights` and `starts` are
+    worked out once: a read-only array that owns its data is kept (a masked
+    dataset shares its source's views), anything else is copied in its own
+    layout and made read-only."""
+    a = np.asarray(a, dtype=dtype)
+    if a.flags.writeable or not a.flags.owndata:
+        a = a.copy(order="K")
+        a.flags.writeable = False
     return a
 
 
@@ -41,7 +41,7 @@ class MultiViewDataset:
     labels: np.ndarray | None = None
 
     def __post_init__(self):
-        views = tuple(_read_only(np.asarray(x, dtype=float)) for x in self.views)
+        views = tuple(_owned(x, float) for x in self.views)
         object.__setattr__(self, "views", views)
         if len(views) == 0:
             raise DatasetError("dataset needs at least one view")
@@ -59,7 +59,7 @@ class MultiViewDataset:
                 raise DatasetError(f"view {v} contains a negative entry")
             if not np.all(np.isfinite(x)):
                 raise DatasetError(f"view {v} contains a non-finite entry")
-        presence = _read_only(np.asarray(self.presence))
+        presence = _owned(self.presence)
         object.__setattr__(self, "presence", presence)
         if presence.shape != (n, len(views)):
             raise DatasetError(
@@ -72,7 +72,7 @@ class MultiViewDataset:
         if np.any(presence.sum(axis=0) == 0):
             raise DatasetError("some view has zero present instances")
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=int)
+            labels = _owned(self.labels, int)
             object.__setattr__(self, "labels", labels)
             if labels.shape != (n,):
                 raise DatasetError("labels must have one entry per instance")
@@ -155,12 +155,14 @@ def build_view_weights(dataset: MultiViewDataset) -> tuple:
 def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> MultiViewDataset:
     """Mark floor(ratio * N) instances absent in each view, uniformly at random.
 
-    Sampling is independent across views; instances that end up absent
-    everywhere are repaired by swapping presence with a randomly chosen
-    instance that can spare a view, keeping per-view absence counts exact.
-    A count that leaves fewer present slots than instances (one view, any
-    nonzero count) is refused before any draw. Data entries of absent
-    instances are retained in storage.
+    Sampling is independent across views. Each instance left in no view, in
+    index order, then draws a view and a donor (present there and in another
+    view) until it takes a donor's slot, so the per-view counts stay exact.
+    A count that leaves fewer present slots than instances is refused before
+    any draw. Otherwise the repair ends: while an instance is in no view, the
+    l (N - a) >= N present slots sit on fewer than N instances, so one holds
+    two and is a donor in each of its views; each draw succeeds with
+    probability at least 1/l. Absent instances' data entries are kept.
     """
     if not dataset.is_complete:
         raise DatasetError("simulate_missing expects a complete dataset")
@@ -176,24 +178,17 @@ def simulate_missing(dataset: MultiViewDataset, ratio: float, seed: int) -> Mult
     rng = np.random.default_rng(seed)
     presence = np.ones((n, l), dtype=int)
     for v in range(l):
-        absent = rng.choice(n, size=n_absent, replace=False)
-        presence[absent, v] = 0
-    for _ in range(REPAIR_STEPS):
-        lost = np.flatnonzero(presence.sum(axis=1) == 0)
-        if lost.size == 0:
-            return MultiViewDataset(dataset.views, presence, dataset.labels)
-        i = lost[0]
-        v = int(rng.integers(l))
-        donors = np.flatnonzero((presence[:, v] == 1) & (presence.sum(axis=1) >= 2))
-        if donors.size == 0:
-            continue
-        j = int(donors[rng.integers(donors.size)])
-        presence[i, v] = 1
-        presence[j, v] = 0
-    raise DatasetError(
-        f"could not satisfy the at-least-one-view constraint after "
-        f"{REPAIR_STEPS} repair steps (ratio={ratio})"
-    )
+        presence[rng.choice(n, size=n_absent, replace=False), v] = 0
+    counts = presence.sum(axis=1)
+    for i in np.flatnonzero(counts == 0):
+        while counts[i] == 0:
+            v = int(rng.integers(l))
+            donors = np.flatnonzero((presence[:, v] == 1) & (counts >= 2))
+            if donors.size:
+                j = donors[rng.integers(donors.size)]
+                presence[i, v], presence[j, v] = 1, 0
+                counts[i], counts[j] = 1, counts[j] - 1
+    return MultiViewDataset(dataset.views, presence, dataset.labels)
 
 
 def present_means(x: np.ndarray, present: np.ndarray) -> np.ndarray:

@@ -112,8 +112,8 @@ def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
     x), O(m k) numbers; the arrays are read-only.
 
     The search forms one Gram matrix of the m present instances and reads
-    the distances from it a row block at a time, each block bitwise the rows
-    of `pairwise_sq_dists`; the Gram matrix is freed on return.
+    the distances from it a row block at a time (see `_nearest`); the Gram
+    matrix is freed on return.
     """
     x = np.asarray(x, dtype=float)
     present = np.flatnonzero(np.asarray(presence) == 1)
@@ -145,8 +145,8 @@ def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:
     if sigma <= 0.0:
         sigma = 1.0
     # The kernel is evaluated on the kNN edges only; the distances are
-    # exactly symmetric, so an edge listed from both ends gets the same
-    # weight twice.
+    # exactly symmetric (so is the search's Gram matrix), so an edge listed
+    # from both ends gets the same weight twice.
     near = near.ravel()
     weight = np.exp(-near / (2.0 * sigma * sigma))
     i, j = present.repeat(k), present[knn.ravel()]
@@ -182,15 +182,12 @@ def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
     and squared norms, and the squared distances to them: both m x k, in
     `np.argpartition`'s order.
 
-    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0) made
-    symmetric as 0.5 (h + h^T), the formula of `pairwise_sq_dists`, so with
-    gram = v @ v.T the blocks are bitwise its rows. Where the block's rows
-    of the Gram matrix equal its columns, h^T is h and 0.5 (h + h) is h, so
-    the transpose is skipped; the bound on the squared norms keeps h + h
-    from overflowing there.
+    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0). Only the
+    kernel weights lean on the Gram matrix's exact symmetry (numpy's
+    v @ v.T is): it makes h_ij = h_ji, so an edge listed from both ends gets
+    one weight (see `similarity_from_edges`).
     """
     m = len(gram)
-    exact = np.max(sq) < np.finfo(float).max / 16  # then h < max / 4
     step = max(1, KNN_BLOCK_ENTRIES // m)
     knn = np.empty((m, k), dtype=np.intp)
     near = np.empty((m, k))
@@ -198,11 +195,6 @@ def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
         rows = slice(start, start + step)
         h = sq[rows, None] + sq[None, :] - 2.0 * gram[rows]
         np.maximum(h, 0.0, out=h)
-        if not (exact and np.array_equal(gram[rows], gram[:, rows].T)):
-            ht = sq[rows, None] + sq[None, :] - 2.0 * gram[:, rows].T
-            np.maximum(ht, 0.0, out=ht)
-            h += ht
-            h *= 0.5
         # no instance is its own neighbor, even with duplicates
         h[np.arange(len(h)), np.arange(start, start + len(h))] = np.inf
         knn[rows] = np.argpartition(h, k - 1, axis=1)[:, :k]

@@ -33,11 +33,14 @@ def project_offdiag_simplex(y: np.ndarray, excluded: int) -> np.ndarray:
 
     The remaining coordinates are the Euclidean-nearest nonnegative vector
     summing to one. Non-finite entries raise ValueError, the excluded one
-    too, as in `project_offdiag_columns`.
+    too, as in `project_offdiag_columns`, and so does an `excluded` outside
+    [0, y.size).
     """
     y = np.asarray(y, dtype=float)
     if y.size < 2:
         raise ValueError("need at least two coordinates")
+    if not 0 <= excluded < y.size:
+        raise ValueError(f"excluded coordinate {excluded} is outside [0, {y.size})")
     if not np.isfinite(y).all():
         raise ValueError("projection needs finite entries")
     out = np.zeros_like(y)

@@ -1,3 +1,6 @@
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -53,9 +56,40 @@ def test_views_and_presence_cannot_change_through_the_dataset():
         ds.views[0][0, 0] = 2.0
     with pytest.raises(ValueError, match="read-only"):
         ds.presence[0, 0] = 0
-    x[0, 0] = 2.0  # the caller's own arrays stay writable
+    x[0, 0] = 2.0  # the caller's own arrays stay writable; the dataset holds copies
     presence[0, 0] = 0
-    assert ds.views[0][0, 0] == 2.0
+    assert ds.views[0][0, 0] == 1.0 and ds.presence[0, 0] == 1
+
+
+def test_dataset_copies_only_arrays_a_caller_could_change():
+    ds = small_dataset(n=20)
+    masked = simulate_missing(ds, 0.3, seed=4)
+    assert all(a is b for a, b in zip(masked.views, ds.views))  # read-only, owned: shared
+    f_order = np.asfortranarray(np.random.default_rng(5).uniform(size=(3, 20)))
+    view = MultiViewDataset((f_order[:, ::2],), np.ones((10, 1), dtype=int)).views[0]
+    assert view.flags.owndata and not view.flags.writeable
+    assert view.tobytes(order="A") == np.asfortranarray(f_order[:, ::2]).tobytes(order="A")
+    labels = np.arange(20) % 2
+    labelled = MultiViewDataset(ds.views, ds.presence, labels)
+    labels[0] = 7
+    assert labelled.labels[0] == 0 and not labelled.labels.flags.writeable
+
+
+def test_caller_changing_its_arrays_leaves_the_refit_unchanged():
+    base, _ = generate_synthetic(SyntheticSpec(60, 3, 3, (8, 8, 8), (3, 3, 3), seed=2))
+    masked = simulate_missing(base, 0.3, seed=3)
+    views = tuple(x.copy() for x in masked.views)  # the caller keeps them
+    ds = MultiViewDataset(views, masked.presence, masked.labels)
+    hyper = solver.Hyperparameters(lam=0.1, beta=0.1, gamma=3.0, p=0.5, n_clusters=3,
+                                   max_iter=5, seed=1)
+    solver.fit(ds, hyper)
+    views[0][:, :30] *= 5
+    refit = solver.fit(ds, hyper)
+    fresh = solver.fit(MultiViewDataset(masked.views, masked.presence, masked.labels), hyper)
+    assert refit.trace.tobytes() == fresh.trace.tobytes()
+    for a, b in zip([refit.state.v, *refit.state.u, *refit.state.s],
+                    [fresh.state.v, *fresh.state.u, *fresh.state.s]):
+        assert a.tobytes() == b.tobytes()
 
 
 class TestViewWeights:
@@ -137,6 +171,59 @@ class TestSimulateMissing:
     def test_two_views_at_half_keep_each_instance_once(self):
         ds = simulate_missing(small_dataset(n=12, l=2), 0.5, seed=3)
         assert np.all(ds.presence.sum(axis=1) == 1)
+
+    def test_masks_equal_the_capped_repair_wherever_it_succeeds(self):
+        compared = 0
+        for n, l, ratio, seed in itertools.product(
+                (2, 5, 12, 40, 120, 1000), (1, 2, 3, 5, 8), (0.05, 0.1, 0.3, 0.45, 0.5), range(12)):
+            ds = small_dataset(n=n, l=l)
+            try:
+                expect = _simulate_missing_reference(ds, ratio, seed)
+            except DatasetError:
+                continue
+            got = simulate_missing(ds, ratio, seed).presence
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (n, l, ratio, seed)
+            compared += 1
+        assert compared > 1500
+
+    @pytest.mark.parametrize("n,l", [(10000, 2), (10000, 3), (20000, 2), (20000, 3)])
+    def test_large_half_masks_need_no_repair_cap(self, n, l):
+        # the capped repair gave up on each of these
+        ds = MultiViewDataset(tuple(np.ones((1, n)) for _ in range(l)), np.ones((n, l), dtype=int))
+        start = time.perf_counter()
+        presence = simulate_missing(ds, 0.5, seed=0).presence
+        assert time.perf_counter() - start < 2.0
+        assert np.all((presence == 0).sum(axis=0) == n // 2)
+        assert np.all(presence.sum(axis=1) >= 1)
+
+
+def _simulate_missing_reference(dataset, ratio, seed, steps=1000):
+    """The mask as simulate_missing drew it with a cap on its repair steps,
+    which re-summed the mask at each step and gave up after `steps`."""
+    n, l = dataset.n_instances, dataset.n_views
+    n_absent = int(np.floor(ratio * n))
+    if n_absent == 0:
+        return dataset.presence
+    if l * (n - n_absent) < n:
+        raise DatasetError("leaves some instance in no view")
+    rng = np.random.default_rng(seed)
+    presence = np.ones((n, l), dtype=int)
+    for v in range(l):
+        absent = rng.choice(n, size=n_absent, replace=False)
+        presence[absent, v] = 0
+    for _ in range(steps):
+        lost = np.flatnonzero(presence.sum(axis=1) == 0)
+        if lost.size == 0:
+            return presence
+        i = lost[0]
+        v = int(rng.integers(l))
+        donors = np.flatnonzero((presence[:, v] == 1) & (presence.sum(axis=1) >= 2))
+        if donors.size == 0:
+            continue
+        j = int(donors[rng.integers(donors.size)])
+        presence[i, v] = 1
+        presence[j, v] = 0
+    raise DatasetError(f"could not satisfy the at-least-one-view constraint after {steps} steps")
 
 
 class TestImpute:

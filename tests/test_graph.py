@@ -222,33 +222,40 @@ class TestBlockedKnnSearch:
         x = rng.uniform(size=(20, m))
         self.assert_matches_full_matrix(x, np.ones(m, dtype=int), 5)
 
-    def test_asymmetric_gram_takes_the_two_sided_form(self):
-        # numpy's v @ v.T is exactly symmetric here; a Gram matrix that is
-        # not must give the rows of 0.5 (h + h^T) all the same
+    def test_asymmetric_gram_takes_the_one_form(self):
+        # numpy's v @ v.T is exactly symmetric; a Gram matrix that is not
+        # is read by rows, h = max(sq_i + sq_j - 2 g_ij, 0), never made symmetric
         rng = np.random.default_rng(44)
         v = rng.uniform(size=(300, 4))
         gram, sq = v @ v.T, np.sum(v * v, axis=1)
         gram *= 1.0 + rng.uniform(-1e-12, 1e-12, gram.shape)
         assert not np.array_equal(gram, gram.T)
         knn, near = graph._nearest(gram, sq, 4)
-        h = sq[:, None] + sq[None, :] - 2.0 * gram
-        np.maximum(h, 0.0, out=h)
-        d2 = 0.5 * (h + h.T)
-        np.fill_diagonal(d2, np.inf)
-        assert np.array_equal(knn, np.argpartition(d2, 3, axis=1)[:, :4])
-        assert np.array_equal(near, np.take_along_axis(d2, knn, axis=1))
+        h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+        np.fill_diagonal(h, np.inf)
+        assert np.array_equal(knn, np.argpartition(h, 3, axis=1)[:, :4])
+        assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
 
-    def test_huge_distances_take_the_two_sided_form(self):
-        # h + h^T overflows where h exceeds half the largest float, as it
-        # does in pairwise_sq_dists
+    def test_huge_distances_take_the_one_form(self):
+        # h itself is finite, about 1.44e308; only the diagonal, which the
+        # search sets to inf, overflows
         v = np.array([[0.0], [1.2e154], [1.0], [2.0]])
+        sq = np.sum(v * v, axis=1)
         with np.errstate(over="ignore", invalid="ignore"):
-            knn, near = graph._nearest(v @ v.T, np.sum(v * v, axis=1), 2)
-            d2 = pairwise_sq_dists(v)
-        np.fill_diagonal(d2, np.inf)
-        assert np.all(np.isinf(near[1]))  # h itself is finite, about 1.44e308
-        assert np.array_equal(knn, np.argpartition(d2, 1, axis=1)[:, :2])
-        assert np.array_equal(near, np.take_along_axis(d2, knn, axis=1))
+            knn, near = graph._nearest(v @ v.T, sq, 2)
+            h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (v @ v.T), 0.0)
+        np.fill_diagonal(h, np.inf)
+        assert np.all(np.isfinite(near)) and near[1].min() > 1e308
+        assert np.array_equal(knn, np.argpartition(h, 1, axis=1)[:, :2])
+        assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
+
+    def test_huge_entry_gives_a_finite_graph(self):
+        x = np.random.default_rng(47).uniform(size=(3, 40))
+        x[1, 5] = 1.2e154
+        with np.errstate(over="ignore", invalid="ignore"):  # the huge instance's diagonal
+            s = build_initial_similarity(x, np.ones(40, dtype=int), k=3)
+        assert np.all(np.isfinite(s))
+        check_similarity(s)
 
     def test_build_holds_under_two_graphs(self):
         # the full-matrix construction peaked at 3.46 graphs here

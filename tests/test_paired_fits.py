@@ -16,26 +16,45 @@ def test_same_tree_twice_is_bitwise_equal(tmp_path, capsys):
     trees = [paired_fits.load_tree(ROOT, f"mvufs_same_{side}") for side in ("a", "b")]
     assert trees[0].solver is not trees[1].solver
     configs = paired_fits.workloads.write_inputs(SHRUNK, 1, str(tmp_path))
-    parent, change, differ = paired_fits.pair(trees, configs, rounds=2)
+    parent, change, differ, masks = paired_fits.pair(trees, configs, rounds=2)
     assert len(parent) == len(change) == 2 * SHRUNK.datasets * 2
     assert differ == []
-    assert paired_fits.report(parent, change, differ) == 0
+    assert [equal for _, equal in masks] == [True] * (2 * SHRUNK.datasets)
+    assert paired_fits.report(parent, change, differ, masks) == 0
     out = capsys.readouterr().out
     assert f"{len(parent)} paired fits" in out
     assert "states: every trace and final state bitwise equal" in out
+    assert f"masks: all {len(masks)} masked presence masks bitwise equal" in out
 
 
-def test_a_changed_result_exits_one(tmp_path, capsys, monkeypatch):
+def changed_tree(tmp_path, module: str, old: str, new: str) -> str:
+    """A copy of this checkout's `src` with `old` replaced by `new` in `module`."""
     changed = tmp_path / "changed"
     shutil.copytree(os.path.join(ROOT, "src"), changed / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    solver_py = changed / "src" / "mvufs" / "solver.py"
-    source = solver_py.read_text()
-    assert "XI = 1e7" in source
-    solver_py.write_text(source.replace("XI = 1e7", "XI = 1e6"))
+    path = changed / "src" / "mvufs" / module
+    source = path.read_text()
+    assert old in source
+    path.write_text(source.replace(old, new))
+    return str(changed)
+
+
+def test_a_changed_result_exits_one(tmp_path, capsys, monkeypatch):
+    changed = changed_tree(tmp_path, "solver.py", "XI = 1e7", "XI = 1e6")
     monkeypatch.setitem(paired_fits.workloads.WORKLOADS, SHRUNK.name, SHRUNK)
-    assert paired_fits.main([ROOT, str(changed), "--workload", SHRUNK.name, "--rounds", "1"]) == 1
+    assert paired_fits.main([ROOT, changed, "--workload", SHRUNK.name, "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert f"{SHRUNK.name} seed 5: 2 datasets, 1 rounds" in out
     assert "4 of 4 pairs DIFFER" in out
     assert "  round 0 config 1 cell (0.1, 0.01, 0.1, 3.0, 0.5)" in out
+    assert "masks: all 2 masked presence masks bitwise equal" in out
+
+
+def test_a_changed_mask_exits_one(tmp_path, capsys, monkeypatch):
+    changed = changed_tree(tmp_path, "datamodel.py", "np.random.default_rng(seed)",
+                           "np.random.default_rng(seed + 1)")
+    monkeypatch.setitem(paired_fits.workloads.WORKLOADS, SHRUNK.name, SHRUNK)
+    assert paired_fits.main([ROOT, changed, "--workload", SHRUNK.name, "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "masks: 2 of 2 DIFFER" in out
+    assert "  round 0 config 0 ratio 0.1" in out

@@ -60,6 +60,12 @@ def test_too_short_vector():
         project_offdiag_simplex(np.array([1.0]), excluded=0)
 
 
+@pytest.mark.parametrize("excluded", [7, -1])
+def test_out_of_range_excluded_coordinate_raises(excluded):
+    with pytest.raises(ValueError, match=rf"excluded coordinate {excluded} is outside \[0, 3\)"):
+        project_offdiag_simplex(np.array([0.5, 0.2, 0.9]), excluded)
+
+
 def _sort_projection_reference(y):
     """The sort-based projection as it was before non-finite entries were
     refused: finite inputs must keep these results bit for bit."""

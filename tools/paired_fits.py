@@ -17,9 +17,10 @@ the tree that fits first alternates from cell to cell and from round to
 round. BLAS is pinned to one thread when the script starts numpy.
 
 The script prints the change's p50 and p75 fit times over the parent's, the
-quartiles of the per-fit ratios, and whether every pair's objective trace,
-sweep count and final state (U, V, S, R, alpha) are bitwise equal. It exits
-1 when a fit fails or any pair differs.
+quartiles of the per-fit ratios, whether every pair's objective trace,
+sweep count and final state (U, V, S, R, alpha) are bitwise equal, and
+whether both trees masked each missing ratio with the same presence mask,
+bit for bit. It exits 1 when a fit fails or any pair or mask differs.
 """
 
 from __future__ import annotations
@@ -87,9 +88,11 @@ def timed_fit(cli, dataset, c: int, cfg, cell):
 
 def pair(trees, configs, rounds: int):
     """Run every config's fit cells under both trees `rounds` times; returns
-    (parent times, change times, [descriptions of differing pairs])."""
+    (parent times, change times, [descriptions of differing pairs],
+    [(description, whether equal) of each masked presence mask])."""
     times = ([], [])
     differ = []
+    masks = []
     for round_ in range(rounds):
         turn = round_  # picks the tree that fits first: alternates by cell and by round
         for index, config in enumerate(configs):
@@ -99,6 +102,11 @@ def pair(trees, configs, rounds: int):
                 if checked is None:
                     raise RuntimeError(f"{cli.__name__} refused {config}")
                 loaded.append(checked)
+            for ratio, dataset in loaded[0][1].items():
+                other = loaded[1][1][ratio].presence
+                masks.append((f"round {round_} config {index} ratio {ratio}",
+                              dataset.presence.tobytes() == other.tobytes()
+                              and dataset.presence.shape == other.shape))
             for cell in fit_cells(loaded[0][0]):
                 outs = [None, None]
                 for side in (turn % 2, 1 - turn % 2):
@@ -108,10 +116,10 @@ def pair(trees, configs, rounds: int):
                 turn += 1
                 if outs[0] != outs[1]:
                     differ.append(f"round {round_} config {index} cell {cell}")
-    return np.array(times[0]), np.array(times[1]), differ
+    return np.array(times[0]), np.array(times[1]), differ, masks
 
 
-def report(parent: np.ndarray, change: np.ndarray, differ: list) -> int:
+def report(parent: np.ndarray, change: np.ndarray, differ: list, masks: list) -> int:
     ratios = change / parent
     p50, p75 = (np.percentile(change, q) / np.percentile(parent, q) for q in (50, 75))
     print(f"{len(parent)} paired fits; parent p50 {np.median(parent) * 1e3:.2f} ms, "
@@ -123,9 +131,16 @@ def report(parent: np.ndarray, change: np.ndarray, differ: list) -> int:
         print(f"states: {len(differ)} of {len(parent)} pairs DIFFER")
         for line in differ:
             print(f"  {line}")
-        return 1
-    print("states: every trace and final state bitwise equal")
-    return 0
+    else:
+        print("states: every trace and final state bitwise equal")
+    masks_differ = [line for line, equal in masks if not equal]
+    if masks_differ:
+        print(f"masks: {len(masks_differ)} of {len(masks)} DIFFER")
+        for line in masks_differ:
+            print(f"  {line}")
+    else:
+        print(f"masks: all {len(masks)} masked presence masks bitwise equal")
+    return 1 if differ or masks_differ else 0
 
 
 def main(argv=None) -> int:
