@@ -24,11 +24,13 @@ class DatasetError(ValueError):
 
 def _owned(a, dtype=None) -> np.ndarray:
     """a as an array no caller can change, since `weights` and `starts` are
-    worked out once: a read-only array that owns its data is kept (a masked
-    dataset shares its source's views), anything else is copied in its own
-    layout and made read-only."""
+    worked out once: a read-only array whose data it or a read-only base
+    owns is kept (a masked dataset shares its source's views, the solver's
+    ordered one its gathers), anything else is copied in its own layout and
+    made read-only."""
     a = np.asarray(a, dtype=dtype)
-    if a.flags.writeable or not a.flags.owndata:
+    owner = a.base if isinstance(a.base, np.ndarray) else a
+    if a.flags.writeable or owner.flags.writeable or not owner.flags.owndata:
         a = a.copy(order="K")
         a.flags.writeable = False
     return a

@@ -193,10 +193,14 @@ def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
     near = np.empty((m, k))
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        h = sq[rows, None] + sq[None, :] - 2.0 * gram[rows]
+        two_g = gram[rows].copy()
+        h = np.tile(sq, (len(two_g), 1))
+        diag = np.arange(len(h)), np.arange(start, start + len(h))
+        h[diag] = two_g[diag] = 0.0  # a huge sq_i + sq_i or 2 g_ii would overflow
+        h += sq[rows, None]
+        h -= np.multiply(two_g, 2.0, out=two_g)
         np.maximum(h, 0.0, out=h)
-        # no instance is its own neighbor, even with duplicates
-        h[np.arange(len(h)), np.arange(start, start + len(h))] = np.inf
+        h[diag] = np.inf  # no instance is its own neighbor, even with duplicates
         knn[rows] = np.argpartition(h, k - 1, axis=1)[:, :k]
         near[rows] = np.take_along_axis(h, knn[rows], axis=1)
     return knn, near

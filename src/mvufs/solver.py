@@ -13,10 +13,10 @@ over the new graphs (graph_products, the only code that forms either) gives
 their l x l Gram matrix and every S_k [V 1]. The Gram matrix serves the R
 update and the view losses (whose reconstruction term it gives exactly), the
 products serve the losses and, as nothing changes V or the graphs in between,
-the next sweep's V update; a sweep without them (`fit` carries the initial
-pass's) makes the pass itself. Each sweep's final S-projection thresholds
-start the next (SweepCarry); a sweep without a carry runs as with a fresh
-one. No residual graph or Laplacian is ever formed. The weighted-NMF weights
+the next sweep's V update; a sweep whose carry lacks them (`fit` carries
+the initial pass's) makes the pass itself. Each sweep's final S-projection
+thresholds start the next (SweepCarry, which every sweep takes). No
+residual graph or Laplacian is ever formed. The weighted-NMF weights
 are the dataset's own (MultiViewDataset.weights), so no update takes them;
 so is the start that `initialize` builds the graphs from (Start), made by
 the first fit on a dataset and read by the fits that follow.
@@ -258,23 +258,21 @@ def update_v(
     return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
 
 
-def graph_products(graphs, v: np.ndarray | None = None, blocks: ClusterBlocks | None = None):
+def graph_products(graphs, v: np.ndarray, blocks: ClusterBlocks | None = None):
     """The l x l Gram matrix of Frobenius inner products <S_i, S_j> of the
-    graphs and, given V, the list of S_k [V 1], from one pass over the graphs.
+    graphs and the list of S_k [V 1], from one pass over the graphs.
 
     The pass runs over chunks of BLOCK_ENTRIES entries in whole rows, so the
     l chunks stay in cache while the inner products and the products with
-    [V 1] read them: each graph is streamed from memory once. Without V the
-    products are None. Given `blocks` whose lists cover every graph, the pass
-    reads only the rows of the diagonal blocks within them and then the
-    listed off-block entries.
+    [V 1] read them: each graph is streamed from memory once. The Gram
+    matrix does not read V. Given `blocks` whose lists cover every graph,
+    the pass reads only the rows of the diagonal blocks within them and then
+    the listed off-block entries.
     """
     l, n = len(graphs), len(graphs[0])
     gram = np.zeros((l, l))
-    products = None
-    if v is not None:
-        v_one = np.column_stack([v, np.ones(n)])
-        products = [np.empty(v_one.shape) for _ in range(l)]
+    v_one = np.column_stack([v, np.ones(n)])
+    products = [np.empty(v_one.shape) for _ in range(l)]
     listed = None if blocks is None else [blocks.entries_of(k, g) for k, g in enumerate(graphs)]
     if listed is None or any(e is False for e in listed):
         listed, spans = [], [(0, n)]
@@ -288,16 +286,14 @@ def graph_products(graphs, v: np.ndarray | None = None, blocks: ClusterBlocks | 
             for i in range(l):
                 for j in range(i, l):
                     gram[i, j] += np.vdot(chunk[i], chunk[j])
-                if products is not None:
-                    np.matmul(chunk[i], v_one[b0:b1], out=products[i][start:stop])
+                np.matmul(chunk[i], v_one[b0:b1], out=products[i][start:stop])
     for i, at in enumerate(listed):
         values = graphs[i].take(at)
         for j in range(i, l):
             gram[i, j] += values @ graphs[j].take(at)
-        if products is not None:
-            rows, cols = np.divmod(at, n)
-            for q in range(v_one.shape[1]):
-                products[i][:, q] += np.bincount(rows, values * v_one[cols, q], n)
+        rows, cols = np.divmod(at, n)
+        for q in range(v_one.shape[1]):
+            products[i][:, q] += np.bincount(rows, values * v_one[cols, q], n)
     gram += np.triu(gram, 1).T  # the lower triangle is still zero
     if not np.all(np.isfinite(gram)):
         raise SolverDivergence("non-finite Gram entries of the similarity graphs")
@@ -408,28 +404,19 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Start:
     """What `initialize` takes from the dataset, `seed`, `knn` and c alone,
-    O(N k l) numbers, all read-only: the k-means labels, the cluster order
-    (None below BLOCK_MIN_ENTRIES) and each view's kNN search
-    (graph.KnnEdges) in that order."""
-    labels: np.ndarray
+    O(N (c + k l)) numbers, all read-only: V's start (see initialize), the
+    cluster order of its k-means labels (None below BLOCK_MIN_ENTRIES) and
+    each view's kNN search (graph.KnnEdges), V and the searches in it."""
+    v: np.ndarray
     order: np.ndarray | None
     edges: tuple
-
-
-def _indicator(labels: np.ndarray, c: int) -> np.ndarray:
-    """The soft cluster indicator of the labels: 1 on each instance's label,
-    1e-3 elsewhere, columns normalized."""
-    n = len(labels)
-    v = np.full((n, c), 1e-3)
-    v[np.arange(n), labels] = 1.0
-    v /= np.linalg.norm(v, axis=0, keepdims=True)
-    return v
 
 
 def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
     """The dataset's Start for (seed, knn, n_clusters), made on the first
     call and kept in `dataset.starts` for the fits that follow; the key also
-    holds whether the graphs take the cluster order."""
+    holds whether the graphs take the cluster order. k-means leaves no
+    cluster empty, so the order also sorts the argmax labels of V's rows."""
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
     ordered = dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES
@@ -438,17 +425,18 @@ def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
     if start is None:
         imputed = impute_missing(dataset)
         labels = kmeans(np.vstack(imputed), hyper.n_clusters, [hyper.seed])[0][0]
+        v = np.full((len(labels), hyper.n_clusters), 1e-3)  # the soft indicator of the labels
+        v[np.arange(len(labels)), labels] = 1.0
+        v /= np.linalg.norm(v, axis=0, keepdims=True)
         order, presence = None, dataset.presence
         if ordered:
-            v = _indicator(labels, hyper.n_clusters)
-            order = np.argsort(np.argmax(v, axis=1), kind="stable")
-            presence = presence[order]
+            order = np.argsort(labels, kind="stable")
+            order.flags.writeable = False
+            v, presence = v[order], presence[order]
             imputed = [x[:, order] for x in imputed]
         edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
-        for a in (labels, order):
-            if a is not None:
-                a.flags.writeable = False
-        start = dataset.starts[key] = Start(labels, order, edges)
+        v.flags.writeable = False
+        start = dataset.starts[key] = Start(v, order, edges)
     return start
 
 
@@ -471,23 +459,20 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     dataset (`fit` does so once and clears it). The k-means start and U do
     not depend on the order.
 
-    The k-means labels, the order and each view's kNN search depend only on
-    the dataset, `seed`, `knn` and c, so the first call for them computes
-    them and later calls read them from the dataset (see Start); a grid's
-    cells on one masked dataset share them. Every call draws its own U and
-    assembles new graphs (graph.similarity_from_edges), so no two states
+    V's start, the order and each view's kNN search depend only on the
+    dataset, `seed`, `knn` and c, so the first call for them computes them
+    and later calls read them from the dataset (see Start); a grid's cells
+    on one masked dataset share them. Every call copies V, draws its own U
+    and assembles new graphs (graph.similarity_from_edges), so no two states
     share an array.
     """
     l = dataset.n_views
     check_view_count(l)
     rng = np.random.default_rng(hyper.seed)
-    c = hyper.n_clusters
-    u = [rng.uniform(0.1, 1.1, size=(d, c)) for d in dataset.feature_counts]
+    u = [rng.uniform(0.1, 1.1, size=(d, hyper.n_clusters)) for d in dataset.feature_counts]
     start = _start(dataset, hyper)
-    v, order = _indicator(start.labels, c), None
-    if start.order is not None:
-        order = start.order.copy()
-        v = v[order]
+    v = start.v.copy()
+    order = None if start.order is None else start.order.copy()
     s = [similarity_from_edges(dataset.n_instances, edges) for edges in start.edges]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
@@ -505,21 +490,19 @@ def sweep(
     state: SolverState,
     dataset: MultiViewDataset,
     hyper: Hyperparameters,
-    carry: SweepCarry | None = None,
+    carry: SweepCarry,
 ) -> np.ndarray:
     """One full alternating pass, in place: V, U^(v), S^(v), R, alpha.
 
     Returns the view losses of the final state, from which alpha was set.
     `carry` holds what the previous sweep of this state left (see
-    SweepCarry) and receives what this one leaves. A sweep without one runs
-    as with a fresh SweepCarry: one graph pass forms the V update's products
-    and every projection starts cold. The dataset is put in the state's
+    SweepCarry) and receives what this one leaves; with a fresh one
+    (SweepCarry.start), one graph pass forms the V update's products and
+    every projection starts cold. The dataset is put in the state's
     `order`, if it holds one.
     """
     if state.order is not None:
         dataset = _permuted(dataset, state.order)
-    if carry is None:
-        carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     products = carry.products_for(state)
     if products is None:  # the graphs are not the ones the carry's lists describe
         carry.blocks = None
@@ -546,10 +529,14 @@ def sweep(
 
 
 def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
-    """The dataset with its instances in `order`."""
+    """The dataset with its instances in `order`. Each view is gathered
+    once: x.T[order], made read-only, so the dataset keeps its transpose,
+    in x[:, order]'s layout (see datamodel._owned)."""
     labels = None if dataset.labels is None else dataset.labels[order]
-    views = tuple(x[:, order] for x in dataset.views)
-    return MultiViewDataset(views, dataset.presence[order], labels)
+    gathers = [x.T[order] for x in dataset.views]
+    for g in gathers:
+        g.flags.writeable = False
+    return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order], labels)
 
 
 def _cycle_walk(perm: np.ndarray):

@@ -61,6 +61,12 @@ def constraint_errors(state, check_ortho: bool) -> list:
     return errs
 
 
+def fresh_carry(dataset):
+    """A carry for one sweep alone: it forms V's products and starts every
+    projection cold."""
+    return solver.SweepCarry.start(dataset.n_instances, dataset.n_views)
+
+
 @pytest.fixture(scope="module")
 def solver_suite():
     """Twenty instrumented solver runs on N=120, l=3, c=4 synthetic data."""
@@ -80,7 +86,7 @@ def solver_suite():
         violations = []
         converged_at = None
         for t in range(MAX_SWEEPS):
-            solver.sweep(state, dataset, hyper)
+            solver.sweep(state, dataset, hyper, fresh_carry(dataset))
             trace.append(solver.objective(state, dataset, hyper))
             violations.extend(
                 f"seed {seed} sweep {t}: {e}"
@@ -269,7 +275,7 @@ def test_coefficient_update_matches_grid_search():
         r=np.full((l, l), 1.0 / (l - 1)), alpha=np.full(l, 1.0 / l),
     )
     np.fill_diagonal(state.r, 0.0)
-    r_new = solver.update_r(solver.graph_products(graphs)[0])
+    r_new = solver.update_r(solver.graph_products(graphs, np.ones((n, 1)))[0])  # Gram only
 
     gram = np.array([[float(np.sum(a * b)) for b in graphs] for a in graphs])
     grid3 = _simplex_grid(3, 1e-3)
@@ -361,7 +367,7 @@ def _median_sweep_time(n: int, seed: int) -> float:
     times = []
     for _ in range(7):
         t0 = time.perf_counter()
-        solver.sweep(state, dataset, hyper)
+        solver.sweep(state, dataset, hyper, fresh_carry(dataset))
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 

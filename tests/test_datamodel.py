@@ -75,6 +75,21 @@ def test_dataset_copies_only_arrays_a_caller_could_change():
     assert labelled.labels[0] == 0 and not labelled.labels.flags.writeable
 
 
+def test_dataset_keeps_read_only_views_of_read_only_owners():
+    rng = np.random.default_rng(6)
+    owner = rng.uniform(size=(20, 3))
+    owner.flags.writeable = False
+    assert MultiViewDataset((owner.T,), np.ones((20, 1), dtype=int)).views[0].base is owner
+    writable = rng.uniform(size=(20, 3))
+    sealed = writable.T
+    sealed.flags.writeable = False  # the caller can still write through `writable`
+    buffered = np.frombuffer(writable.tobytes()).reshape(3, 20)  # data owned by bytes
+    for view in (sealed, buffered):
+        kept = MultiViewDataset((view,), np.ones((20, 1), dtype=int)).views[0]
+        assert kept.flags.owndata and not kept.flags.writeable
+        assert kept.tobytes() == view.tobytes() and not np.shares_memory(kept, view)
+
+
 def test_caller_changing_its_arrays_leaves_the_refit_unchanged():
     base, _ = generate_synthetic(SyntheticSpec(60, 3, 3, (8, 8, 8), (3, 3, 3), seed=2))
     masked = simulate_missing(base, 0.3, seed=3)

@@ -359,6 +359,23 @@ class TestAcc:
                 brute_force_acc(y_true, y_pred), abs=1e-12
             )
 
+    @pytest.mark.parametrize("c", [10, 25, 40])
+    def test_matches_scipy_at_many_clusters(self, c):
+        # past brute-force sizes; the package itself never imports scipy
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(c)
+        for c_pred in (c - 3, c, c + 5):  # tall, square and wide tables
+            for keep in (0.0, 0.5, 0.9):
+                n = 20 * c
+                y_true = rng.integers(0, c, size=n)
+                y_pred = rng.permutation(c_pred)[y_true % c_pred]
+                noisy = rng.uniform(size=n) >= keep
+                y_pred[noisy] = rng.integers(0, c_pred, size=int(noisy.sum()))
+                table = np.zeros((c, c_pred), dtype=np.int64)
+                np.add.at(table, (y_true, y_pred), 1)
+                rows, cols = optimize.linear_sum_assignment(table, maximize=True)
+                assert acc(y_true, y_pred) == int(table[rows, cols].sum()) / n
+
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(5)
         y_true = rng.integers(0, 4, size=40)

@@ -238,13 +238,13 @@ class TestBlockedKnnSearch:
 
     def test_huge_distances_take_the_one_form(self):
         # h itself is finite, about 1.44e308; only the diagonal, which the
-        # search sets to inf, overflows
+        # search sets to inf, would overflow, and it is left out of the sums
         v = np.array([[0.0], [1.2e154], [1.0], [2.0]])
-        sq = np.sum(v * v, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            knn, near = graph._nearest(v @ v.T, sq, 2)
-            h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * (v @ v.T), 0.0)
-        np.fill_diagonal(h, np.inf)
+        sq, gram = np.sum(v * v, axis=1), v @ v.T
+        knn, near = graph._nearest(gram, sq, 2)
+        h = np.full((4, 4), np.inf)
+        i, j = np.nonzero(~np.eye(4, dtype=bool))
+        h[i, j] = np.maximum(sq[i] + sq[j] - 2.0 * gram[i, j], 0.0)
         assert np.all(np.isfinite(near)) and near[1].min() > 1e308
         assert np.array_equal(knn, np.argpartition(h, 1, axis=1)[:, :2])
         assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
@@ -252,8 +252,7 @@ class TestBlockedKnnSearch:
     def test_huge_entry_gives_a_finite_graph(self):
         x = np.random.default_rng(47).uniform(size=(3, 40))
         x[1, 5] = 1.2e154
-        with np.errstate(over="ignore", invalid="ignore"):  # the huge instance's diagonal
-            s = build_initial_similarity(x, np.ones(40, dtype=int), k=3)
+        s = build_initial_similarity(x, np.ones(40, dtype=int), k=3)  # warns of nothing
         assert np.all(np.isfinite(s))
         check_similarity(s)
 
@@ -556,13 +555,11 @@ class TestBlockUpdate:
                 assert kept == 0 and not listed.any() and not taken.all()
             else:  # listed entries of the other graphs survived off the blocks
                 assert kept > 0 and listed.any() and taken.all()
-            for with_v in (None, v):
-                gram, products = graph_products(graphs, with_v, blocks)
-                expect_gram, expect_products = graph_products(dense, with_v)
-                assert np.max(np.abs(gram - expect_gram) / expect_gram) <= 1e-12
-                if with_v is not None:
-                    for a, b in zip(products, expect_products):
-                        assert np.max(np.abs(a - b)) <= 1e-12
+            gram, products = graph_products(graphs, v, blocks)
+            expect_gram, expect_products = graph_products(dense, v)
+            assert np.max(np.abs(gram - expect_gram) / expect_gram) <= 1e-12
+            for a, b in zip(products, expect_products):
+                assert np.max(np.abs(a - b)) <= 1e-12
 
     def test_warm_thresholds_and_shrinking_lists(self):
         rng = np.random.default_rng(47)

@@ -131,7 +131,7 @@ class TestObjective:
 
     def test_reuses_view_losses(self):
         ds, h, state = make_problem(missing=0.2, seed=3)
-        d = sweep(state, ds, h)
+        d = cold_sweep(state, ds, h)
         gram, products = graph_products(state.s, state.v)
         assert np.allclose(d, view_losses(state, ds, h, gram, products), rtol=1e-13, atol=0.0)
         assert objective(state, ds, h, d) == objective(state, ds, h)
@@ -175,7 +175,7 @@ class TestReconstructionTerm:
             ])
             got = self.losses(graphs, r)
             assert np.max(np.abs(got - direct) / direct) <= 1e-10
-            gram = graph_products(graphs)[0]
+            gram = gram_of(graphs)
             assert np.array_equal(self.losses(graphs, r, gram), got)
             assert np.array_equal(self.losses(graphs, r, 2.0 * gram), 2.0 * got)  # it is read
 
@@ -196,7 +196,7 @@ class TestSweep:
         ds, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
         ref = copy_state(state)
         for _ in range(3):
-            d = sweep(state, ds, h)
+            d = cold_sweep(state, ds, h)
             d_ref = _reference_sweep(ref, ds, h)
             assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
             for a, b in zip(state.s, ref.s):
@@ -269,8 +269,7 @@ class TestGraphProducts:
             v_one = np.column_stack([v, np.ones(9)])
             for g, prod in zip(graphs, products):
                 assert np.max(np.abs(prod - g @ v_one)) <= 1e-14
-            assert np.array_equal(graph_products(graphs)[0], gram)
-            assert graph_products(graphs)[1] is None
+            assert np.array_equal(gram_of(graphs), gram)  # the Gram matrix does not read V
 
     def test_gram_mirror_is_bitwise_the_index_copy(self):
         # The lower triangle is zero when the upper is added to it, and no
@@ -282,7 +281,7 @@ class TestGraphProducts:
             copied = upper.copy()
             copied[lower] = copied.T[lower]
             assert (upper + np.triu(upper, 1).T).tobytes() == copied.tobytes()
-            gram, _ = graph_products([rng.uniform(size=(9, 9)) for _ in range(l)])
+            gram = gram_of([rng.uniform(size=(9, 9)) for _ in range(l)])
             mirrored = np.triu(gram)
             mirrored[lower] = mirrored.T[lower]
             assert gram.tobytes() == mirrored.tobytes()
@@ -613,6 +612,16 @@ def test_listed_candidates_never_decline_the_route(monkeypatch):
     assert len(routes) and not listed.any(), "re-measure the block routes"
 
 
+def cold_sweep(state, ds, h):
+    """A sweep with a fresh carry: its own graph pass for V, cold projections."""
+    return sweep(state, ds, h, SweepCarry.start(ds.n_instances, ds.n_views))
+
+
+def gram_of(graphs):
+    """The graphs' Gram matrix, which reads no V: any V of the right height does."""
+    return graph_products(graphs, np.ones((len(graphs[0]), 1)))[0]
+
+
 def copy_state(state):
     return SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
                        s=[s.copy() for s in state.s], r=state.r.copy(),
@@ -628,7 +637,7 @@ def _reference_sweep(state, ds, h):
     dist = pairwise_sq_dists(state.v)
     for k in range(ds.n_views):
         state.s[k] = _loop_update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
-    state.r = update_r(graph_products(state.s)[0])
+    state.r = update_r(gram_of(state.s))
     d = view_losses(state, ds, h, *graph_products(state.s, state.v))
     state.alpha = update_alpha(d, h.gamma)
     return d
@@ -782,20 +791,20 @@ class TestUpdateV:
 class TestUpdateR:
     def test_two_views_forced(self):
         ds, h, state = make_problem(l=2, seed=8)
-        r = update_r(graph_products(state.s)[0])
+        r = update_r(gram_of(state.s))
         assert np.allclose(r, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_identical_graphs_symmetric_split(self):
         ds, h, state = make_problem(l=3, seed=9)
         state.s = [state.s[0].copy() for _ in range(3)]
-        r = update_r(graph_products(state.s)[0])
+        r = update_r(gram_of(state.s))
         expect = np.full((3, 3), 0.5)
         np.fill_diagonal(expect, 0.0)
         assert np.allclose(r, expect, atol=1e-7)
 
     def test_constraints_exact(self):
         ds, h, state = make_problem(l=4, seed=10)
-        r = update_r(graph_products(state.s)[0])
+        r = update_r(gram_of(state.s))
         check_coefficients(r, tol=1e-12)
 
     @pytest.mark.parametrize("l", [2, 3, 4, 6])
@@ -826,7 +835,7 @@ class TestUpdateR:
         for graphs in cases:
             state = SolverState(u=[], v=np.empty((n, 2)), s=graphs,
                                 r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l))
-            r = update_r(graph_products(graphs)[0])
+            r = update_r(gram_of(graphs))
             check_coefficients(r, tol=1e-12)
             gram = np.array([[np.sum(a * b) for b in graphs] for a in graphs])
             for v in range(l):
@@ -889,7 +898,7 @@ def _r_test_grams(l, rng):
     shifts = [np.roll(np.eye(n), k, axis=0) for k in range(1, l + 1)]
     if l > 2:
         shifts[1] = 0.5 * (shifts[0] + shifts[2])
-    grams.append(graph_products(shifts)[0])
+    grams.append(gram_of(shifts))
     return grams
 
 
@@ -1184,18 +1193,33 @@ class TestSharedStart:
         h = hyper(n_clusters=4, seed=3)
         a, b = initialize(ds, h), initialize(ds, h)
         start = ds.starts[(3, 5, 4, True)]
-        held = [start.labels, start.order, *itertools.chain.from_iterable(start.edges)]
+        held = [start.v, start.order, *itertools.chain.from_iterable(start.edges)]
         mine = [a.v, a.r, a.alpha, a.order, *a.u, *a.s]
         for x, y in itertools.product(mine, [b.v, b.r, b.alpha, b.order, *b.u, *b.s, *held]):
             assert not np.may_share_memory(x, y)
         assert not any(x.flags.writeable for x in held)
+
+    def test_fit_gathers_each_view_into_cluster_order_once(self, monkeypatch):
+        ds = masked_dataset(1000, 95)
+        calls = []
+        original = solver._permuted
+        monkeypatch.setattr(solver, "_permuted",
+                            lambda *a: calls.append((a[1], original(*a))) or calls[-1][1])
+        fit(ds, hyper(n_clusters=4, seed=3, max_iter=2))
+        ((order, ordered),) = calls  # once per fit: its sweeps and objectives take no other
+        for x, view in zip(ds.views, ordered.views):
+            # the dataset holds the gather itself, in x[:, order]'s layout
+            assert view.strides == x[:, order].strides == (8, 8 * x.shape[0])
+            assert view.base.flags.owndata and view.base.flags.c_contiguous
+            assert not view.flags.writeable and not view.base.flags.writeable
+            assert view.tobytes(order="A") == x[:, order].tobytes(order="A")
 
     def test_start_is_small_and_freed_with_the_dataset(self):
         n = 400
         ds = masked_dataset(n, 94)
         result = fit(ds, hyper(n_clusters=4, seed=3, max_iter=2))
         (start,) = ds.starts.values()
-        held = [start.labels, start.order, *itertools.chain.from_iterable(start.edges)]
+        held = [start.v, start.order, *itertools.chain.from_iterable(start.edges)]
         assert max(a.size for a in held) < n * n
         assert sum(a.nbytes for a in held) < 8 * n * n / 4  # a quarter of one graph
         watch = weakref.ref(start.edges[0].near)
@@ -1249,7 +1273,7 @@ class TestSweepDistances:
     def test_one_product_per_small_sweep(self, monkeypatch):
         ds, h, state = make_problem(n=120, missing=0.3)
         calls = count_dists(monkeypatch)
-        sweep(state, ds, h)
+        cold_sweep(state, ds, h)
         assert calls == [()]  # the whole V, where each of the 3 views formed its own
 
     def test_row_blocks_keep_one_product_per_view_and_block(self, monkeypatch):
@@ -1257,7 +1281,7 @@ class TestSweepDistances:
         ds, h, state = make_problem(n=n, missing=0.3)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)  # the dense path
         calls = count_dists(monkeypatch)
-        sweep(state, ds, h)
+        cold_sweep(state, ds, h)
         rows = graph.BLOCK_ENTRIES // n
         blocks = [(slice(start, start + rows),) for start in range(0, n, rows)]
         assert calls == blocks * ds.n_views
@@ -1353,4 +1377,4 @@ def test_s_update_failure_names_the_view(monkeypatch):
     monkeypatch.setattr(solver, "update_similarity", failing)
     ds, h, state = make_problem(seed=80)
     with pytest.raises(SolverDivergence, match="the S update of view 0 failed: projection lost"):
-        sweep(state, ds, h)
+        cold_sweep(state, ds, h)
