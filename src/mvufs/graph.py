@@ -121,7 +121,7 @@ def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
     if k >= m:
         raise ValueError(f"k={k} must be smaller than the {m} present instances")
     v = x[:, present].T
-    edges = KnnEdges(present, *_nearest(v @ v.T, np.sum(v * v, axis=1), k))
+    edges = KnnEdges(present, *_nearest(v, v @ v.T, np.sum(v * v, axis=1), k))
     for a in edges:
         a.flags.writeable = False
     return edges
@@ -177,13 +177,14 @@ def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:
     return s
 
 
-def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
-    """The k nearest others of each of m vectors, given their Gram matrix
-    and squared norms, and the squared distances to them: both m x k, in
-    `np.argpartition`'s order.
+def _nearest(v: np.ndarray, gram: np.ndarray, sq: np.ndarray, k: int):
+    """The k nearest others of each of m vectors (the rows of v), given
+    their Gram matrix and squared norms, and the squared distances to them:
+    both m x k, in `np.argpartition`'s order.
 
-    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0). Only the
-    kernel weights lean on the Gram matrix's exact symmetry (numpy's
+    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0), and
+    |v_i - v_j|^2 where that is not finite (both terms overflow near 1e154).
+    Only the kernel weights lean on the Gram matrix's exact symmetry (numpy's
     v @ v.T is): it makes h_ij = h_ji, so an edge listed from both ends gets
     one weight (see `similarity_from_edges`).
     """
@@ -193,13 +194,15 @@ def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
     near = np.empty((m, k))
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        two_g = gram[rows].copy()
-        h = np.tile(sq, (len(two_g), 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = sq[rows, None] + sq
+            h -= 2.0 * gram[rows]
+            np.maximum(h, 0.0, out=h)
+            if not np.isfinite(h.max()):  # NaN propagates through max
+                i, j = np.nonzero(~np.isfinite(h))
+                d = v[start + i] - v[j]
+                h[i, j] = np.einsum("ij,ij->i", d, d)
         diag = np.arange(len(h)), np.arange(start, start + len(h))
-        h[diag] = two_g[diag] = 0.0  # a huge sq_i + sq_i or 2 g_ii would overflow
-        h += sq[rows, None]
-        h -= np.multiply(two_g, 2.0, out=two_g)
-        np.maximum(h, 0.0, out=h)
         h[diag] = np.inf  # no instance is its own neighbor, even with duplicates
         knn[rows] = np.argpartition(h, k - 1, axis=1)[:, :k]
         near[rows] = np.take_along_axis(h, knn[rows], axis=1)

@@ -529,31 +529,13 @@ def sweep(
 
 
 def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
-    """The dataset with its instances in `order`. Each view is gathered
-    once: x.T[order], made read-only, so the dataset keeps its transpose,
-    in x[:, order]'s layout (see datamodel._owned)."""
-    labels = None if dataset.labels is None else dataset.labels[order]
+    """The dataset with its instances in `order`, and no labels. Each view is
+    gathered once: x.T[order], made read-only, so the dataset keeps its
+    transpose, in x[:, order]'s layout (see datamodel._owned)."""
     gathers = [x.T[order] for x in dataset.views]
     for g in gathers:
         g.flags.writeable = False
-    return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order], labels)
-
-
-def _cycle_walk(perm: np.ndarray):
-    """Every index once, cycle by cycle along i -> perm[i], each cycle from
-    its smallest index; and for each step of the walk, the step at which its
-    cycle began."""
-    nxt = perm.tolist()
-    seen = [False] * len(nxt)
-    walk, first = [], []
-    for i in range(len(nxt)):
-        start = len(walk)
-        while not seen[i]:
-            seen[i] = True
-            walk.append(i)
-            first.append(start)
-            i = nxt[i]
-    return np.array(walk, dtype=np.intp), np.array(first, dtype=np.intp)
+    return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order])
 
 
 def _restore_order(state: SolverState, held_order: np.ndarray) -> None:
@@ -561,37 +543,32 @@ def _restore_order(state: SolverState, held_order: np.ndarray) -> None:
     initialize), back in the dataset's order, the graphs in place with no
     N x N scratch.
 
-    Row i of a graph takes its row order[i], order = argsort(held_order), so
-    the rows move along the cycles of `order`: each step of the walk takes
-    the row of the next step of its cycle, and a cycle's last step the row
-    of its first. The walk is taken a row block at a time; each block's rows
-    are gathered, their columns gathered into the dataset's order, and the
-    block written back. A block reads only rows that are still unwritten,
-    except where a cycle that began in an earlier block ends: its first row
-    is held aside, columns gathered, before it is overwritten. Scratch: two
-    blocks of BLOCK_ENTRIES / 2 entries and a few O(N) index arrays.
+    Row i of a graph takes row order[i], order = argsort(held_order), its
+    columns gathered by `order`, so rows move along the cycles of `order`,
+    taken one at a time: the cycle's first row is set aside, the others move
+    back one place a row block at a time (each block read before it is
+    written), and the first row takes the cycle's last place. Scratch: two
+    blocks of BLOCK_ENTRIES / 2 entries, one row and O(N) indices.
     """
     order = np.argsort(held_order)
     state.v = state.v[order]
-    walk, first = _cycle_walk(order)
-    n = len(walk)
-    ends = np.append(first[1:] != first[:-1], True)
-    reads = order[walk]
+    n, nxt, seen, cycles = len(order), order.tolist(), [False] * len(order), []
+    for i in range(n):
+        cycle = []
+        while not seen[i]:
+            seen[i] = True
+            cycle.append(i)
+            i = nxt[i]
+        if cycle:
+            cycles.append(np.array(cycle, dtype=np.intp))
     step = max(1, BLOCK_ENTRIES // (2 * n))
-    rows, block = np.empty((2, min(step, n), n))
-    held = None
     for s in state.s:
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            # mode "clip": "raise" would buffer
-            got = np.take(s, reads[start:stop], axis=0, out=rows[:stop - start], mode="clip")
-            out = np.take(got, order, axis=1, out=block[:stop - start], mode="clip")
-            stale = ends[start:stop] & (first[start:stop] < start)
-            if stale.any():
-                out[stale] = held
-            if stop < n and start <= first[stop] < stop:
-                held = s[walk[first[stop]]].take(order)  # a cycle open across `stop`
-            s[walk[start:stop]] = out
+        for cycle in cycles:
+            first = s[cycle[0]].take(order)
+            to, take = cycle[:-1], cycle[1:]
+            for t in range(0, len(to), step):
+                s[to[t:t + step]] = s.take(take[t:t + step], axis=0).take(order, axis=1)
+            s[cycle[-1]] = first
 
 
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:

@@ -230,18 +230,18 @@ class TestBlockedKnnSearch:
         gram, sq = v @ v.T, np.sum(v * v, axis=1)
         gram *= 1.0 + rng.uniform(-1e-12, 1e-12, gram.shape)
         assert not np.array_equal(gram, gram.T)
-        knn, near = graph._nearest(gram, sq, 4)
+        knn, near = graph._nearest(v, gram, sq, 4)
         h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
         np.fill_diagonal(h, np.inf)
         assert np.array_equal(knn, np.argpartition(h, 3, axis=1)[:, :4])
         assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
 
     def test_huge_distances_take_the_one_form(self):
-        # h itself is finite, about 1.44e308; only the diagonal, which the
-        # search sets to inf, would overflow, and it is left out of the sums
+        # h itself is finite, about 1.44e308; only the diagonal overflows,
+        # and the search sets it to inf
         v = np.array([[0.0], [1.2e154], [1.0], [2.0]])
         sq, gram = np.sum(v * v, axis=1), v @ v.T
-        knn, near = graph._nearest(gram, sq, 2)
+        knn, near = graph._nearest(v, gram, sq, 2)
         h = np.full((4, 4), np.inf)
         i, j = np.nonzero(~np.eye(4, dtype=bool))
         h[i, j] = np.maximum(sq[i] + sq[j] - 2.0 * gram[i, j], 0.0)
@@ -253,6 +253,21 @@ class TestBlockedKnnSearch:
         x = np.random.default_rng(47).uniform(size=(3, 40))
         x[1, 5] = 1.2e154
         s = build_initial_similarity(x, np.ones(40, dtype=int), k=3)  # warns of nothing
+        assert np.all(np.isfinite(s))
+        check_similarity(s)
+
+    def test_shared_huge_entry_takes_the_direct_distance(self):
+        # instances 5 and 6 share 1.2e154 in one feature: sq_i + sq_j and
+        # 2 g_ij both overflow, and inf - inf would read NaN
+        x = np.random.default_rng(47).uniform(size=(3, 40))
+        x[1, 5] = x[1, 6] = 1.2e154
+        present = np.ones(40, dtype=int)
+        edges = graph.knn_edges(x, present, k=3)  # warns of nothing
+        d = x[:, 5] - x[:, 6]
+        assert edges.knn[5, np.argmin(edges.near[5])] == 6
+        assert edges.knn[6, np.argmin(edges.near[6])] == 5
+        assert np.min(edges.near[5]) == np.min(edges.near[6]) == d @ d
+        s = build_initial_similarity(x, present, k=3)
         assert np.all(np.isfinite(s))
         check_similarity(s)
 

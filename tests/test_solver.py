@@ -505,19 +505,43 @@ class TestRestoreOrder:
         for got, want in zip(state.s, expect.s):
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("n", [1, 2, 401])
-    @pytest.mark.parametrize("kind", ["identity", "one cycle", "two-cycles", "label sort"])
-    def test_matches_buffered_gathers(self, kind, n):
-        # at N=401 the walk runs in row blocks of 40, so cycles cross them
-        rng = np.random.default_rng(n)
+    @staticmethod
+    def held_order(kind, n, rng):
         idx = np.arange(n)
-        order = {
+        if kind == "block swap":  # two equal class blocks swapped: 2-cycles
+            a, b, c = n // 4, n // 2, 3 * n // 4
+            return np.concatenate([idx[:a], idx[b:c], idx[a:b], idx[c:]])
+        if kind == "mixed":  # one long cycle, fixed points, then 2-cycles
+            order, h = idx.copy(), n // 2
+            order[:h] = np.roll(idx[:h], 1)
+            t = h + (n - h) // 2
+            order[t:] = t + np.minimum(idx[:n - t] ^ 1, n - t - 1)
+            return order
+        return {
             "identity": idx,
             "one cycle": np.roll(idx, 1),
             "two-cycles": np.minimum(idx ^ 1, n - 1),  # odd N: the last stays
             "label sort": np.argsort(rng.integers(0, 4, n), kind="stable"),  # as initialize
         }[kind]
+
+    KINDS = ["identity", "one cycle", "two-cycles", "label sort", "block swap", "mixed"]
+
+    @pytest.mark.parametrize("n", [1, 2, 401])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_buffered_gathers(self, kind, n):
+        # at N=401 the rows move in blocks of 40, so long cycles span several
+        rng = np.random.default_rng(n)
+        order = self.held_order(kind, n, rng)
+        assert np.array_equal(np.sort(order), np.arange(n))
         self.assert_restores_like_reference(self.random_state(order, rng))
+
+    @pytest.mark.parametrize("step", [1, 2, 40])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_at_each_row_block_step(self, monkeypatch, kind, step):
+        n = 401
+        monkeypatch.setattr(solver, "BLOCK_ENTRIES", 2 * n * step)
+        rng = np.random.default_rng(step)
+        self.assert_restores_like_reference(self.random_state(self.held_order(kind, n, rng), rng))
 
     def test_state_from_initialize(self):
         _, _, state = make_problem(n=401, c=4, seed=3, missing=0.3)
@@ -528,15 +552,16 @@ class TestRestoreOrder:
         # the buffered restore allocated one whole graph
         n = 1000
         rng = np.random.default_rng(5)
-        state = self.random_state(np.argsort(rng.integers(0, 4, n), kind="stable"), rng)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            solver._restore_order(state, state.order)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.05 * 8 * n * n, peak / (8 * n * n)
+        for kind in ("label sort", "identity", "block swap"):
+            state = self.random_state(self.held_order(kind, n, rng), rng)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                solver._restore_order(state, state.order)
+                peak = tracemalloc.get_traced_memory()[1] - before
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.05 * 8 * n * n, (kind, peak / (8 * n * n))
 
 
 def _buffered_restore_reference(state):
@@ -1207,6 +1232,7 @@ class TestSharedStart:
                             lambda *a: calls.append((a[1], original(*a))) or calls[-1][1])
         fit(ds, hyper(n_clusters=4, seed=3, max_iter=2))
         ((order, ordered),) = calls  # once per fit: its sweeps and objectives take no other
+        assert ordered.labels is None  # no update reads them
         for x, view in zip(ds.views, ordered.views):
             # the dataset holds the gather itself, in x[:, order]'s layout
             assert view.strides == x[:, order].strides == (8, 8 * x.shape[0])
