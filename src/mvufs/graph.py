@@ -113,15 +113,21 @@ def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
 
     The search forms one Gram matrix of the m present instances and reads
     the distances from it a row block at a time (see `_nearest`); the Gram
-    matrix is freed on return.
+    matrix is freed on return. Refuses k < 1, k >= m and an instance whose
+    squared norm overflows.
     """
     x = np.asarray(x, dtype=float)
     present = np.flatnonzero(np.asarray(presence) == 1)
     m = present.size
-    if k >= m:
-        raise ValueError(f"k={k} must be smaller than the {m} present instances")
+    if not 1 <= k < m:
+        raise ValueError(f"k={k} must be at least 1 and smaller than the {m} present instances")
     v = x[:, present].T
-    edges = KnnEdges(present, *_nearest(v, v @ v.T, np.sum(v * v, axis=1), k))
+    with np.errstate(over="ignore"):
+        sq = np.sum(v * v, axis=1)
+    if not np.all(np.isfinite(sq)):
+        i = present[~np.isfinite(sq)][0]
+        raise ValueError(f"the squared norm of instance {i} overflows; rescale the view")
+    edges = KnnEdges(present, *_nearest(v, v @ v.T, sq, k))
     for a in edges:
         a.flags.writeable = False
     return edges

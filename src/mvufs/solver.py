@@ -110,13 +110,16 @@ class Hyperparameters:
 
 @dataclass
 class SolverState:
+    """One point of the alternating solver. V and the graphs hold the
+    dataset's instances in `order` (see initialize); None means the
+    dataset's own order. sweep and objective put the dataset in it, so
+    every state, a fit's result included, works with the caller's dataset;
+    a caller that wants the dataset's order gathers by argsort(order)."""
     u: list  # l factor matrices, d_v x c
     v: np.ndarray  # consensus indicator, N x c
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
-    # None, or the order of the dataset's instances that V and the graphs
-    # hold (see initialize); sweep and objective put the dataset in it
     order: np.ndarray | None = None
 
 
@@ -169,6 +172,8 @@ class SweepCarry:
 
 @dataclass
 class SolverResult:
+    """A fit's last state, in the instance order it solved in (its `order`,
+    see SolverState), and its objective trace."""
     state: SolverState
     trace: np.ndarray  # objective per sweep, including the initial value
     iterations: int
@@ -456,8 +461,8 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     instances sorted by V's labels (stable), so that the sweeps can work on
     the labels' blocks: V and the graphs then hold the dataset's instances
     in the state's `order`, into which `sweep` and `objective` put the
-    dataset (`fit` does so once and clears it). The k-means start and U do
-    not depend on the order.
+    dataset (`fit` does so once for all its sweeps). The k-means start and U
+    do not depend on the order.
 
     V's start, the order and each view's kNN search depend only on the
     dataset, `seed`, `knn` and c, so the first call for them computes them
@@ -538,46 +543,14 @@ def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
     return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order])
 
 
-def _restore_order(state: SolverState, held_order: np.ndarray) -> None:
-    """Put the instances of V and the graphs, held in `held_order` (see
-    initialize), back in the dataset's order, the graphs in place with no
-    N x N scratch.
-
-    Row i of a graph takes row order[i], order = argsort(held_order), its
-    columns gathered by `order`, so rows move along the cycles of `order`,
-    taken one at a time: the cycle's first row is set aside, the others move
-    back one place a row block at a time (each block read before it is
-    written), and the first row takes the cycle's last place. Scratch: two
-    blocks of BLOCK_ENTRIES / 2 entries, one row and O(N) indices.
-    """
-    order = np.argsort(held_order)
-    state.v = state.v[order]
-    n, nxt, seen, cycles = len(order), order.tolist(), [False] * len(order), []
-    for i in range(n):
-        cycle = []
-        while not seen[i]:
-            seen[i] = True
-            cycle.append(i)
-            i = nxt[i]
-        if cycle:
-            cycles.append(np.array(cycle, dtype=np.intp))
-    step = max(1, BLOCK_ENTRIES // (2 * n))
-    for s in state.s:
-        for cycle in cycles:
-            first = s[cycle[0]].take(order)
-            to, take = cycle[:-1], cycle[1:]
-            for t in range(0, len(to), step):
-                s[to[t:t + step]] = s.take(take[t:t + step], axis=0).take(order, axis=1)
-            s[cycle[-1]] = first
-
-
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
     REL_TOL or max_iter sweeps elapse.
 
     The sweeps run in the instance order the initial state was built in
-    (SolverState.order, see initialize): the dataset is put in it once and
-    the order taken off the state. The result is in the dataset's order.
+    (SolverState.order, see initialize): the dataset is put in it once, and
+    the order is taken off the state for the sweeps and put back at the end.
+    The result holds V and the graphs in that order, as every state does.
     """
     state = initialize(dataset, hyper)
     order, state.order = state.order, None
@@ -596,8 +569,7 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True
             break
-    if order is not None:
-        _restore_order(state, order)
+    state.order = order
     return SolverResult(state, np.asarray(trace), len(trace) - 1, converged)
 
 

@@ -113,8 +113,9 @@ class TestBuildInitialSimilarity:
 
     def test_k_too_large(self):
         x = np.ones((2, 4))
-        with pytest.raises(ValueError, match="present"):
-            build_initial_similarity(x, np.array([1, 1, 0, 0]), k=2)
+        for k in (2, 0, -1):
+            with pytest.raises(ValueError, match=f"k={k} must be at least 1 and smaller than the 2"):
+                build_initial_similarity(x, np.array([1, 1, 0, 0]), k=k)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(5)
@@ -270,6 +271,16 @@ class TestBlockedKnnSearch:
         s = build_initial_similarity(x, present, k=3)
         assert np.all(np.isfinite(s))
         check_similarity(s)
+
+    def test_overflowing_squared_norm_is_refused(self):
+        # instance 5's own squared norm, 2 * 1.2e154^2, overflows, so its
+        # distances and the kernel's bandwidth could not be finite
+        x = np.random.default_rng(47).uniform(size=(3, 40))
+        x[0, 5] = x[1, 5] = 1.2e154
+        present = np.ones(40, dtype=int)
+        for build in (graph.knn_edges, build_initial_similarity):
+            with pytest.raises(ValueError, match="instance 5 overflows; rescale the view"):
+                build(x, present, k=3)
 
     def test_build_holds_under_two_graphs(self):
         # the full-matrix construction peaked at 3.46 graphs here

@@ -1,6 +1,12 @@
+import dataclasses
 import importlib.util
 import os
 import shutil
+
+import numpy as np
+
+from mvufs import solver
+from mvufs.datamodel import SyntheticSpec, generate_synthetic, simulate_missing
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _spec = importlib.util.spec_from_file_location(
@@ -58,3 +64,22 @@ def test_a_changed_mask_exits_one(tmp_path, capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "masks: 2 of 2 DIFFER" in out
     assert "  round 0 config 0 ratio 0.1" in out
+
+
+def test_state_bytes_compare_in_the_datasets_order(monkeypatch):
+    # a fit that held its instances in cluster order against the same
+    # result gathered back into the dataset's order
+    monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", 0)
+    ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 11))
+    ds = simulate_missing(ds, 0.3, seed=12)
+    hy = solver.Hyperparameters(lam=0.1, beta=0.1, gamma=3.0, p=0.5, n_clusters=3, max_iter=4,
+                                seed=13)
+    held = solver.fit(ds, hy)
+    order = held.state.order
+    assert order is not None and np.any(np.diff(order) < 0)
+    inv = np.argsort(order)
+    gathered = dataclasses.replace(held, state=dataclasses.replace(
+        held.state, v=held.state.v[inv], s=[s[np.ix_(inv, inv)] for s in held.state.s],
+        order=None))
+    assert not np.array_equal(gathered.state.v, held.state.v)
+    assert paired_fits.state_bytes(held) == paired_fits.state_bytes(gathered)

@@ -296,11 +296,22 @@ class TestGraphProducts:
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
     """make_problem with the instances sorted by the initial V's labels: with
     BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order, and
-    the dataset is put in it and the order cleared, as fit does."""
+    the dataset is put in it and the order taken off, as fit does for its
+    sweeps."""
     ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
     order, state.order = state.order, None
     assert order is not None
     return solver._permuted(ds, order), h, state
+
+
+def assert_same_graphs_in_dataset_order(state, ref, tol):
+    """V and the graphs of `state`, held in its order, against those of `ref`,
+    held in the dataset's."""
+    inv = np.argsort(state.order)
+    assert ref.order is None
+    assert np.max(np.abs(state.v[inv] - ref.v)) <= tol
+    for a, b in zip(state.s, ref.s):
+        assert np.max(np.abs(a[np.ix_(inv, inv)] - b)) <= tol
 
 
 def dense_sweep(monkeypatch, *args):
@@ -454,7 +465,7 @@ class TestBlockSweeps:
         assert np.max(np.abs(np.array(trace) - expect.trace) / expect.trace) <= 1e-12
         assert abs(objective(state, ds, hy) - trace[-1]) <= 1e-12 * trace[-1]
 
-    def test_fit_returns_the_callers_order(self, monkeypatch):
+    def test_fit_returns_the_order_it_solved_in(self, monkeypatch):
         ds, _ = generate_synthetic(SyntheticSpec(48, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 77))
         ds = simulate_missing(ds, 0.3, seed=78)
         monkeypatch.setattr(solver, "REL_TOL", 0.0)
@@ -466,114 +477,31 @@ class TestBlockSweeps:
         start = initialize(ds, hy)
         assert np.any(np.diff(start.order) < 0)  # fit did reorder
         assert np.all(np.diff(np.argmax(start.v, axis=1)) >= 0)
+        assert np.array_equal(res.state.order, start.order)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
         expect = fit(ds, hy)
         assert initialize(ds, hy).order is None
         assert carries[0].block_updates > 0 and carries[-1].block_updates == 0
-        assert res.state.order is None
         assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
-        assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
-        for a, b in zip(res.state.s, expect.state.s):
-            assert np.max(np.abs(a - b)) <= 1e-10
+        assert_same_graphs_in_dataset_order(res.state, expect.state, 1e-10)
         for a, b in zip(res.state.u, expect.state.u):
             assert np.max(np.abs(a - b)) <= 1e-10
         assert np.max(np.abs(res.state.r - expect.state.r)) <= 1e-10
         assert res.iterations == expect.iterations
 
-
-class TestRestoreOrder:
-    """_restore_order against the buffered two-gather restore it replaced:
-    V and every graph bitwise."""
-
-    @staticmethod
-    def random_state(order, rng, l=3, c=4):
-        n = len(order)
-        return SolverState(u=[], v=rng.uniform(size=(n, c)),
-                           s=[rng.uniform(size=(n, n)) for _ in range(l)],
-                           r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l), order=order)
-
-    @staticmethod
-    def assert_restores_like_reference(state):
-        expect = copy_state(state)
-        expect.order = state.order.copy()
-        _buffered_restore_reference(expect)
-        graphs = [id(g) for g in state.s]
-        order, state.order = state.order, None  # as fit takes it
-        solver._restore_order(state, order)
-        assert [id(g) for g in state.s] == graphs  # in place
-        assert np.array_equal(state.v, expect.v)
-        for got, want in zip(state.s, expect.s):
-            assert np.array_equal(got, want)
-
-    @staticmethod
-    def held_order(kind, n, rng):
-        idx = np.arange(n)
-        if kind == "block swap":  # two equal class blocks swapped: 2-cycles
-            a, b, c = n // 4, n // 2, 3 * n // 4
-            return np.concatenate([idx[:a], idx[b:c], idx[a:b], idx[c:]])
-        if kind == "mixed":  # one long cycle, fixed points, then 2-cycles
-            order, h = idx.copy(), n // 2
-            order[:h] = np.roll(idx[:h], 1)
-            t = h + (n - h) // 2
-            order[t:] = t + np.minimum(idx[:n - t] ^ 1, n - t - 1)
-            return order
-        return {
-            "identity": idx,
-            "one cycle": np.roll(idx, 1),
-            "two-cycles": np.minimum(idx ^ 1, n - 1),  # odd N: the last stays
-            "label sort": np.argsort(rng.integers(0, 4, n), kind="stable"),  # as initialize
-        }[kind]
-
-    KINDS = ["identity", "one cycle", "two-cycles", "label sort", "block swap", "mixed"]
-
-    @pytest.mark.parametrize("n", [1, 2, 401])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_buffered_gathers(self, kind, n):
-        # at N=401 the rows move in blocks of 40, so long cycles span several
-        rng = np.random.default_rng(n)
-        order = self.held_order(kind, n, rng)
-        assert np.array_equal(np.sort(order), np.arange(n))
-        self.assert_restores_like_reference(self.random_state(order, rng))
-
-    @pytest.mark.parametrize("step", [1, 2, 40])
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_matches_at_each_row_block_step(self, monkeypatch, kind, step):
-        n = 401
-        monkeypatch.setattr(solver, "BLOCK_ENTRIES", 2 * n * step)
-        rng = np.random.default_rng(step)
-        self.assert_restores_like_reference(self.random_state(self.held_order(kind, n, rng), rng))
-
-    def test_state_from_initialize(self):
-        _, _, state = make_problem(n=401, c=4, seed=3, missing=0.3)
-        assert state.order is not None and np.any(state.order != np.arange(401))
-        self.assert_restores_like_reference(state)
-
-    def test_allocates_under_five_percent_of_a_graph(self):
-        # the buffered restore allocated one whole graph
-        n = 1000
-        rng = np.random.default_rng(5)
-        for kind in ("label sort", "identity", "block swap"):
-            state = self.random_state(self.held_order(kind, n, rng), rng)
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                solver._restore_order(state, state.order)
-                peak = tracemalloc.get_traced_memory()[1] - before
-            finally:
-                tracemalloc.stop()
-            assert peak < 0.05 * 8 * n * n, (kind, peak / (8 * n * n))
-
-
-def _buffered_restore_reference(state):
-    """Reference restore: each graph's rows gathered into an N x N buffer,
-    then its columns gathered back."""
-    order = np.argsort(state.order)
-    state.v = state.v[order]
-    rows = np.empty_like(state.s[0])
-    for s in state.s:
-        np.take(s, order, axis=0, out=rows, mode="clip")
-        np.take(rows, order, axis=1, out=s, mode="clip")
-    state.order = None
+    def test_fit_result_works_with_the_callers_dataset(self, monkeypatch):
+        # the result says which order it holds, so objective and a further
+        # sweep put the caller's dataset in it
+        ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 84))
+        ds = simulate_missing(ds, 0.3, seed=85)
+        hy = hyper(max_iter=8, seed=86)
+        res = fit(ds, hy)
+        assert res.state.order is not None
+        assert abs(objective(res.state, ds, hy) - res.trace[-1]) <= 1e-12 * res.trace[-1]
+        d = sweep(res.state, ds, hy, SweepCarry.start(ds.n_instances, ds.n_views))
+        assert d.shape == (ds.n_views,) and np.all(np.isfinite(d))
+        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", graph.BLOCK_MIN_ENTRIES)
+        assert 40**2 < graph.BLOCK_MIN_ENTRIES and fit(ds, hy).state.order is None
 
 
 def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
@@ -582,14 +510,14 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     # first sweep's graphs, whose absent instances still fill rows and
     # columns off the blocks. From the fourth sweep on, every block keeps
     # its whole columns, so every block projection takes the full-support
-    # route. initialize builds the graphs in cluster order, so the N x N
-    # graphs are gathered once, back into the caller's order at the end.
+    # route. initialize builds the graphs in cluster order, and the result
+    # holds them in it.
     assert 400**2 >= solver.BLOCK_MIN_ENTRIES
     spec = SyntheticSpec(400, 3, 4, (50, 50, 50), (5, 5, 5), 0.1, 7000)
     ds = simulate_missing(generate_synthetic(spec)[0], 0.3, seed=7)
     hy = Hyperparameters(lam=0.1, beta=0.1, gamma=3, p=0.5, n_clusters=4, max_iter=20, seed=7)
-    counts, routes, restored = [], [], []
-    original, route, restore = solver.sweep, graph.project_full_support, solver._restore_order
+    counts, routes = [], []
+    original, route = solver.sweep, graph.project_full_support
 
     def counted(*args):
         d = original(*args)
@@ -599,22 +527,18 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     monkeypatch.setattr(solver, "sweep", counted)
     monkeypatch.setattr(graph, "project_full_support",
                         lambda *a: routes.append((len(counts), route(*a))) or routes[-1][1])
-    monkeypatch.setattr(solver, "_restore_order",
-                        lambda *a: restored.append(len(counts)) or restore(*a))
     res = fit(ds, hy)
     per_sweep = np.diff([0] + counts)
     assert res.iterations >= 10
     assert per_sweep[0] == 0 and np.all(per_sweep[2:] == 3), per_sweep
     late = [taken for at, taken in routes if at >= 3]
     assert len(late) == 3 * 4 * (res.iterations - 3) and all(late)
-    assert restored == [res.iterations]
+    assert res.state.order is not None
     monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
     expect = fit(ds, hy)
-    assert len(restored) == 1 and expect.iterations == res.iterations
+    assert expect.iterations == res.iterations
     assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
-    assert np.max(np.abs(res.state.v - expect.state.v)) <= 1e-10
-    for a, b in zip(res.state.s, expect.state.s):
-        assert np.max(np.abs(a - b)) <= 1e-10
+    assert_same_graphs_in_dataset_order(res.state, expect.state, 1e-10)
 
 
 def test_listed_candidates_never_decline_the_route(monkeypatch):

@@ -11,12 +11,10 @@ beta = 0.1, gamma = 3, p = 0.5, kNN k = 5, at most 20 sweeps, solver seed
 
 Under tracemalloc the script prints the peak of traced memory above the base
 before the fit, in MiB and in graphs of 8 N^2 bytes, for `initialize`, for
-the sweeps (the largest over all sweeps), for `_restore_order` (run only
-when `initialize` sorted the instances, N^2 >= BLOCK_MIN_ENTRIES) and for
-the whole fit. The fit runs twice and the second is measured, so the
-modules and caches that the first loads on its way are not counted. numpy
-reports its arrays to tracemalloc; memory it does not see, such as BLAS
-work buffers, is not counted.
+the sweeps (the largest over all sweeps) and for the whole fit. The fit runs
+twice and the second is measured, so the modules and caches that the first
+loads on its way are not counted. numpy reports its arrays to tracemalloc;
+memory it does not see, such as BLAS work buffers, is not counted.
 """
 
 from __future__ import annotations
@@ -31,8 +29,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from mvufs import datamodel, solver  # noqa: E402
 
-PHASES = ("initialize", "sweep", "_restore_order")
-LABELS = {"initialize": "initialize", "sweep": "sweeps", "_restore_order": "_restore_order"}
+PHASES = {"initialize": "initialize", "sweep": "sweeps"}  # solver function: row label
 
 
 def synthetic(n: int, ratio: float, seed: int) -> datamodel.MultiViewDataset:
@@ -43,8 +40,8 @@ def synthetic(n: int, ratio: float, seed: int) -> datamodel.MultiViewDataset:
 
 def traced_fit(dataset: datamodel.MultiViewDataset, hyper: solver.Hyperparameters):
     """(per-phase peaks, whole-fit peak, sweeps), in bytes above the traced
-    memory before the fit; a phase that never ran has peak None."""
-    peaks = dict.fromkeys(PHASES)
+    memory before the fit."""
+    peaks = dict.fromkeys(PHASES, 0)
     originals = {name: getattr(solver, name) for name in PHASES}
     top = 0
 
@@ -58,7 +55,7 @@ def traced_fit(dataset: datamodel.MultiViewDataset, hyper: solver.Hyperparameter
             finally:
                 peak = tracemalloc.get_traced_memory()[1]
                 top = max(top, peak)
-                peaks[name] = max(peaks[name] or 0, peak - base)
+                peaks[name] = max(peaks[name], peak - base)
         return run
 
     tracemalloc.start()
@@ -90,11 +87,8 @@ def main(argv=None) -> int:
     print(f"N={args.n} ratio {args.ratio:g} seed {args.seed}: {sweeps} sweeps, "
           f"one graph = {graph / 2**20:.2f} MiB")
     print(f"{'phase':<16}{'peak MiB':>10}{'graphs':>8}")
-    for name, peak in [(LABELS[p], peaks[p]) for p in PHASES] + [("fit", whole)]:
-        if peak is None:
-            print(f"{name:<16}{'not run':>10}")
-        else:
-            print(f"{name:<16}{peak / 2**20:>10.2f}{peak / graph:>8.2f}")
+    for name, peak in [(label, peaks[p]) for p, label in PHASES.items()] + [("fit", whole)]:
+        print(f"{name:<16}{peak / 2**20:>10.2f}{peak / graph:>8.2f}")
     return 0
 
 

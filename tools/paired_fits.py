@@ -18,7 +18,8 @@ round. BLAS is pinned to one thread when the script starts numpy.
 
 The script prints the change's p50 and p75 fit times over the parent's, the
 quartiles of the per-fit ratios, whether every pair's objective trace,
-sweep count and final state (U, V, S, R, alpha) are bitwise equal, and
+sweep count and final state (U, V, S, R, alpha; V and S in the dataset's
+order) are bitwise equal, and
 whether both trees masked each missing ratio with the same presence mask,
 bit for bit. It exits 1 when a fit fails or any pair or mask differs.
 """
@@ -70,10 +71,16 @@ def fit_cells(cfg) -> list:
 
 
 def state_bytes(result) -> list:
-    """Everything a fit returns, as comparable (shape, dtype, bytes) items."""
+    """Everything a fit returns, as comparable (shape, dtype, bytes) items,
+    with V and the graphs in the dataset's order whatever order the state
+    holds them in (SolverState.order)."""
     state = result.state
-    arrays = [result.trace, state.v, state.r, state.alpha, *state.u, *state.s]
-    return [result.iterations, result.converged, state.order is None,
+    v, graphs = state.v, state.s
+    if state.order is not None:
+        inv = np.argsort(state.order)
+        v, graphs = v[inv], [s[np.ix_(inv, inv)] for s in graphs]
+    arrays = [result.trace, v, state.r, state.alpha, *state.u, *graphs]
+    return [result.iterations, result.converged,
             *((a.shape, a.dtype.str, a.tobytes()) for a in arrays)]
 
 
