@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datamodel, evaluation, selection, solver
+from . import datamodel, evaluation, graph, selection, solver
 
 DEFAULT_LOG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_GAMMA_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -89,30 +89,17 @@ class ExperimentConfig:
 
 
 def parse_config(path: str) -> ExperimentConfig:
-    """Read the key/value config file. Lists are whitespace-separated values.
+    """Read the key/value config file through datamodel.read_keyed.
 
     A malformed line raises ValueError naming `path:line`; an unreadable file
     raises OSError.
     """
     fields, synth = {}, {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *vals = line.split()
-            try:
-                if key not in CONFIG_KEYS:
-                    raise ValueError(f"unknown key '{key}'")
-                name, kind, many = CONFIG_KEYS[key]
-                if not many and len(vals) > 1:
-                    raise ValueError(f"'{key}' takes one value")
-                target = synth if key.startswith("synthetic_") else fields
-                target[name] = [kind(x) for x in vals] if many else kind(vals[0])
-            except IndexError:
-                raise ValueError(f"{path}:{lineno}: '{key}' needs a value") from None
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    keys = {key: (kind, ...) if many else (kind,) for key, (_, kind, many) in CONFIG_KEYS.items()}
+    for _, key, values in datamodel.read_keyed(path, keys):
+        name, _, many = CONFIG_KEYS[key]
+        target = synth if key.startswith("synthetic_") else fields
+        target[name] = values if many else values[0]
     cfg = ExperimentConfig(**fields)
     if synth:
         try:
@@ -158,14 +145,19 @@ def _load_datasets(cfg: ExperimentConfig):
     """Each missing ratio's masked dataset (ratio 0: the dataset as is) and
     the cluster count. Refused before any fit: a view count outside
     [2, solver.MAX_VIEWS], a dataset the evaluation protocol cannot score (no
-    labels, fewer than two clusters or fewer instances than clusters),
-    absent instances at a nonzero ratio (simulate_missing masks complete
-    datasets only) and a `knn` that a masked view keeps too few instances for."""
+    labels, fewer than two clusters or fewer instances than clusters), a
+    present instance whose squared norm overflows in some view (no distance
+    to it is finite), absent instances at a nonzero ratio (simulate_missing
+    masks complete datasets only) and a `knn` that a masked view keeps too
+    few instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
         dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
     solver.check_view_count(dataset.n_views)
+    for v, x in enumerate(dataset.views):
+        present = np.flatnonzero(dataset.presence[:, v])
+        graph.checked_sq_norms(x[:, present].T, present, f"view {v}")
     if dataset.labels is None:
         if cfg.clusters is None:
             raise ValueError("cluster count unknown: set 'clusters' or provide labels")

@@ -19,7 +19,7 @@ import numpy as np
 
 
 class DatasetError(ValueError):
-    """Raised for malformed datasets, manifests or matrix files."""
+    """Raised for malformed datasets, key/value files or matrix files."""
 
 
 def _owned(a, dtype=None) -> np.ndarray:
@@ -74,7 +74,10 @@ class MultiViewDataset:
         if np.any(presence.sum(axis=0) == 0):
             raise DatasetError("some view has zero present instances")
         if self.labels is not None:
-            labels = _owned(self.labels, int)
+            labels = np.asarray(self.labels)
+            if not np.all(np.isfinite(labels) & (np.round(labels) == labels)):
+                raise DatasetError("labels must be whole numbers")
+            labels = _owned(labels, int)
             object.__setattr__(self, "labels", labels)
             if labels.shape != (n,):
                 raise DatasetError("labels must have one entry per instance")
@@ -244,7 +247,7 @@ def generate_synthetic(spec: SyntheticSpec):
 
 # --- dataset directory format ------------------------------------------------
 #
-# manifest.txt lines (order free, '#' comments allowed):
+# manifest.txt lines, in read_keyed's format (order free, '#' comments allowed):
 #   views <l>
 #   view <matrix-file> <d_v> <N>      (one line per view, in view order)
 #   labels <file>                     (optional; one integer per line)
@@ -252,6 +255,8 @@ def generate_synthetic(spec: SyntheticSpec):
 # Matrix files are dense text: one feature (row) per line, N columns.
 
 MANIFEST_NAME = "manifest.txt"
+# manifest key -> the types of its values (see read_keyed)
+MANIFEST_KEYS = {"views": (int,), "view": (str, int, int), "labels": (str,), "mask": (str,)}
 
 
 def read_matrix(path: str, dtype=float, ndmin: int = 2) -> np.ndarray:
@@ -278,49 +283,58 @@ def save_dataset(dataset: MultiViewDataset, directory: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def read_keyed(path: str, keys: dict):
+    """Yield (line number, key, values) for each `key value...` line of a
+    text file. `keys` maps each key to the types of its values: a tuple of
+    one type per value, or `(type, ...)` for one or more values of a type.
+    '#' starts a comment and blank lines are skipped. An unknown key, a line
+    with the wrong number of values or a value its type refuses raises
+    DatasetError `<path>:<line>: <reason>`; an unreadable file, OSError.
+    """
+    with open(path) as fh:  # read whole: a caller that stops early leaves no file open
+        lines = list(fh)
+    for lineno, raw in enumerate(lines, 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, *vals = line.split()
+        try:
+            if key not in keys:
+                raise ValueError(f"unknown key '{key}'")
+            if not vals:
+                raise ValueError(f"'{key}' needs a value")
+            kinds = keys[key]
+            if kinds[-1] is ...:
+                kinds = kinds[:1] * len(vals)
+            if len(vals) != len(kinds):
+                count = "one value" if len(kinds) == 1 else f"{len(kinds)} values"
+                raise ValueError(f"'{key}' takes {count}")
+            values = [kind(x) for kind, x in zip(kinds, vals)]
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        yield lineno, key, values
+
+
 def load_dataset(directory: str) -> MultiViewDataset:
     """Load a dataset directory; the manifest is authoritative about which files count."""
     manifest = os.path.join(directory, MANIFEST_NAME)
     if not os.path.isfile(manifest):
         raise DatasetError(f"no {MANIFEST_NAME} in {directory}")
-    declared_views = None
-    view_entries = []
-    labels_path = None
-    mask_path = None
-    with open(manifest) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, *vals = line.split()
-            try:
-                if key in ("views", "labels", "mask") and len(vals) > 1:
-                    raise ValueError(f"'{key}' takes one value")
-                if key == "views":
-                    declared_views = int(vals[0])
-                    if declared_views < 1:
-                        raise ValueError("a dataset needs at least one view")
-                elif key == "view":
-                    if len(vals) != 3:
-                        raise ValueError("expected 'view <file> <d> <N>'")
-                    if int(vals[1]) < 1:
-                        raise ValueError(f"view {vals[0]} needs at least one feature")
-                    view_entries.append((vals[0], int(vals[1]), int(vals[2])))
-                elif key == "labels":
-                    labels_path = vals[0]
-                elif key == "mask":
-                    mask_path = vals[0]
-                else:
-                    raise ValueError(f"unknown key '{key}'")
-            except IndexError:
-                raise DatasetError(f"manifest line {lineno}: '{key}' needs a value") from None
-            except ValueError as exc:
-                raise DatasetError(f"manifest line {lineno}: {exc}") from exc
-    if declared_views is None:
-        raise DatasetError("manifest missing 'views' line")
-    if len(view_entries) != declared_views:
+    view_entries, entries = [], {}
+    for lineno, key, values in read_keyed(manifest, MANIFEST_KEYS):
+        if key == "views" and values[0] < 1:
+            raise DatasetError(f"{manifest}:{lineno}: a dataset needs at least one view")
+        if key == "view" and values[1] < 1:
+            raise DatasetError(f"{manifest}:{lineno}: view {values[0]} needs at least one feature")
+        if key == "view":
+            view_entries.append(values)
+        else:
+            entries[key] = values[0]
+    if "views" not in entries:
+        raise DatasetError(f"{manifest}: no 'views' line")
+    if len(view_entries) != entries["views"]:
         raise DatasetError(
-            f"manifest declares {declared_views} views but lists "
+            f"{manifest}: declares {entries['views']} views but lists "
             f"{len(view_entries)} view lines"
         )
     views = []
@@ -335,10 +349,10 @@ def load_dataset(directory: str) -> MultiViewDataset:
         views.append(x)
     n = views[0].shape[1]
     labels = None
-    if labels_path is not None:
-        labels = read_matrix(os.path.join(directory, labels_path), int, ndmin=1)
-    if mask_path is not None:
-        presence = read_matrix(os.path.join(directory, mask_path), int)
+    if "labels" in entries:
+        labels = read_matrix(os.path.join(directory, entries["labels"]), int, ndmin=1)
+    if "mask" in entries:
+        presence = read_matrix(os.path.join(directory, entries["mask"]), int)
     else:
         presence = np.ones((n, len(views)), dtype=int)
     return MultiViewDataset(tuple(views), presence, labels)

@@ -122,15 +122,23 @@ def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
     if not 1 <= k < m:
         raise ValueError(f"k={k} must be at least 1 and smaller than the {m} present instances")
     v = x[:, present].T
-    with np.errstate(over="ignore"):
-        sq = np.sum(v * v, axis=1)
-    if not np.all(np.isfinite(sq)):
-        i = present[~np.isfinite(sq)][0]
-        raise ValueError(f"the squared norm of instance {i} overflows; rescale the view")
+    sq = checked_sq_norms(v, present)
     edges = KnnEdges(present, *_nearest(v, v @ v.T, sq, k))
     for a in edges:
         a.flags.writeable = False
     return edges
+
+
+def checked_sq_norms(v: np.ndarray, ids: np.ndarray, view: str = "the view") -> np.ndarray:
+    """The squared norms of the rows of v, the instances `ids` of `view`.
+    Refuses an instance whose squared norm overflows, naming it: no distance
+    to it is finite."""
+    with np.errstate(over="ignore"):
+        sq = np.sum(v * v, axis=1)
+    if not np.all(np.isfinite(sq)):
+        i = ids[~np.isfinite(sq)][0]
+        raise ValueError(f"the squared norm of instance {i} overflows; rescale {view}")
+    return sq
 
 
 def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:

@@ -65,6 +65,19 @@ class TestParseConfig:
         assert cfg.synthetic.features == (8, 9)
         assert cfg.synthetic.seed == 5
 
+    def test_later_line_replaces_an_earlier_one_and_view_lines_accumulate(self, tmp_path):
+        text = "dataset a\nlambda 0.1 1\nseed 3\ndataset b\nlambda 10\nseed 4\n"
+        cfg = cli.parse_config(write_config(tmp_path / "c.txt", text))
+        assert (cfg.dataset_path, cfg.lam, cfg.seed) == ("b", [10.0], 4)
+        for name, text in {"v0.txt": "1 2 3\n4 5 6\n", "v1.txt": "7 8 9\n",
+                           "a.txt": "0\n0\n0\n", "b.txt": "0\n1\n1\n",
+                           "manifest.txt": "views 5\nview v0.txt 2 3\nlabels a.txt\n"
+                                           "views 2\nview v1.txt 1 3\nlabels b.txt\n"}.items():
+            (tmp_path / name).write_text(text)
+        ds = datamodel.load_dataset(str(tmp_path))
+        assert [x.tolist() for x in ds.views] == [[[1, 2, 3], [4, 5, 6]], [[7, 8, 9]]]
+        assert ds.labels.tolist() == [0, 1, 1]
+
 
 class TestValidateConfig:
     def test_clean_config(self):
@@ -330,12 +343,22 @@ CONFIG_FAULTS = [
     ("seed 7 8", "c.txt:2: 'seed' takes one value"),
     ("clusters 3 4", "c.txt:2: 'clusters' takes one value"),
     ("repeats 2 5", "c.txt:2: 'repeats' takes one value"),
+    ("seed", "c.txt:2: 'seed' needs a value"),
+    ("lambda", "c.txt:2: 'lambda' needs a value"),
 ]
 FAULT_IDS = ["bad-float", "unknown-key", "bad-synthetic-int", "synthetic-spec", "no-file",
              "removed-per-view", "nan-lambda", "inf-lambda", "nan-beta", "nan-gamma",
              "inf-gamma", "negative-seed", "nan-synthetic-noise", "negative-synthetic-seed",
              "repeated-missing-ratio", "repeated-lambda", "two-seeds", "two-cluster-counts",
-             "two-repeat-counts"]
+             "two-repeat-counts", "seed-no-value", "lambda-no-value"]
+
+
+def overflow_instance_5(ds):
+    """ds with 1.2e154 in features 2 and 3 of instance 5 in view 0: finite
+    entries, but that instance's squared norm, 2 * 1.2e154^2, overflows."""
+    x = ds.views[0].copy()
+    x[2:4, 5] = 1.2e154
+    return replace(ds, views=(x, *ds.views[1:]))
 
 
 def fault_config(tmp_path, lines):
@@ -384,6 +407,8 @@ class TestConfigFaults:
         "pre-masked": (
             lambda ds: datamodel.simulate_missing(ds, 0.2, seed=1), "missing_ratios 0.2 0 0.3\n",
             "simulate_missing expects a complete dataset"),
+        "overflowing-norm": (overflow_instance_5, "",
+                             "the squared norm of instance 5 overflows; rescale view 0"),
     }
 
     @pytest.mark.parametrize("case", list(UNLOADABLE))

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import numpy as np
@@ -46,6 +47,17 @@ class TestInvariants:
         presence[1] = 0
         with pytest.raises(DatasetError, match="zero views"):
             MultiViewDataset((np.ones((3, 4)), np.ones((2, 4))), presence)
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.5, 2.7, 0.0], [0.0, 1.0, np.nan, 2.0]])
+    def test_labels_that_are_not_whole_numbers_rejected(self, labels):
+        # truncated, 0.5 and 0.0 would be one class and ACC/NMI scored wrongly
+        with pytest.raises(DatasetError, match="labels must be whole numbers"):
+            MultiViewDataset((np.ones((3, 4)),), np.ones((4, 1), dtype=int), np.array(labels))
+
+    def test_whole_float_labels_kept(self):
+        ds = MultiViewDataset((np.ones((3, 4)),), np.ones((4, 1), dtype=int),
+                              np.array([0.0, 1.0, 2.0, 0.0]))
+        assert ds.labels.dtype.kind == "i" and ds.labels.tolist() == [0, 1, 2, 0]
 
 
 def test_views_and_presence_cannot_change_through_the_dataset():
@@ -347,27 +359,36 @@ class TestIO:
             load_dataset(str(tmp_path))
 
     @pytest.mark.parametrize("manifest,files,match", [
-        ("views abc\n", {}, "manifest line 1: invalid literal"),
-        ("views 1\nview v.txt two 2\n", {}, "manifest line 2: invalid literal"),
-        ("views\n", {}, "manifest line 1: 'views' needs a value"),
-        ("views 1\nview v.txt 1 2\nlabels\n", {}, "manifest line 3: 'labels' needs a value"),
+        ("views abc\n", {}, "{manifest}:1: invalid literal"),
+        ("views 1\nview v.txt two 2\n", {}, "{manifest}:2: invalid literal"),
+        ("views\n", {}, "{manifest}:1: 'views' needs a value"),
+        ("views 1\nview v.txt 1 2\nlabels\n", {}, "{manifest}:3: 'labels' needs a value"),
+        ("views 1\nview\n", {}, "{manifest}:2: 'view' needs a value"),
         ("views 1\nview v.txt 1 2\nlabels l.txt\n", {"l.txt": "0\n1.5\n"},
          "malformed file .*l.txt"),
         ("views 1\nview v.txt 1 2\nmask m.txt\n", {"m.txt": "1\nx\n"}, "malformed file .*m.txt"),
-        ("views 0\n", {}, "manifest line 1: a dataset needs at least one view"),
+        ("views 0\n", {}, "{manifest}:1: a dataset needs at least one view"),
         ("views 1\nview v.txt 0 2\n", {},
-         "manifest line 2: view v.txt needs at least one feature"),
-        ("views 1 2\n", {}, "manifest line 1: 'views' takes one value"),
+         "{manifest}:2: view v.txt needs at least one feature"),
+        ("views 1 2\n", {}, "{manifest}:1: 'views' takes one value"),
         ("views 1\nview v.txt 1 2\nlabels l.txt m.txt\n", {"l.txt": "0\n1\n"},
-         "manifest line 3: 'labels' takes one value"),
+         "{manifest}:3: 'labels' takes one value"),
         ("views 1\nview v.txt 1 2\nmask m.txt l.txt\n", {"m.txt": "1\n1\n"},
-         "manifest line 3: 'mask' takes one value"),
+         "{manifest}:3: 'mask' takes one value"),
+        ("views 1\nview v.txt 1\n", {}, "{manifest}:2: 'view' takes 3 values"),
+        ("views 1\nview v.txt 1 2 2\n", {}, "{manifest}:2: 'view' takes 3 values"),
+        ("views 1\nview v.txt 1 2\nbogus 1\n", {}, "{manifest}:3: unknown key 'bogus'"),
+        ("# no views\n", {}, "{manifest}: no 'views' line"),
+        ("views 2\nview v.txt 1 2\n", {}, "{manifest}: declares 2 views but lists 1 view lines"),
     ], ids=["views-not-int", "view-size-not-int", "views-no-value", "labels-no-value",
-            "labels-not-int", "mask-not-int", "no-views", "view-without-features",
-            "two-view-counts", "two-label-files", "two-mask-files"])
+            "view-no-value", "labels-not-int", "mask-not-int", "no-views",
+            "view-without-features", "two-view-counts", "two-label-files", "two-mask-files",
+            "view-two-values", "view-four-values", "unknown-key", "no-views-line",
+            "view-lines-short"])
     def test_malformed_manifest_or_integer_file(self, tmp_path, manifest, files, match):
         (tmp_path / "manifest.txt").write_text(manifest)
         for name, text in {"v.txt": "1 2\n", **files}.items():
             (tmp_path / name).write_text(text)
-        with pytest.raises(DatasetError, match=match):
+        with pytest.raises(DatasetError,
+                           match=match.format(manifest=re.escape(str(tmp_path / "manifest.txt")))):
             load_dataset(str(tmp_path))
