@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import datamodel, evaluation, graph, selection, solver
+from . import datamodel, evaluation, selection, solver
 
 DEFAULT_LOG_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
 DEFAULT_GAMMA_GRID = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
@@ -146,18 +146,18 @@ def _load_datasets(cfg: ExperimentConfig):
     the cluster count. Refused before any fit: a view count outside
     [2, solver.MAX_VIEWS], a dataset the evaluation protocol cannot score (no
     labels, fewer than two clusters or fewer instances than clusters), a
-    present instance whose squared norm overflows in some view (no distance
-    to it is finite), absent instances at a nonzero ratio (simulate_missing
-    masks complete datasets only) and a `knn` that a masked view keeps too
-    few instances for."""
+    view whose sum of squares overflows (so would every fit's first view
+    loss), absent instances at a nonzero ratio (simulate_missing masks
+    complete datasets only) and a `knn` that a masked view keeps too few
+    instances for."""
     if cfg.dataset_path is not None:
         dataset = datamodel.load_dataset(cfg.dataset_path)
     else:
         dataset, _ = datamodel.generate_synthetic(cfg.synthetic)
     solver.check_view_count(dataset.n_views)
     for v, x in enumerate(dataset.views):
-        present = np.flatnonzero(dataset.presence[:, v])
-        graph.checked_sq_norms(x[:, present].T, present, f"view {v}")
+        if not np.isfinite(np.vdot(x, x)):
+            raise ValueError(f"the sum of squares of view {v} overflows; rescale that view")
     if dataset.labels is None:
         if cfg.clusters is None:
             raise ValueError("cluster count unknown: set 'clusters' or provide labels")

@@ -206,6 +206,19 @@ def present_means(x: np.ndarray, present: np.ndarray) -> np.ndarray:
     return np.cumsum(x[:, present], axis=1)[:, -1] / np.count_nonzero(present)
 
 
+def unit_range(a: np.ndarray):
+    """(a * 2^-e, e) with max|a| * 2^-e in [0.5, 1) (e = 0 for all zeros);
+    refuses a non-finite entry. The scaling is exact, so ratios of squared
+    distances are bitwise those of a, and no squared distance overflows. A
+    squared distance below 2^-1022 after scaling is subnormal: data whose
+    entries span more than about 2^500 lose precision in their small ones."""
+    top = np.max(np.abs(a), initial=0.0)
+    if not np.isfinite(top):
+        raise ValueError("the input holds a non-finite entry (NaN or inf)")
+    e = int(np.frexp(top)[1])
+    return np.ldexp(a, -e), e
+
+
 def impute_missing(dataset: MultiViewDataset) -> list:
     """Replace absent columns of each view by the per-feature mean over present ones."""
     out = []

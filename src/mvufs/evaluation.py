@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import MultiViewDataset, present_means
+from .datamodel import MultiViewDataset, present_means, unit_range
 # Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
 from .datamodel import impute_missing  # noqa: F401
 
@@ -46,22 +46,16 @@ def _kmeanspp_centers(points: np.ndarray, c: int, rngs) -> np.ndarray:
     n = points.shape[0]
     centers = np.empty((len(rngs), c, points.shape[1]))
     centers[:, 0] = points[[rng.integers(n) for rng in rngs]]
-    with np.errstate(over="ignore"):
-        diff = points - centers[:, :1]  # reused: one (repeats, N, features) buffer
-        d2 = np.square(diff, out=diff).sum(axis=2)
-        for j in range(1, c):
-            totals = d2.sum(axis=1)
-            if not np.isfinite(totals).all():
-                raise ValueError(
-                    "k-means++ seeding overflowed: the squared distances between "
-                    "instances exceed the floating-point range; rescale the data"
-                )
-            centers[:, j] = points[[
-                rng.integers(n) if total <= 0 else rng.choice(n, p=row / total)
-                for rng, row, total in zip(rngs, d2, totals)
-            ]]
-            np.subtract(points, centers[:, j, None], out=diff)
-            d2 = np.minimum(d2, np.square(diff, out=diff).sum(axis=2))
+    diff = points - centers[:, :1]  # reused: one (repeats, N, features) buffer
+    d2 = np.square(diff, out=diff).sum(axis=2)
+    for j in range(1, c):
+        totals = d2.sum(axis=1)
+        centers[:, j] = points[[
+            rng.integers(n) if total <= 0 else rng.choice(n, p=row / total)
+            for rng, row, total in zip(rngs, d2, totals)
+        ]]
+        np.subtract(points, centers[:, j, None], out=diff)
+        d2 = np.minimum(d2, np.square(diff, out=diff).sum(axis=2))
     return centers
 
 
@@ -92,6 +86,10 @@ def kmeans(data: np.ndarray, c: int, seeds):
     one, numpy sums pairwise), so each repeat's result equals a one-seed
     call. Empty clusters are re-seeded: each takes the point farthest from
     its centre among those whose cluster keeps another member.
+
+    It runs on the data in unit range (datamodel.unit_range, which refuses
+    NaN and inf): the ratios of squared distances it reads stay bitwise the
+    same, and the centres are scaled back.
     """
     points = np.asarray(data, dtype=float).T  # instances x features
     n, f = points.shape
@@ -99,8 +97,7 @@ def kmeans(data: np.ndarray, c: int, seeds):
         raise ValueError(f"c={c}: need at least one cluster")
     if c > n:
         raise ValueError(f"cannot form {c} clusters from {n} instances")
-    if not np.isfinite(points).all():
-        raise ValueError("k-means input holds non-finite values (NaN or inf)")
+    points, e = unit_range(points)
     centers = _kmeanspp_centers(points, c, [np.random.default_rng(s) for s in seeds])
     assign = np.full((len(seeds), n), -1)
     iterations = np.zeros(len(seeds), dtype=int)
@@ -131,7 +128,7 @@ def kmeans(data: np.ndarray, c: int, seeds):
                out=keys[:size].reshape(-1, n, f))
         sums = np.bincount(keys[:size], tiled[:size], minlength=active.size * c * f)
         centers[active] = sums.reshape(-1, c, f) / counts[:, :, None]
-    return assign, centers, iterations
+    return assign, np.ldexp(centers, e), iterations
 
 
 def _table(ti: np.ndarray, n_true: int, assign: np.ndarray, c: int) -> np.ndarray:

@@ -27,6 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .datamodel import unit_range
 from .simplex import project_full_support, project_offdiag_columns
 # Unused here but kept bound: perfbench/tracing.py wraps this name in this module.
 from .simplex import project_offdiag_simplex  # noqa: F401
@@ -111,34 +112,21 @@ def knn_edges(x: np.ndarray, presence: np.ndarray, k: int = 5) -> KnnEdges:
     """The k nearest present neighbors of each present instance (columns of
     x), O(m k) numbers; the arrays are read-only.
 
-    The search forms one Gram matrix of the m present instances and reads
-    the distances from it a row block at a time (see `_nearest`); the Gram
-    matrix is freed on return. Refuses k < 1, k >= m and an instance whose
-    squared norm overflows.
+    The search runs on the present instances in unit range
+    (datamodel.unit_range), so no distance overflows and `near` is in those
+    units; the graph reads only its ratios. It forms one Gram matrix and
+    reads the distances a row block at a time (see `_nearest`), freed on
+    return. Refuses k < 1, k >= m and a non-finite entry.
     """
-    x = np.asarray(x, dtype=float)
     present = np.flatnonzero(np.asarray(presence) == 1)
     m = present.size
     if not 1 <= k < m:
         raise ValueError(f"k={k} must be at least 1 and smaller than the {m} present instances")
-    v = x[:, present].T
-    sq = checked_sq_norms(v, present)
-    edges = KnnEdges(present, *_nearest(v, v @ v.T, sq, k))
+    v = unit_range(np.asarray(x, dtype=float)[:, present].T)[0]
+    edges = KnnEdges(present, *_nearest(v @ v.T, np.sum(v * v, axis=1), k))
     for a in edges:
         a.flags.writeable = False
     return edges
-
-
-def checked_sq_norms(v: np.ndarray, ids: np.ndarray, view: str = "the view") -> np.ndarray:
-    """The squared norms of the rows of v, the instances `ids` of `view`.
-    Refuses an instance whose squared norm overflows, naming it: no distance
-    to it is finite."""
-    with np.errstate(over="ignore"):
-        sq = np.sum(v * v, axis=1)
-    if not np.all(np.isfinite(sq)):
-        i = ids[~np.isfinite(sq)][0]
-        raise ValueError(f"the squared norm of instance {i} overflows; rescale {view}")
-    return sq
 
 
 def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:
@@ -191,16 +179,16 @@ def similarity_from_edges(n: int, edges: KnnEdges) -> np.ndarray:
     return s
 
 
-def _nearest(v: np.ndarray, gram: np.ndarray, sq: np.ndarray, k: int):
-    """The k nearest others of each of m vectors (the rows of v), given
-    their Gram matrix and squared norms, and the squared distances to them:
-    both m x k, in `np.argpartition`'s order.
+def _nearest(gram: np.ndarray, sq: np.ndarray, k: int):
+    """The k nearest others of each of m vectors, given their Gram matrix
+    and squared norms, and the squared distances to them: both m x k, in
+    `np.argpartition`'s order.
 
-    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0), and
-    |v_i - v_j|^2 where that is not finite (both terms overflow near 1e154).
-    Only the kernel weights lean on the Gram matrix's exact symmetry (numpy's
-    v @ v.T is): it makes h_ij = h_ji, so an edge listed from both ends gets
-    one weight (see `similarity_from_edges`).
+    A row block of distances is h = max(sq_i + sq_j - 2 g_ij, 0); vectors in
+    unit range (see `knn_edges`) keep every term finite. Only the kernel
+    weights lean on the Gram matrix's exact symmetry (numpy's v @ v.T is):
+    it makes h_ij = h_ji, so an edge listed from both ends gets one weight
+    (see `similarity_from_edges`).
     """
     m = len(gram)
     step = max(1, KNN_BLOCK_ENTRIES // m)
@@ -208,14 +196,9 @@ def _nearest(v: np.ndarray, gram: np.ndarray, sq: np.ndarray, k: int):
     near = np.empty((m, k))
     for start in range(0, m, step):
         rows = slice(start, start + step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            h = sq[rows, None] + sq
-            h -= 2.0 * gram[rows]
-            np.maximum(h, 0.0, out=h)
-            if not np.isfinite(h.max()):  # NaN propagates through max
-                i, j = np.nonzero(~np.isfinite(h))
-                d = v[start + i] - v[j]
-                h[i, j] = np.einsum("ij,ij->i", d, d)
+        h = sq[rows, None] + sq
+        h -= 2.0 * gram[rows]
+        np.maximum(h, 0.0, out=h)
         diag = np.arange(len(h)), np.arange(start, start + len(h))
         h[diag] = np.inf  # no instance is its own neighbor, even with duplicates
         knn[rows] = np.argpartition(h, k - 1, axis=1)[:, :k]

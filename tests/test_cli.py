@@ -361,6 +361,15 @@ def overflow_instance_5(ds):
     return replace(ds, views=(x, *ds.views[1:]))
 
 
+def overflow_view_sum(ds):
+    """ds with 1e154 * (1 + i/1000) in feature 0 of each instance i in view 0:
+    every instance's squared norm is finite, but the view's sum of squares
+    overflows."""
+    x = ds.views[0].copy()
+    x[0] = 1e154 * (1 + np.arange(x.shape[1]) / 1000)
+    return replace(ds, views=(x, *ds.views[1:]))
+
+
 def fault_config(tmp_path, lines):
     if lines is None:
         return str(tmp_path / "absent.txt")
@@ -408,7 +417,9 @@ class TestConfigFaults:
             lambda ds: datamodel.simulate_missing(ds, 0.2, seed=1), "missing_ratios 0.2 0 0.3\n",
             "simulate_missing expects a complete dataset"),
         "overflowing-norm": (overflow_instance_5, "",
-                             "the squared norm of instance 5 overflows; rescale view 0"),
+                             "the sum of squares of view 0 overflows; rescale that view"),
+        "overflowing-view-sum": (overflow_view_sum, "",
+                                 "the sum of squares of view 0 overflows; rescale that view"),
     }
 
     @pytest.mark.parametrize("case", list(UNLOADABLE))

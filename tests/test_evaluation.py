@@ -246,11 +246,24 @@ class TestKMeans:
         with pytest.raises(ValueError, match=f"c={c}"):
             kmeans(np.ones((2, 5)), c, [0])
 
-    def test_seeding_overflow_is_named(self):
-        # differences up to 3e154: their squares leave the float range
+    def test_overflowing_differences_are_clustered(self):
+        # differences up to 3e154: unscaled, their squares leave the float range
         data = np.array([[0.0, 1e154, 2e154, 3e154]] * 3)
-        with pytest.raises(ValueError, match="k-means\\+\\+ seeding overflowed"):
-            kmeans(data, 2, [0])
+        assign, centers, _ = kmeans(data, 2, [0])
+        ref = kmeans(np.ldexp(data, -520), 2, [0])
+        assert np.array_equal(assign, ref[0])
+        assert np.array_equal(centers, np.ldexp(ref[1], 520))
+        assert np.all(np.isfinite(centers))
+
+    @pytest.mark.parametrize("k", [-560, -20, 40, 500])
+    def test_power_of_two_scale_changes_nothing(self, k):
+        # at -560 every unscaled squared distance underflows to 0
+        data = np.random.default_rng(26).uniform(0.1, 3.0, size=(4, 50))
+        assign, centers, iterations = kmeans(data, 3, [0, 1, 2])
+        scaled = kmeans(np.ldexp(data, k), 3, [0, 1, 2])
+        assert np.array_equal(scaled[0], assign)
+        assert np.array_equal(scaled[1], np.ldexp(centers, k))
+        assert np.array_equal(scaled[2], iterations)
 
 
 class TestContingency:

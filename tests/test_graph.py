@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mvufs import graph
+from mvufs.datamodel import unit_range
 from mvufs.graph import (
     ClusterBlocks,
     build_initial_similarity,
@@ -231,22 +232,23 @@ class TestBlockedKnnSearch:
         gram, sq = v @ v.T, np.sum(v * v, axis=1)
         gram *= 1.0 + rng.uniform(-1e-12, 1e-12, gram.shape)
         assert not np.array_equal(gram, gram.T)
-        knn, near = graph._nearest(v, gram, sq, 4)
+        knn, near = graph._nearest(gram, sq, 4)
         h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
         np.fill_diagonal(h, np.inf)
         assert np.array_equal(knn, np.argpartition(h, 3, axis=1)[:, :4])
         assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
 
     def test_huge_distances_take_the_one_form(self):
-        # h itself is finite, about 1.44e308; only the diagonal overflows,
-        # and the search sets it to inf
-        v = np.array([[0.0], [1.2e154], [1.0], [2.0]])
+        # unscaled, |v_1|^2 and the diagonal overflow; the search runs on the
+        # instances scaled into unit range, where every distance is finite
+        x = np.array([[0.0, 1.2e154, 1.0, 2.0]])
+        knn, near = graph.knn_edges(x, np.ones(4, dtype=int), k=2)[1:]
+        v, e = unit_range(x.T)
+        assert e == 512
         sq, gram = np.sum(v * v, axis=1), v @ v.T
-        knn, near = graph._nearest(v, gram, sq, 2)
-        h = np.full((4, 4), np.inf)
-        i, j = np.nonzero(~np.eye(4, dtype=bool))
-        h[i, j] = np.maximum(sq[i] + sq[j] - 2.0 * gram[i, j], 0.0)
-        assert np.all(np.isfinite(near)) and near[1].min() > 1e308
+        h = np.maximum(sq[:, None] + sq[None, :] - 2.0 * gram, 0.0)
+        np.fill_diagonal(h, np.inf)
+        assert near[1].min() > 0.25
         assert np.array_equal(knn, np.argpartition(h, 1, axis=1)[:, :2])
         assert np.array_equal(near, np.take_along_axis(h, knn, axis=1))
 
@@ -257,30 +259,50 @@ class TestBlockedKnnSearch:
         assert np.all(np.isfinite(s))
         check_similarity(s)
 
-    def test_shared_huge_entry_takes_the_direct_distance(self):
-        # instances 5 and 6 share 1.2e154 in one feature: sq_i + sq_j and
-        # 2 g_ij both overflow, and inf - inf would read NaN
+    def test_shared_huge_entry_pairs_the_two_instances(self):
+        # instances 5 and 6 share 1.2e154 in one feature: unscaled, sq_i + sq_j
+        # and 2 g_ij would both overflow, and inf - inf read NaN
         x = np.random.default_rng(47).uniform(size=(3, 40))
         x[1, 5] = x[1, 6] = 1.2e154
         present = np.ones(40, dtype=int)
         edges = graph.knn_edges(x, present, k=3)  # warns of nothing
-        d = x[:, 5] - x[:, 6]
         assert edges.knn[5, np.argmin(edges.near[5])] == 6
         assert edges.knn[6, np.argmin(edges.near[6])] == 5
-        assert np.min(edges.near[5]) == np.min(edges.near[6]) == d @ d
         s = build_initial_similarity(x, present, k=3)
         assert np.all(np.isfinite(s))
         check_similarity(s)
 
-    def test_overflowing_squared_norm_is_refused(self):
-        # instance 5's own squared norm, 2 * 1.2e154^2, overflows, so its
-        # distances and the kernel's bandwidth could not be finite
+    def test_overflowing_squared_norm_gives_a_finite_graph(self):
+        # instance 5's own squared norm, 2 * 1.2e154^2, overflows unscaled
         x = np.random.default_rng(47).uniform(size=(3, 40))
         x[0, 5] = x[1, 5] = 1.2e154
         present = np.ones(40, dtype=int)
+        assert np.all(np.isfinite(graph.knn_edges(x, present, k=3).near))
+        s = build_initial_similarity(x, present, k=3)
+        assert np.all(np.isfinite(s))
+        check_similarity(s)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_is_named(self, bad):
+        x = np.random.default_rng(48).uniform(size=(3, 40))
+        x[1, 5] = bad
         for build in (graph.knn_edges, build_initial_similarity):
-            with pytest.raises(ValueError, match="instance 5 overflows; rescale the view"):
-                build(x, present, k=3)
+            with pytest.raises(ValueError, match="non-finite"):
+                build(x, np.ones(40, dtype=int), k=3)
+
+    @pytest.mark.parametrize("k", [-560, -20, 40, 500])
+    def test_power_of_two_scale_changes_nothing(self, k):
+        # at -560 every unscaled squared distance underflows to 0
+        rng = np.random.default_rng(49)
+        x = rng.uniform(0.1, 3.0, size=(5, 60))
+        presence = np.ones(60, dtype=int)
+        presence[rng.choice(60, size=15, replace=False)] = 0
+        ref = graph.knn_edges(x, presence, k=4)
+        edges = graph.knn_edges(np.ldexp(x, k), presence, k=4)
+        assert np.array_equal(edges.knn, ref.knn)
+        assert np.array_equal(edges.near, ref.near)
+        assert (graph.similarity_from_edges(60, edges).tobytes()
+                == graph.similarity_from_edges(60, ref).tobytes())
 
     def test_build_holds_under_two_graphs(self):
         # the full-matrix construction peaked at 3.46 graphs here
