@@ -32,7 +32,6 @@ from .solver import (
     fit,
     initialize,
     objective,
-    sparsity_reweight,
     update_alpha,
 )
 

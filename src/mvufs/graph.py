@@ -6,7 +6,7 @@ zero diagonal and off-diagonal column sums equal to 1.
 
 The S update reads V's distances only through `shifted_sq_dists`, formed a
 row block or a cluster block at a time (for a graph of one row block, once
-per sweep: `sweep_dists`), and writes the new graph in place: no N x N
+per fit: `sweep_dists`), and writes the new graph in place: no N x N
 distance matrix beyond one row block, and no second graph, exists. When the
 instances are sorted by V's cluster labels, it repairs only the diagonal
 blocks of the clusters plus the few off-block entries that the other graphs
@@ -233,8 +233,8 @@ class ClusterBlocks:
     `entries[k]` describes the array that graph k is now: None when not yet
     listed, False when it has too many off-block entries for the block path.
     `at(v)` sets the V of the next S updates. Their distances h (those of
-    `shifted_sq_dists`) are formed on the diagonal blocks and at the listed
-    entries only.
+    `shifted_sq_dists`) are formed on the diagonal blocks, once per V, and
+    at the listed entries only.
     """
 
     def __init__(self, edges: np.ndarray, n_graphs: int):
@@ -255,9 +255,9 @@ class ClusterBlocks:
         """h on each diagonal block. Also sets `off_bound`, a lower bound on
         each column's smallest h over the rows outside its block: over the
         rows r of block a, h[r, j] >= min_a |v_r|^2 - 2 max_a(v_r . v_j), and
-        for V >= 0, as the solver keeps it (initialize floors V at 1e-3 and
-        update_v scales it by square roots of ratios >= 0), v_r . v_j is at
-        most the sum over k of max_a(V[:, k]) v_jk."""
+        for V >= 0, as every V of the solver is (a scaled indicator, see
+        solver.update_v; there the bound is exact), v_r . v_j is at most the
+        sum over k of max_a(V[:, k]) v_jk."""
         if self._inner is None:
             self._inner = [shifted_sq_dists(self.v, slice(b0, b1), slice(b0, b1))
                            for b0, b1 in self.spans]
@@ -291,8 +291,8 @@ class ClusterBlocks:
         on the column's smallest off-block h: when that is at most the
         column's threshold, those rows are zero in the dense update too and
         the projection is exact. A column the bound does not settle sends the
-        view to the dense update. While V stays near one-hot the bound is
-        nearly the minimum, and it settled every column of every probed fit.
+        view to the dense update. For a scaled indicator V the bound is the
+        minimum, so it settles every column that the dense update would.
 
         A block whose columns keep all their entries is projected with its
         listed candidates by project_full_support. Any other block takes the
@@ -346,7 +346,7 @@ class ClusterBlocks:
 
 def sweep_dists(v: np.ndarray) -> np.ndarray | None:
     """`shifted_sq_dists(v)` when the dense S update takes a graph as one row
-    block (N^2 <= BLOCK_ENTRIES), for a sweep's l updates to share; there it
+    block (N^2 <= BLOCK_ENTRIES), for the updates of a fit to share; there it
     is bitwise the block each update would form. None for larger graphs,
     whose updates form their own row blocks, so no N x N scratch is added."""
     return shifted_sq_dists(v) if len(v) ** 2 <= BLOCK_ENTRIES else None

@@ -1,38 +1,37 @@
 """Alternating solver for weighted NMF feature selection on incomplete multi-view data.
 
-One sweep updates, in order: the consensus indicator V (multiplicative, with a
-large orthogonality penalty), each view's factor U^(v) (multiplicative with
-l2,p reweighting), each view's similarity graph S^(v) (closed-form column
-update, Gauss-Seidel across views), the cross-view coefficients R (exact:
-every candidate support of every column from one batched KKT solve) and the
-view weights alpha (closed form on the simplex).
+The model, summed over views v: alpha_v^gamma (||(X_v - U_v V') W_v||^2 +
+lam sum_f ||u_f||^p + beta (tr(V' L_v V) + ||S_v - sum_{i != v} r_iv S_i||^2
++ ||R||_F^2)), with V >= 0, V'V = I, U >= 0, each graph's columns and R's
+off-diagonal columns on their simplices and alpha on the simplex.
 
-The sweep touches each N x N graph only a few times and forms no other N x N
-array of floats: the S update writes each graph in place from V, and one pass
-over the new graphs (graph_products, the only code that forms either) gives
-their l x l Gram matrix and every S_k [V 1]. The Gram matrix serves the R
-update and the view losses (whose reconstruction term it gives exactly), the
-products serve the losses and, as nothing changes V or the graphs in between,
-the next sweep's V update; a sweep whose carry lacks them (`fit` carries
-the initial pass's) makes the pass itself. Each sweep's final S-projection
-thresholds start the next (SweepCarry, which every sweep takes). No
-residual graph or Laplacian is ever formed. The weighted-NMF weights
-are the dataset's own (MultiViewDataset.weights), so no update takes them;
-so is the start that `initialize` builds the graphs from (Start), made by
-the first fit on a dataset and read by the fits that follow.
-Each sweep checks that V, U, the S updates and the view losses stay finite
-and raises SolverDivergence naming the first that does not.
+V and U are set once per fit by exact block steps, with no orthogonality
+penalty and no smoothed l2,p surrogate. A nonnegative V with V'V = I is a
+labelling plus one unit vector per cluster (Ding, Li, Peng and Park, KDD
+2006): V is the scaled indicator of the start's k-means labels (update_v),
+and no step moves a label, as no label step is known yet to descend the
+objective. U's block reads only V and the data, since alpha_v^gamma scales
+a view's whole term, and each of its rows is one scalar equation
+(update_u). A sweep then updates each view's graph S^(v) (closed-form
+column update, Gauss-Seidel across views), R (exact: every candidate
+support of every column from one batched KKT solve) and alpha (closed form).
 
-V acts as a cluster indicator, so the repaired graphs concentrate on V's
-clusters. For graphs of at least BLOCK_MIN_ENTRIES entries `initialize`
-builds V and the graphs with the instances sorted by V's labels and `fit`
-puts the dataset in that order, and while the labels stay sorted runs of two
-or more members, a sweep updates each graph on the diagonal blocks of the
-runs plus the few off-block entries that the other graphs list
-(graph.ClusterBlocks, kept in SweepCarry), and the graph pass reads only
-those. A per-column bound proves that the dense update would give the
-same graph; a view that fails it, graphs with too many off-block entries,
-unsorted labels and singleton clusters take the dense update.
+The sweep forms no N x N array of floats besides the graphs: the S update
+writes each graph in place from V's distances, which SweepCarry keeps for
+the fit with each sweep's final S-projection thresholds, and one pass over
+the new graphs (graph_products) gives their Gram matrix and every S_k [V 1]
+for R and the view losses. The weighted-NMF weights are the dataset's own
+(MultiViewDataset.weights); so is the start (Start) that the first fit on
+a dataset makes and later fits read. A non-finite V, U, S update or view
+loss raises SolverDivergence naming it.
+
+For graphs of at least BLOCK_MIN_ENTRIES entries the instances are sorted
+by V's labels (SolverState.order), and a sweep updates each graph on the
+diagonal blocks of V's clusters plus the few off-block entries the other
+graphs list (graph.ClusterBlocks, kept in SweepCarry); a per-column bound
+proves that the dense update would give the same graph. A view that fails
+it, graphs with too many off-block entries, a caller's V with unsorted
+labels and singleton clusters take the dense update.
 """
 
 from __future__ import annotations
@@ -59,9 +58,6 @@ from .datamodel import build_view_weights  # noqa: F401
 from .graph import build_initial_similarity, laplacian, pairwise_sq_dists  # noqa: F401
 from .simplex import project_offdiag_simplex  # noqa: F401
 
-DENOM_FLOOR = 1e-12
-XI = 1e7  # orthogonality penalty on V
-EPS = 1e-10  # l2,p reweighting floor
 REL_TOL = 1e-6  # `fit` stops at a relative objective change below this
 MAX_VIEWS = 8  # see check_view_count
 
@@ -116,7 +112,7 @@ class SolverState:
     every state, a fit's result included, works with the caller's dataset;
     a caller that wants the dataset's order gathers by argsort(order)."""
     u: list  # l factor matrices, d_v x c
-    v: np.ndarray  # consensus indicator, N x c
+    v: np.ndarray  # consensus indicator, N x c (see update_v)
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
@@ -125,23 +121,22 @@ class SolverState:
 
 @dataclass
 class SweepCarry:
-    """What a sweep leaves for the next sweep of the same state, O(l N c) numbers.
+    """What a sweep leaves for the next sweep of the same state: O(l N)
+    numbers, and V's distances for a graph of one row block (`sweep_dists`).
 
     thresholds: per view, the S projection's final per-column thresholds,
     the next sweep's starting guesses (NaN: start cold).
-    products: per view, S_k [V 1] for the V and graphs the last sweep left
-    (`basis`); the next V update reuses them while the state still holds
-    exactly those arrays. Every S update writes its graph in place and a
-    sweep replaces V before the first of them, so products never outlive
-    the graphs they came from.
-    blocks: the ClusterBlocks of the last sweep's labels with the graphs'
-    off-block lists, kept while the labels stay the same and the state
-    holds the arrays the last sweep left.
+    held: the V and graphs the last sweep read; while the state holds
+    exactly those arrays (no sweep replaces them), the next sweep reads
+    `dists` and `blocks` as they are, so a fit forms them once.
+    blocks: the ClusterBlocks of V's labels, set at V, with the graphs'
+    off-block lists; None when the graphs are too small or the labels are
+    unsorted or have a singleton.
     block_updates: how many S updates have run on the blocks.
     """
     thresholds: list
-    products: list | None = None
-    basis: tuple = ()
+    held: tuple = ()
+    dists: np.ndarray | None = None
     blocks: ClusterBlocks | None = None
     block_updates: int = 0
 
@@ -149,25 +144,16 @@ class SweepCarry:
     def start(cls, n_instances: int, n_views: int) -> "SweepCarry":
         return cls([np.full(n_instances, np.nan) for _ in range(n_views)])
 
-    def blocks_for(self, v: np.ndarray) -> ClusterBlocks | None:
-        """The ClusterBlocks of V's labels, set at V; None when the graphs
-        are too small or the labels are unsorted or have a singleton."""
-        edges = cluster_bounds(v) if len(v) ** 2 >= BLOCK_MIN_ENTRIES else None
-        if edges is None:
-            self.blocks = None
-        elif self.blocks is None or not np.array_equal(self.blocks.edges, edges):
-            self.blocks = ClusterBlocks(edges, len(self.thresholds))
-        return None if self.blocks is None else self.blocks.at(v)
-
-    def keep(self, state: SolverState, products: list) -> None:
-        self.products = products
-        self.basis = (state.v, *state.s)
-
-    def products_for(self, state: SolverState) -> list | None:
+    def at(self, state: SolverState) -> tuple:
+        """(blocks, dists) for the state, formed anew unless it holds the
+        arrays the last sweep read."""
         held = (state.v, *state.s)
-        if len(held) != len(self.basis) or any(b is not a for b, a in zip(self.basis, held)):
-            return None
-        return self.products
+        if len(held) != len(self.held) or any(a is not b for a, b in zip(held, self.held)):
+            self.held, v = held, state.v
+            self.dists = sweep_dists(v)
+            edges = cluster_bounds(v) if len(v) ** 2 >= BLOCK_MIN_ENTRIES else None
+            self.blocks = None if edges is None else ClusterBlocks(edges, len(state.s)).at(v)
+        return self.blocks, self.dists
 
 
 @dataclass
@@ -178,16 +164,6 @@ class SolverResult:
     trace: np.ndarray  # objective per sweep, including the initial value
     iterations: int
     converged: bool
-
-
-def sparsity_reweight(u: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """Diagonal of the l2,p reweighting matrix, smoothed so zero rows stay finite.
-
-    D_ii = p * (||u_i||^2 + eps)^((p-2)/2) / 2, the exact gradient factor of
-    the smoothed surrogate sum_i (||u_i||^2 + eps)^(p/2).
-    """
-    row_sq = np.sum(u * u, axis=1)
-    return 0.5 * p * np.power(row_sq + eps, 0.5 * (p - 2.0))
 
 
 def l2p_norm_p(u: np.ndarray, p: float) -> float:
@@ -207,8 +183,7 @@ def objective(
     already has them; otherwise one graph pass gives them.
     """
     if losses is None:
-        if state.order is not None:
-            dataset = _permuted(dataset, state.order)
+        dataset = _in_order(dataset, state.order)
         losses = view_losses(state, dataset, hyper, *graph_products(state.s, state.v))
     r_term = hyper.beta * float(np.vdot(state.r, state.r))
     total = float(np.sum(state.alpha ** hyper.gamma * (losses + r_term)))
@@ -217,50 +192,90 @@ def objective(
     return total
 
 
-def update_u(
-    v: int,
-    state: SolverState,
-    dataset: MultiViewDataset,
-    hyper: Hyperparameters,
-) -> np.ndarray:
-    """Multiplicative update of the view-v factor under the l2,p reweighting."""
-    x = dataset.views[v]
-    w2 = dataset.weights[v] ** 2
-    u = state.u[v]
-    d = sparsity_reweight(u, hyper.p, EPS)
-    num = (x * w2[None, :]) @ state.v
-    m = state.v.T @ (state.v * w2[:, None])
-    den = u @ m + hyper.lam * d[:, None] * u
-    return u * np.sqrt(num / (den + DENOM_FLOOR))
+def update_v(labels: np.ndarray, n_clusters: int) -> np.ndarray:
+    """V's block: the scaled indicator of `labels`, column k 1/sqrt(n_k) on
+    the n_k instances of cluster k and 0 elsewhere, as every V >= 0 with
+    V'V = I is for some labels. V'V = I exactly off the diagonal (disjoint
+    columns) and to rounding on it."""
+    sizes = np.bincount(labels, minlength=n_clusters)
+    v = np.zeros((len(labels), n_clusters))
+    v[np.arange(len(labels)), labels] = 1.0 / np.sqrt(sizes[labels])
+    return v
 
 
-def update_v(
-    state: SolverState,
-    dataset: MultiViewDataset,
-    hyper: Hyperparameters,
-    products: list,
-) -> np.ndarray:
-    """Multiplicative update of the consensus indicator with orthogonality penalty.
+def update_u(v: np.ndarray, dataset: MultiViewDataset, hyper: Hyperparameters) -> np.ndarray:
+    """U's block given the indicator V: the views' factors, stacked by rows,
+    each the exact minimizer of ||(X - U V') W||^2 + lam sum_f ||u_f||^p over
+    U >= 0. Row f minimizes u'Mu - 2 b'u + lam ||u||^p with M = V'W^2V,
+    diagonal as V's columns are disjoint, and b = V'W^2 x_f >= 0 (`_l2p_rows`)."""
+    w2 = [w ** 2 for w in dataset.weights]
+    b = np.vstack([(x * w) @ v for x, w in zip(dataset.views, w2)])
+    m = np.repeat([w @ (v * v) for w in w2], dataset.feature_counts, axis=0)
+    return _l2p_rows(b, m, hyper.lam, hyper.p)
 
-    `products` are the S_k [V 1] (S_k V and the row sums of S_k) of the
-    current state, from `graph_products`.
+
+@np.errstate(all="ignore")  # a row out of range ends at 0 or non-finite
+def _l2p_rows(b: np.ndarray, m: np.ndarray, lam: float, p: float) -> np.ndarray:
+    """Per row, the u >= 0 minimizing f(u) = u'diag(m)u - 2 b'u + lam ||u||^p,
+    for b >= 0 and m >= 0, m_k = 0 only where b_k = 0; lam = 0 gives b / m.
+
+    A minimizer u != 0 solves (diag(m) + mu) u = b with mu = (lam p / 2)
+    ||u||^(p-2), so it lies on the path u(mu) = b / (m + mu), along which f
+    falls where g(mu) = mu ||u(mu)||^(2-p) < lam p / 2 and rises where g is
+    above: its minima sit where g crosses lam p / 2 upwards. g <= lam p / 2
+    at mu = (lam p / 2) (min(m) / ||b||)^(2-p), grows up to the smallest
+    m / (1 - p) and falls past the largest; for p = 1 it grows toward ||b||,
+    past lam / 2 by mu = lam max(m) / (2 ||b|| - lam). So the search takes
+    that lower end and 16 points from the smallest m / (1 - p) to the largest
+    (or the p = 1 end), in log mu with a margin of e; a hump of g between two
+    points hides at most one step's change of f. The crossing next to the
+    lowest f is refined by Newton steps in log mu kept inside the bracket
+    (else bisected), and the row takes it where f < f(0) = 0.
     """
-    v_mat = state.v
-    c = v_mat.shape[1]
-    ag = state.alpha ** hyper.gamma
-    e = np.zeros_like(v_mat)
-    q = np.zeros_like(v_mat)
-    for k in range(dataset.n_views):
-        x = dataset.views[k]
-        w2 = dataset.weights[k] ** 2
-        u = state.u[k]
-        sv_deg = products[k]
-        e += ag[k] * (w2[:, None] * (x.T @ u) + hyper.beta * sv_deg[:, :c])
-        q += ag[k] * (w2[:, None] * (v_mat @ (u.T @ u)) + hyper.beta * sv_deg[:, c:] * v_mat)
-    two_xi = 2.0 * XI
-    num = e + two_xi * v_mat
-    den = q + two_xi * (v_mat @ (v_mat.T @ v_mat))
-    return v_mat * np.sqrt(num / (den + DENOM_FLOOR))
+    u = np.zeros_like(b)
+    if lam == 0.0:
+        return np.divide(b, m, out=u, where=m > 0)
+    log_level = np.log(0.5 * lam * p)
+    norm = np.linalg.norm(b, axis=1)
+    m_lo, m_hi = np.where(m > 0, m, np.inf).min(axis=1), m.max(axis=1)
+    lo = log_level + (2.0 - p) * np.log(m_lo / norm) - 1.0
+    if p < 1.0:
+        first, hi = np.log(m_lo / (1.0 - p)) - 1.0, np.log(m_hi / (1.0 - p)) + 1.0
+    else:
+        first = hi = np.log(lam * m_hi / (2.0 * norm - lam)) + 1.0
+    rows = np.flatnonzero((lo < hi) & (hi < np.inf))
+    b, m, lo, hi = b[rows], m[rows], lo[rows], hi[rows]
+    first = np.maximum(first[rows], lo)
+
+    def path(s, b, m):  # u, mu, ||u||^2, log(g / (lam p / 2)) and f at log mu = s
+        mu = np.exp(s)[..., None]
+        at = b / (m + mu)
+        sq = np.einsum("...k,...k->...", at, at)
+        value = np.einsum("...k,...k->...", at, m * at - 2.0 * b) + lam * sq ** (0.5 * p)
+        return at, mu, sq, s + (1.0 - 0.5 * p) * np.log(sq) - log_level, value
+
+    grid = np.column_stack([lo, first[:, None] + (hi - first)[:, None] * np.linspace(0, 1, 16)])
+    _, _, _, resid, value = path(grid, b[:, None], m[:, None])
+    up = (resid[:, :-1] < 0.0) & (resid[:, 1:] >= 0.0)
+    cost = np.where(up, np.minimum(value[:, :-1], value[:, 1:]), np.inf)
+    j = np.argmin(cost, axis=1)
+    found = np.flatnonzero(np.isfinite(cost[np.arange(len(j)), j]))
+    rows, b, m, j = rows[found], b[found], m[found], j[found]
+    lo, hi = grid[found, j], grid[found, j + 1]
+    s = 0.5 * (lo + hi)
+    for _ in range(60):
+        at, mu, sq, resid, _ = path(s, b, m)
+        lo, hi = np.where(resid < 0.0, s, lo), np.where(resid < 0.0, hi, s)
+        slope = 1.0 - (2.0 - p) * np.einsum("ik,ik->i", at * at, mu / (m + mu)) / sq
+        step = s - resid / slope
+        step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - s) <= 1e-12 * np.maximum(np.abs(s), 1.0))
+        s = step
+        if done:
+            break
+    at, _, _, _, value = path(s, b, m)
+    u[rows[value < 0.0]] = at[value < 0.0]
+    return u
 
 
 def graph_products(graphs, v: np.ndarray, blocks: ClusterBlocks | None = None):
@@ -361,9 +376,11 @@ def view_losses(
 ) -> np.ndarray:
     """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
 
-    The graph term uses tr(V'LV) = sum_i deg_i ||v_i||^2 - <V, SV> with deg
-    the row sums of S, so the Laplacian is never formed; one product
-    S [V 1] gives both SV and deg. The reconstruction term is
+    The graph term is tr(V'LV) for the Laplacian L of the symmetrized graph
+    (S + S') / 2, sum_ij s_ij ||v_i - v_j||^2 / 2, the form the S update
+    minimizes: with unit column sums it is sum_i (deg_i + 1) ||v_i||^2 / 2 -
+    <V, SV> with deg the row sums of S, so the Laplacian is never formed;
+    one product S [V 1] gives both SV and deg. The reconstruction term is
     ||S_v - sum_{i != v} r_iv S_i||^2 = e'Ge with e = e_v - R[:, v] and G the
     Gram matrix of the graphs, so no residual graph is formed. Rounding can
     leave e'Ge slightly negative when the graphs coincide; it is clamped at
@@ -380,7 +397,7 @@ def view_losses(
         e[v] += 1.0
         recon = max(float(e @ gram @ e), 0.0)
         sv_deg = products[v]
-        smooth = float(sv_deg[:, c] @ row_sq) - float(np.vdot(state.v, sv_deg[:, :c]))
+        smooth = 0.5 * float((sv_deg[:, c] + 1.0) @ row_sq) - float(np.vdot(state.v, sv_deg[:, :c]))
         d[v] = (
             float(np.vdot(resid, resid))
             + hyper.lam * l2p_norm_p(state.u[v], hyper.p)
@@ -409,11 +426,13 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Start:
     """What `initialize` takes from the dataset, `seed`, `knn` and c alone,
-    O(N (c + k l)) numbers, all read-only: V's start (see initialize), the
-    cluster order of its k-means labels (None below BLOCK_MIN_ENTRIES) and
-    each view's kNN search (graph.KnnEdges), V and the searches in it."""
+    all read-only: V, the cluster order of its labels (None below
+    BLOCK_MIN_ENTRIES), the dataset in that order (None with it) and each
+    view's kNN search (graph.KnnEdges), V and the searches in that order:
+    O(N (c + k l)) numbers besides the ordered dataset's copy of the views."""
     v: np.ndarray
     order: np.ndarray | None
+    ordered: MultiViewDataset | None
     edges: tuple
 
 
@@ -424,59 +443,50 @@ def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
     cluster empty, so the order also sorts the argmax labels of V's rows."""
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
-    ordered = dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES
-    key = (hyper.seed, hyper.knn, hyper.n_clusters, ordered)
+    sort = dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES
+    key = (hyper.seed, hyper.knn, hyper.n_clusters, sort)
     start = dataset.starts.get(key)
     if start is None:
         imputed = impute_missing(dataset)
         labels = kmeans(np.vstack(imputed), hyper.n_clusters, [hyper.seed])[0][0]
-        v = np.full((len(labels), hyper.n_clusters), 1e-3)  # the soft indicator of the labels
-        v[np.arange(len(labels)), labels] = 1.0
-        v /= np.linalg.norm(v, axis=0, keepdims=True)
-        order, presence = None, dataset.presence
-        if ordered:
+        order, ordered, presence = None, None, dataset.presence
+        if sort:
             order = np.argsort(labels, kind="stable")
             order.flags.writeable = False
-            v, presence = v[order], presence[order]
+            ordered = _permuted(dataset, order)
+            labels, presence = labels[order], ordered.presence
             imputed = [x[:, order] for x in imputed]
-        edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
+        v = _finite(update_v(labels, hyper.n_clusters), "the V update")
         v.flags.writeable = False
-        start = dataset.starts[key] = Start(v, order, edges)
+        edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
+        start = dataset.starts[key] = Start(v, order, ordered, edges)
     return start
 
 
 def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState:
-    """Strictly positive factors, kNN similarity graphs on imputed data,
-    uniform coefficients and view weights.
+    """V and U at their exact blocks, kNN similarity graphs on imputed data,
+    uniform coefficients and view weights. Refuses l outside [2, MAX_VIEWS].
 
-    V starts as a column-normalized soft cluster indicator (a one-seed
-    k-means, seed hyper.seed, on the concatenated imputed views, floored at
-    1e-3 so multiplicative updates can move every entry). Starting V near the
-    nonnegative orthogonal manifold is what lets the huge-XI penalty keep the
-    objective monotone: from a generic positive matrix the support-splitting
-    required by V'V = I is a slow process during which the penalty drags the
-    unpenalized objective upward. Refuses l outside [2, MAX_VIEWS].
+    V is the scaled indicator (update_v) of a one-seed k-means, seed
+    hyper.seed, on the concatenated imputed views, and U its block's exact
+    minimizer (update_u), which reads V, the data, lam and p alone; no sweep
+    changes either. Graphs of at least BLOCK_MIN_ENTRIES entries are built
+    with the instances sorted by V's labels (stable), so that the sweeps can
+    work on the labels' blocks: V and the graphs then hold the instances in
+    the state's `order`, into which `sweep` and `objective` put the dataset.
 
-    Graphs of at least BLOCK_MIN_ENTRIES entries are built with the
-    instances sorted by V's labels (stable), so that the sweeps can work on
-    the labels' blocks: V and the graphs then hold the dataset's instances
-    in the state's `order`, into which `sweep` and `objective` put the
-    dataset (`fit` does so once for all its sweeps). The k-means start and U
-    do not depend on the order.
-
-    V's start, the order and each view's kNN search depend only on the
-    dataset, `seed`, `knn` and c, so the first call for them computes them
-    and later calls read them from the dataset (see Start); a grid's cells
-    on one masked dataset share them. Every call copies V, draws its own U
-    and assembles new graphs (graph.similarity_from_edges), so no two states
-    share an array.
+    V, the order, the dataset in it and the kNN searches depend only on the
+    dataset, `seed`, `knn` and c, so the first call makes them and later
+    calls read them from the dataset (Start): a grid's cells on one masked
+    dataset share them. Every call copies V and the order, solves U and
+    assembles new graphs, so no two states share an array.
     """
     l = dataset.n_views
     check_view_count(l)
-    rng = np.random.default_rng(hyper.seed)
-    u = [rng.uniform(0.1, 1.1, size=(d, hyper.n_clusters)) for d in dataset.feature_counts]
     start = _start(dataset, hyper)
     v = start.v.copy()
+    u = _finite(update_u(v, _in_order(dataset, start.order), hyper), "the U update")
+    u = np.split(u, np.cumsum(dataset.feature_counts)[:-1])
     order = None if start.order is None else start.order.copy()
     s = [similarity_from_edges(dataset.n_instances, edges) for edges in start.edges]
     r = np.full((l, l), 1.0 / (l - 1))
@@ -497,26 +507,15 @@ def sweep(
     hyper: Hyperparameters,
     carry: SweepCarry,
 ) -> np.ndarray:
-    """One full alternating pass, in place: V, U^(v), S^(v), R, alpha.
-
-    Returns the view losses of the final state, from which alpha was set.
-    `carry` holds what the previous sweep of this state left (see
-    SweepCarry) and receives what this one leaves; with a fresh one
-    (SweepCarry.start), one graph pass forms the V update's products and
-    every projection starts cold. The dataset is put in the state's
-    `order`, if it holds one.
+    """One alternating pass, in place: S^(v) for each view, R, alpha (V and
+    U stay at their blocks' minimizers, see initialize). Returns the view
+    losses of the final state, from which alpha was set. `carry` holds what
+    the previous sweep of this state left (SweepCarry); with a fresh one,
+    V's distances are formed anew and every projection starts cold. The
+    dataset is put in the state's `order`, if it holds one.
     """
-    if state.order is not None:
-        dataset = _permuted(dataset, state.order)
-    products = carry.products_for(state)
-    if products is None:  # the graphs are not the ones the carry's lists describe
-        carry.blocks = None
-        products = graph_products(state.s, state.v)[1]
-    state.v = _finite(update_v(state, dataset, hyper, products), "the V update")
-    for k in range(dataset.n_views):
-        state.u[k] = _finite(update_u(k, state, dataset, hyper), "the U update")
-    blocks = carry.blocks_for(state.v)
-    dists = sweep_dists(state.v)
+    dataset = _in_order(dataset, state.order)
+    blocks, dists = carry.at(state)
     for k in range(dataset.n_views):
         try:
             update_similarity(k, state.s, state.r, state.alpha, hyper.gamma, state.v,
@@ -529,7 +528,6 @@ def sweep(
     state.r = update_r(gram)
     d = _finite(view_losses(state, dataset, hyper, gram, products), "the view losses")
     state.alpha = update_alpha(d, hyper.gamma)
-    carry.keep(state, products)
     return d
 
 
@@ -543,24 +541,26 @@ def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
     return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order])
 
 
+def _in_order(dataset: MultiViewDataset, order: np.ndarray | None) -> MultiViewDataset:
+    """The dataset with its instances in `order` (None: the dataset): the
+    copy kept by the dataset's Start of that order, so it is gathered once
+    per dataset and order, or a new gather for an order no Start holds."""
+    if order is None:
+        return dataset
+    for start in dataset.starts.values():
+        if start.order is not None and np.array_equal(start.order, order):
+            return start.ordered
+    return _permuted(dataset, order)
+
+
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
-    REL_TOL or max_iter sweeps elapse.
-
-    The sweeps run in the instance order the initial state was built in
-    (SolverState.order, see initialize): the dataset is put in it once, and
-    the order is taken off the state for the sweeps and put back at the end.
-    The result holds V and the graphs in that order, as every state does.
-    """
+    REL_TOL or max_iter sweeps elapse. The result holds V and the graphs in
+    the instance order the initial state was built in (SolverState.order),
+    as every state does."""
     state = initialize(dataset, hyper)
-    order, state.order = state.order, None
-    if order is not None:
-        dataset = _permuted(dataset, order)
-    gram, products = graph_products(state.s, state.v)
-    d = view_losses(state, dataset, hyper, gram, products)
-    trace = [objective(state, dataset, hyper, d)]
+    trace = [objective(state, dataset, hyper)]
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
-    carry.keep(state, products)  # the first V update reuses the initial products
     converged = False
     for _ in range(hyper.max_iter):
         d = sweep(state, dataset, hyper, carry)
@@ -569,7 +569,6 @@ def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
         if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True
             break
-    state.order = order
     return SolverResult(state, np.asarray(trace), len(trace) - 1, converged)
 
 

@@ -273,8 +273,8 @@ class TestRunCommand:
         assert not (out / "failures.txt").exists()
 
 
-# 24 cells; on this dataset each missing ratio's 12 cells make two distinct
-# selections
+# 24 cells; each missing ratio's 12 cells make one selection per lambda, as
+# U reads only V, lambda and p
 GRID_SWEEP = SMALL_SWEEP + "missing_ratios 0.2 0.4\nlambda 0.01 1 100\nbeta 0.1 10\ngamma 3 5\n"
 
 
@@ -315,7 +315,7 @@ class TestSharedGroupWork:
             for _, selected, made in group:
                 assert made == (selected not in seen)  # one k-means pass, on a miss
                 seen.add(selected)
-            assert len(seen) == 2
+            assert len(seen) == 3
         assert calls[0][0] is not calls[12][0]
 
 
@@ -451,6 +451,27 @@ class TestConfigFaults:
                            "repeats 2\nmax_iter 5\n")
         assert cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert not (tmp_path / "o" / "failures.txt").exists()
+
+    def test_overflow_across_views_runs(self, tmp_path, capsys):
+        # 1.3e154 in feature 0 of instance 5 in views 0 and 1: each view's sum
+        # of squares is finite, the stack of views' is not. V's start and the
+        # kNN search scale their input into range and no S update reads the
+        # data, so every cell fits
+        ds, _ = datamodel.generate_synthetic(datamodel.SyntheticSpec(
+            n_instances=40, n_views=3, n_clusters=4, features=(10, 10, 10),
+            informative=(3, 3, 3)))
+        views = [x.copy() for x in ds.views]
+        views[0][0, 5] = views[1][0, 5] = 1.3e154
+        assert sum(float(np.vdot(x, x)) for x in views) == np.inf
+        datamodel.save_dataset(replace(ds, views=tuple(views)), str(tmp_path / "ds"))
+        cfg = write_config(tmp_path / "c.txt", f"dataset {tmp_path / 'ds'}\nmissing_ratios 0 0.3\n"
+                           "feature_ratios 0.3\nlambda 0.1\nbeta 0.1\ngamma 3\np 0.5\n"
+                           "repeats 3\nmax_iter 50\n")
+        assert cli.main(["validate", "--config", cfg]) == 0
+        out = tmp_path / "o"
+        assert cli.main(["run", "--config", cfg, "--out", str(out)]) == 0
+        assert "wrote 2 report rows" in capsys.readouterr().out
+        assert not (out / "failures.txt").exists()
 
     # synth options and the part of the one error line they must give
     SYNTH_FAULTS = {

@@ -22,13 +22,16 @@ def test_same_tree_twice_is_bitwise_equal(tmp_path, capsys):
     trees = [paired_fits.load_tree(ROOT, f"mvufs_same_{side}") for side in ("a", "b")]
     assert trees[0].solver is not trees[1].solver
     configs = paired_fits.workloads.write_inputs(SHRUNK, 1, str(tmp_path))
-    parent, change, differ, masks = paired_fits.pair(trees, configs, rounds=2)
-    assert len(parent) == len(change) == 2 * SHRUNK.datasets * 2
+    times, sweeps, differ, masks = paired_fits.pair(trees, configs, rounds=2)
+    assert times.shape == sweeps.shape == (2, 2 * SHRUNK.datasets * 2)
+    assert np.array_equal(sweeps[0], sweeps[1]) and np.all(sweeps >= 1)
     assert differ == []
     assert [equal for _, equal in masks] == [True] * (2 * SHRUNK.datasets)
-    assert paired_fits.report(parent, change, differ, masks) == 0
+    assert paired_fits.report(times, sweeps, differ, masks) == 0
     out = capsys.readouterr().out
-    assert f"{len(parent)} paired fits" in out
+    assert f"{times.shape[1]} paired fits" in out
+    mean = f"{sweeps[0].mean():.2f}"
+    assert f"mean sweeps per fit: parent {mean}, change {mean}" in out
     assert "states: every trace and final state bitwise equal" in out
     assert f"masks: all {len(masks)} masked presence masks bitwise equal" in out
 
@@ -46,11 +49,13 @@ def changed_tree(tmp_path, module: str, old: str, new: str) -> str:
 
 
 def test_a_changed_result_exits_one(tmp_path, capsys, monkeypatch):
-    changed = changed_tree(tmp_path, "solver.py", "XI = 1e7", "XI = 1e6")
+    # a stop rule that every fit meets after its first sweep
+    changed = changed_tree(tmp_path, "solver.py", "REL_TOL = 1e-6", "REL_TOL = 1.0")
     monkeypatch.setitem(paired_fits.workloads.WORKLOADS, SHRUNK.name, SHRUNK)
     assert paired_fits.main([ROOT, changed, "--workload", SHRUNK.name, "--rounds", "1"]) == 1
     out = capsys.readouterr().out
     assert f"{SHRUNK.name} seed 5: 2 datasets, 1 rounds" in out
+    assert "mean sweeps per fit: parent 3.00, change 1.00" in out  # the shrunk cap is 3
     assert "4 of 4 pairs DIFFER" in out
     assert "  round 0 config 1 cell (0.1, 0.01, 0.1, 3.0, 0.5)" in out
     assert "masks: all 2 masked presence masks bitwise equal" in out

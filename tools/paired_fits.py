@@ -17,7 +17,8 @@ the tree that fits first alternates from cell to cell and from round to
 round. BLAS is pinned to one thread when the script starts numpy.
 
 The script prints the change's p50 and p75 fit times over the parent's, the
-quartiles of the per-fit ratios, whether every pair's objective trace,
+quartiles of the per-fit ratios, each tree's mean sweeps per fit, whether
+every pair's objective trace,
 sweep count and final state (U, V, S, R, alpha; V and S in the dataset's
 order) are bitwise equal, and
 whether both trees masked each missing ratio with the same presence mask,
@@ -90,14 +91,15 @@ def timed_fit(cli, dataset, c: int, cfg, cell):
                                        max_iter=cfg.max_iter, seed=cfg.seed, knn=cfg.knn)
     start = perf_counter()
     result = cli.solver.fit(dataset, hyper)
-    return perf_counter() - start, state_bytes(result)
+    return perf_counter() - start, result.iterations, state_bytes(result)
 
 
 def pair(trees, configs, rounds: int):
     """Run every config's fit cells under both trees `rounds` times; returns
-    (parent times, change times, [descriptions of differing pairs],
-    [(description, whether equal) of each masked presence mask])."""
-    times = ([], [])
+    (times, sweeps, [descriptions of differing pairs], [(description, whether
+    equal) of each masked presence mask]); times and sweeps are 2 x fits
+    arrays, the parent's row first."""
+    times, sweeps = ([], []), ([], [])
     differ = []
     masks = []
     for round_ in range(rounds):
@@ -118,15 +120,18 @@ def pair(trees, configs, rounds: int):
                 outs = [None, None]
                 for side in (turn % 2, 1 - turn % 2):
                     cfg, masked, c = loaded[side]
-                    seconds, outs[side] = timed_fit(trees[side], masked[cell[0]], c, cfg, cell)
+                    seconds, count, outs[side] = timed_fit(trees[side], masked[cell[0]], c,
+                                                           cfg, cell)
                     times[side].append(seconds)
+                    sweeps[side].append(count)
                 turn += 1
                 if outs[0] != outs[1]:
                     differ.append(f"round {round_} config {index} cell {cell}")
-    return np.array(times[0]), np.array(times[1]), differ, masks
+    return np.array(times), np.array(sweeps), differ, masks
 
 
-def report(parent: np.ndarray, change: np.ndarray, differ: list, masks: list) -> int:
+def report(times: np.ndarray, sweeps: np.ndarray, differ: list, masks: list) -> int:
+    parent, change = times
     ratios = change / parent
     p50, p75 = (np.percentile(change, q) / np.percentile(parent, q) for q in (50, 75))
     print(f"{len(parent)} paired fits; parent p50 {np.median(parent) * 1e3:.2f} ms, "
@@ -134,6 +139,7 @@ def report(parent: np.ndarray, change: np.ndarray, differ: list, masks: list) ->
     print(f"change / parent: p50 {p50:.3f}, p75 {p75:.3f}")
     q1, q2, q3 = np.percentile(ratios, (25, 50, 75))
     print(f"per-fit ratio quartiles: {q1:.3f} {q2:.3f} {q3:.3f}")
+    print(f"mean sweeps per fit: parent {sweeps[0].mean():.2f}, change {sweeps[1].mean():.2f}")
     if differ:
         print(f"states: {len(differ)} of {len(parent)} pairs DIFFER")
         for line in differ:
