@@ -4,14 +4,15 @@ Every similarity matrix S is N x N with zero diagonal, entries in [0, 1] and
 column sums equal to 1. The cross-view coefficient matrix R is l x l with
 zero diagonal and off-diagonal column sums equal to 1.
 
-The S update reads V's distances only through `shifted_sq_dists`, formed a
-row block or a cluster block at a time (for a graph of one row block, once
-per fit: `sweep_dists`), and writes the new graph in place: no N x N
-distance matrix beyond one row block, and no second graph, exists. When the
-instances are sorted by V's cluster labels, it repairs only the diagonal
-blocks of the clusters plus the few off-block entries that the other graphs
-list (ClusterBlocks), and checks per column, from a lower bound on its
-off-block distances, that the dense update would give the same graph. A
+The dense S update reads V's distances through `shifted_sq_dists`, formed
+a row block at a time (for a graph of one row block, once per fit:
+`sweep_dists`), and writes the new graph in place: no N x N distance matrix
+beyond one row block, and no second graph, exists. When V is a scaled
+indicator with its instances sorted by cluster (`cluster_bounds`), its
+distances are one squared norm per cluster, and the update repairs only
+the diagonal blocks of the clusters plus the few off-block entries that the
+other graphs list (ClusterBlocks), checking per column, from its least
+off-block distance, that the dense update would give the same graph. A
 block whose columns keep every entry, as they do once the graphs have
 settled, is projected from its column sums (simplex.project_full_support);
 another block with listed candidates sends the view to the dense update.
@@ -81,12 +82,12 @@ def pairwise_sq_dists(v: np.ndarray) -> np.ndarray:
     return h
 
 
-def shifted_sq_dists(v: np.ndarray, rows=slice(None), cols=slice(None)) -> np.ndarray:
-    """h[rows, cols] with h_ij = |v_i|^2 - 2 v_i . v_j: the squared distances
+def shifted_sq_dists(v: np.ndarray, rows=slice(None)) -> np.ndarray:
+    """h[rows] with h_ij = |v_i|^2 - 2 v_i . v_j: the squared distances
     between the rows of v less |v_j|^2 in column j, a per-column constant
     that the S update ignores. One GEMM, no clamp or transpose."""
     a = v[rows]
-    h = (-2.0 * a) @ v[cols].T
+    h = (-2.0 * a) @ v.T
     h += np.sum(a * a, axis=1)[:, None]
     return h
 
@@ -214,8 +215,10 @@ def laplacian(s: np.ndarray):
 
 def cluster_bounds(v: np.ndarray) -> np.ndarray | None:
     """Edges of the runs of equal argmax labels of V's rows, empty clusters
-    left out; None unless the labels are sorted and every cluster that has
-    members has at least two."""
+    left out; None unless V is a scaled indicator (each row one positive
+    entry and zeros, equal to the first row of its run), the labels are
+    sorted and every cluster that has members has at least two. The block
+    path (ClusterBlocks) is exact only for such a V."""
     labels = np.argmax(v, axis=1)
     if np.any(labels[1:] < labels[:-1]):
         return None
@@ -223,7 +226,10 @@ def cluster_bounds(v: np.ndarray) -> np.ndarray | None:
     sizes = sizes[sizes > 0]
     if np.any(sizes < 2):
         return None
-    return np.concatenate(([0], np.cumsum(sizes)))
+    edges = np.concatenate(([0], np.cumsum(sizes)))
+    heads = v[edges[:-1]]
+    one = np.all(np.count_nonzero(heads, axis=1) == 1) and np.all(heads.max(axis=1) > 0.0)
+    return edges if one and np.array_equal(v, np.repeat(heads, sizes, axis=0)) else None
 
 
 class ClusterBlocks:
@@ -232,9 +238,13 @@ class ClusterBlocks:
 
     `entries[k]` describes the array that graph k is now: None when not yet
     listed, False when it has too many off-block entries for the block path.
-    `at(v)` sets the V of the next S updates. Their distances h (those of
-    `shifted_sq_dists`) are formed on the diagonal blocks, once per V, and
-    at the listed entries only.
+    `at(v)` sets the V of the next S updates, a scaled indicator with these
+    edges (see cluster_bounds): each row of block b is one vector, of
+    squared norm q_b, orthogonal to the other blocks' rows. So the
+    distances h of `shifted_sq_dists` are -q_b on diagonal block b and q_r
+    in row r off it, and `at` keeps only the squared norms and `off_bound`:
+    per column, its least h over the rows outside its block, the least q of
+    the other blocks (inf with one block).
     """
 
     def __init__(self, edges: np.ndarray, n_graphs: int):
@@ -246,28 +256,11 @@ class ClusterBlocks:
         self.budget = (BLOCK_SHARE * edges[-1] ** 2 - inner) / EXTRA_COST
 
     def at(self, v: np.ndarray) -> "ClusterBlocks":
-        self.v = v
         self.row_sq = np.sum(v * v, axis=1)
-        self._inner = None
+        self.q = self.row_sq[self.edges[:-1]]
+        others = np.where(np.eye(len(self.q), dtype=bool), np.inf, self.q).min(axis=1)
+        self.off_bound = np.repeat(others, np.diff(self.edges))
         return self
-
-    def inner(self) -> list:
-        """h on each diagonal block. Also sets `off_bound`, a lower bound on
-        each column's smallest h over the rows outside its block: over the
-        rows r of block a, h[r, j] >= min_a |v_r|^2 - 2 max_a(v_r . v_j), and
-        for V >= 0, as every V of the solver is (a scaled indicator, see
-        solver.update_v; there the bound is exact), v_r . v_j is at most the
-        sum over k of max_a(V[:, k]) v_jk."""
-        if self._inner is None:
-            self._inner = [shifted_sq_dists(self.v, slice(b0, b1), slice(b0, b1))
-                           for b0, b1 in self.spans]
-            least = np.array([self.row_sq[b0:b1].min() for b0, b1 in self.spans])
-            top = np.array([self.v[b0:b1].max(axis=0) for b0, b1 in self.spans])
-            bound = least[:, None] - 2.0 * (top @ self.v.T)
-            for a, (b0, b1) in enumerate(self.spans):
-                bound[a, b0:b1] = np.inf
-            self.off_bound = bound.min(axis=0)
-        return self._inner
 
     def entries_of(self, k: int, graph: np.ndarray):
         """entries[k], listed from `graph` when unknown; False past the budget."""
@@ -291,8 +284,8 @@ class ClusterBlocks:
         on the column's smallest off-block h: when that is at most the
         column's threshold, those rows are zero in the dense update too and
         the projection is exact. A column the bound does not settle sends the
-        view to the dense update. For a scaled indicator V the bound is the
-        minimum, so it settles every column that the dense update would.
+        view to the dense update. The bound is the minimum (see `at`), so it
+        settles every column that the dense update would.
 
         A block whose columns keep all their entries is projected with its
         listed candidates by project_full_support. Any other block takes the
@@ -308,9 +301,7 @@ class ClusterBlocks:
         if len(at) > self.budget:
             return False
         rows, cols = np.divmod(at, n)
-        values = np.einsum("ij,ij->i", -2.0 * self.v[rows], self.v[cols])
-        values += self.row_sq[rows]
-        values *= scale
+        values = self.row_sq[rows] * scale
         for i, w in terms:
             values += w * graphs[i].take(at)
         own = self.entries_of(v, out)
@@ -322,8 +313,8 @@ class ClusterBlocks:
             np.put(out, own, 0.0)
         block = np.searchsorted(self.edges, cols, side="right") - 1
         new = []
-        for b, ((b0, b1), inner) in enumerate(zip(self.spans, self.inner())):
-            p = np.multiply(inner, scale)
+        for b, (b0, b1) in enumerate(self.spans):
+            p = np.full((b1 - b0, b1 - b0), -self.q[b] * scale)
             tmp = np.empty_like(p)
             for i, w in terms:
                 p += np.multiply(graphs[i][b0:b1, b0:b1], w, out=tmp)

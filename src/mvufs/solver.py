@@ -16,7 +16,10 @@ a view's whole term, and each of its rows is one scalar equation
 column update, Gauss-Seidel across views), R (exact: every candidate
 support of every column from one batched KKT solve) and alpha (closed form).
 
-The sweep forms no N x N array of floats besides the graphs: the S update
+With V and U fixed, so is each view's data term ||(X_v - U_v V')W_v||^2 +
+lam sum_f ||u_f||^p: initialize forms it once (data_term) and the state
+carries it, so a sweep and the objective read no data, only the state. The
+sweep forms no N x N array of floats besides the graphs: the S update
 writes each graph in place from V's distances, which SweepCarry keeps for
 the fit with each sweep's final S-projection thresholds, and one pass over
 the new graphs (graph_products) gives their Gram matrix and every S_k [V 1]
@@ -28,10 +31,11 @@ loss raises SolverDivergence naming it.
 For graphs of at least BLOCK_MIN_ENTRIES entries the instances are sorted
 by V's labels (SolverState.order), and a sweep updates each graph on the
 diagonal blocks of V's clusters plus the few off-block entries the other
-graphs list (graph.ClusterBlocks, kept in SweepCarry); a per-column bound
-proves that the dense update would give the same graph. A view that fails
-it, graphs with too many off-block entries, a caller's V with unsorted
-labels and singleton clusters take the dense update.
+graphs list (graph.ClusterBlocks, kept in SweepCarry), reading V as one
+squared norm per cluster; a per-column bound proves that the dense update
+would give the same graph. A view that fails it, graphs with too many
+off-block entries, and a caller's V that is not a scaled indicator with
+sorted labels and no singleton cluster take the dense update.
 """
 
 from __future__ import annotations
@@ -108,14 +112,17 @@ class Hyperparameters:
 class SolverState:
     """One point of the alternating solver. V and the graphs hold the
     dataset's instances in `order` (see initialize); None means the
-    dataset's own order. sweep and objective put the dataset in it, so
-    every state, a fit's result included, works with the caller's dataset;
-    a caller that wants the dataset's order gathers by argsort(order)."""
+    dataset's own order, and a caller that wants it gathers by
+    argsort(order). `data_term` is each view's data term at the state's U
+    and V (see data_term), which no sweep changes: sweep and objective read
+    it instead of the dataset, so every state, a fit's result included,
+    continues with them alone."""
     u: list  # l factor matrices, d_v x c
     v: np.ndarray  # consensus indicator, N x c (see update_v)
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
+    data_term: np.ndarray  # per view, at u and v
     order: np.ndarray | None = None
 
 
@@ -130,8 +137,8 @@ class SweepCarry:
     exactly those arrays (no sweep replaces them), the next sweep reads
     `dists` and `blocks` as they are, so a fit forms them once.
     blocks: the ClusterBlocks of V's labels, set at V, with the graphs'
-    off-block lists; None when the graphs are too small or the labels are
-    unsorted or have a singleton.
+    off-block lists; None when the graphs are too small or V is not a
+    scaled indicator with sorted labels and no singleton (cluster_bounds).
     block_updates: how many S updates have run on the blocks.
     """
     thresholds: list
@@ -171,20 +178,14 @@ def l2p_norm_p(u: np.ndarray, p: float) -> float:
     return float(np.sum(np.linalg.norm(u, axis=1) ** p))
 
 
-def objective(
-    state: SolverState,
-    dataset: MultiViewDataset,
-    hyper: Hyperparameters,
-    losses: np.ndarray | None = None,
-) -> float:
+def objective(state: SolverState, hyper: Hyperparameters, losses: np.ndarray | None = None) -> float:
     """Full model objective sum_v alpha_v^gamma (d_v + beta ||R||_F^2).
 
     `losses` are the view losses d of the current state when the caller
-    already has them; otherwise one graph pass gives them.
+    already has them; otherwise one graph pass gives them (view_losses).
     """
     if losses is None:
-        dataset = _in_order(dataset, state.order)
-        losses = view_losses(state, dataset, hyper, *graph_products(state.s, state.v))
+        losses = view_losses(state, hyper, *graph_products(state.s, state.v))
     r_term = hyper.beta * float(np.vdot(state.r, state.r))
     total = float(np.sum(state.alpha ** hyper.gamma * (losses + r_term)))
     if not np.isfinite(total):
@@ -367,14 +368,21 @@ def update_r(gram: np.ndarray) -> np.ndarray:
     return np.take_along_axis(cand, first[None, None], axis=0)[0]
 
 
-def view_losses(
-    state: SolverState,
-    dataset: MultiViewDataset,
-    hyper: Hyperparameters,
-    gram: np.ndarray,
-    products: list,
-) -> np.ndarray:
-    """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term).
+def data_term(u: list, v: np.ndarray, dataset: MultiViewDataset,
+              hyper: Hyperparameters) -> np.ndarray:
+    """Per view, ||(X_v - U_v V')W_v||^2 + lam sum_f ||u_f||^p, with the
+    dataset's instances in V's order."""
+    d = np.empty(len(u))
+    for k, (x, w) in enumerate(zip(dataset.views, dataset.weights)):
+        resid = (x - u[k] @ v.T) * w[None, :]
+        d[k] = float(np.vdot(resid, resid)) + hyper.lam * l2p_norm_p(u[k], hyper.p)
+    return d
+
+
+def view_losses(state: SolverState, hyper: Hyperparameters, gram: np.ndarray,
+                products: list) -> np.ndarray:
+    """Per-view loss d^(v) driving the view-weight update (no ||R||^2 term):
+    the state's data term plus beta times the graph and reconstruction terms.
 
     The graph term is tr(V'LV) for the Laplacian L of the symmetrized graph
     (S + S') / 2, sum_ij s_ij ||v_i - v_j||^2 / 2, the form the S update
@@ -387,22 +395,15 @@ def view_losses(
     zero. `gram` and `products` (the S_k [V 1]) of the current state come
     from `graph_products`.
     """
-    l = dataset.n_views
     c = state.v.shape[1]
     row_sq = np.sum(state.v * state.v, axis=1)
-    d = np.empty(l)
-    for v in range(l):
-        resid = (dataset.views[v] - state.u[v] @ state.v.T) * dataset.weights[v][None, :]
+    d = np.empty(len(state.s))
+    for v, sv_deg in enumerate(products):
         e = -state.r[:, v]
         e[v] += 1.0
         recon = max(float(e @ gram @ e), 0.0)
-        sv_deg = products[v]
         smooth = 0.5 * float((sv_deg[:, c] + 1.0) @ row_sq) - float(np.vdot(state.v, sv_deg[:, :c]))
-        d[v] = (
-            float(np.vdot(resid, resid))
-            + hyper.lam * l2p_norm_p(state.u[v], hyper.p)
-            + hyper.beta * (smooth + recon)
-        )
+        d[v] = state.data_term[v] + hyper.beta * (smooth + recon)
     return d
 
 
@@ -427,12 +428,11 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
 class Start:
     """What `initialize` takes from the dataset, `seed`, `knn` and c alone,
     all read-only: V, the cluster order of its labels (None below
-    BLOCK_MIN_ENTRIES), the dataset in that order (None with it) and each
-    view's kNN search (graph.KnnEdges), V and the searches in that order:
-    O(N (c + k l)) numbers besides the ordered dataset's copy of the views."""
+    BLOCK_MIN_ENTRIES) and each view's kNN search (graph.KnnEdges), V and
+    the searches in that order: O(N (c + k l)) numbers, no copy of the
+    views."""
     v: np.ndarray
     order: np.ndarray | None
-    ordered: MultiViewDataset | None
     edges: tuple
 
 
@@ -449,17 +449,16 @@ def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
     if start is None:
         imputed = impute_missing(dataset)
         labels = kmeans(np.vstack(imputed), hyper.n_clusters, [hyper.seed])[0][0]
-        order, ordered, presence = None, None, dataset.presence
+        order, presence = None, dataset.presence
         if sort:
             order = np.argsort(labels, kind="stable")
             order.flags.writeable = False
-            ordered = _permuted(dataset, order)
-            labels, presence = labels[order], ordered.presence
+            labels, presence = labels[order], dataset.presence[order]
             imputed = [x[:, order] for x in imputed]
         v = _finite(update_v(labels, hyper.n_clusters), "the V update")
         v.flags.writeable = False
         edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
-        start = dataset.starts[key] = Start(v, order, ordered, edges)
+        start = dataset.starts[key] = Start(v, order, edges)
     return start
 
 
@@ -470,29 +469,33 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     V is the scaled indicator (update_v) of a one-seed k-means, seed
     hyper.seed, on the concatenated imputed views, and U its block's exact
     minimizer (update_u), which reads V, the data, lam and p alone; no sweep
-    changes either. Graphs of at least BLOCK_MIN_ENTRIES entries are built
-    with the instances sorted by V's labels (stable), so that the sweeps can
-    work on the labels' blocks: V and the graphs then hold the instances in
-    the state's `order`, into which `sweep` and `objective` put the dataset.
+    changes either, so the state's data term (data_term) is formed here
+    once. Graphs of at least BLOCK_MIN_ENTRIES entries are built with the
+    instances sorted by V's labels (stable), so that the sweeps can work on
+    the labels' blocks: V and the graphs then hold the instances in the
+    state's `order`, and U and the data term read the dataset gathered into
+    it (_permuted), a copy that nothing keeps past this call.
 
-    V, the order, the dataset in it and the kNN searches depend only on the
-    dataset, `seed`, `knn` and c, so the first call makes them and later
-    calls read them from the dataset (Start): a grid's cells on one masked
-    dataset share them. Every call copies V and the order, solves U and
-    assembles new graphs, so no two states share an array.
+    V, the order and the kNN searches depend only on the dataset, `seed`,
+    `knn` and c, so the first call makes them and later calls read them
+    from the dataset (Start): a grid's cells on one masked dataset share
+    them. Every call copies V and the order, solves U and assembles new
+    graphs, so no two states share an array.
     """
     l = dataset.n_views
     check_view_count(l)
     start = _start(dataset, hyper)
     v = start.v.copy()
-    u = _finite(update_u(v, _in_order(dataset, start.order), hyper), "the U update")
+    ordered = dataset if start.order is None else _permuted(dataset, start.order)
+    u = _finite(update_u(v, ordered, hyper), "the U update")
     u = np.split(u, np.cumsum(dataset.feature_counts)[:-1])
+    data = data_term(u, v, ordered, hyper)
     order = None if start.order is None else start.order.copy()
     s = [similarity_from_edges(dataset.n_instances, edges) for edges in start.edges]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
     alpha = np.full(l, 1.0 / l)
-    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha, order=order)
+    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha, data_term=data, order=order)
 
 
 def _finite(values: np.ndarray, source: str) -> np.ndarray:
@@ -501,22 +504,15 @@ def _finite(values: np.ndarray, source: str) -> np.ndarray:
     return values
 
 
-def sweep(
-    state: SolverState,
-    dataset: MultiViewDataset,
-    hyper: Hyperparameters,
-    carry: SweepCarry,
-) -> np.ndarray:
-    """One alternating pass, in place: S^(v) for each view, R, alpha (V and
-    U stay at their blocks' minimizers, see initialize). Returns the view
-    losses of the final state, from which alpha was set. `carry` holds what
-    the previous sweep of this state left (SweepCarry); with a fresh one,
-    V's distances are formed anew and every projection starts cold. The
-    dataset is put in the state's `order`, if it holds one.
+def sweep(state: SolverState, hyper: Hyperparameters, carry: SweepCarry) -> np.ndarray:
+    """One alternating pass, in place: S^(v) for each view, R, alpha (V, U
+    and the data term stay as initialize set them). Returns the view losses
+    of the final state, from which alpha was set. `carry` holds what the
+    previous sweep of this state left (SweepCarry); with a fresh one, V's
+    distances are formed anew and every projection starts cold.
     """
-    dataset = _in_order(dataset, state.order)
     blocks, dists = carry.at(state)
-    for k in range(dataset.n_views):
+    for k in range(len(state.s)):
         try:
             update_similarity(k, state.s, state.r, state.alpha, hyper.gamma, state.v,
                               carry.thresholds[k], blocks, dists)
@@ -526,7 +522,7 @@ def sweep(
             carry.block_updates += 1
     gram, products = graph_products(state.s, state.v, blocks)
     state.r = update_r(gram)
-    d = _finite(view_losses(state, dataset, hyper, gram, products), "the view losses")
+    d = _finite(view_losses(state, hyper, gram, products), "the view losses")
     state.alpha = update_alpha(d, hyper.gamma)
     return d
 
@@ -541,30 +537,18 @@ def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
     return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order])
 
 
-def _in_order(dataset: MultiViewDataset, order: np.ndarray | None) -> MultiViewDataset:
-    """The dataset with its instances in `order` (None: the dataset): the
-    copy kept by the dataset's Start of that order, so it is gathered once
-    per dataset and order, or a new gather for an order no Start holds."""
-    if order is None:
-        return dataset
-    for start in dataset.starts.values():
-        if start.order is not None and np.array_equal(start.order, order):
-            return start.ordered
-    return _permuted(dataset, order)
-
-
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
     REL_TOL or max_iter sweeps elapse. The result holds V and the graphs in
     the instance order the initial state was built in (SolverState.order),
     as every state does."""
     state = initialize(dataset, hyper)
-    trace = [objective(state, dataset, hyper)]
+    trace = [objective(state, hyper)]
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)
     converged = False
     for _ in range(hyper.max_iter):
-        d = sweep(state, dataset, hyper, carry)
-        trace.append(objective(state, dataset, hyper, d))
+        d = sweep(state, hyper, carry)
+        trace.append(objective(state, hyper, d))
         prev, cur = trace[-2], trace[-1]
         if abs(cur - prev) / max(1.0, prev) < REL_TOL:
             converged = True

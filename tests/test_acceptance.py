@@ -82,12 +82,12 @@ def solver_suite():
         dataset = simulate_missing(base, 0.2, seed=seed + 500)
         hyper = solver.Hyperparameters(**HYPER, max_iter=MAX_SWEEPS, seed=seed)
         state = solver.initialize(dataset, hyper)
-        trace = [solver.objective(state, dataset, hyper)]
+        trace = [solver.objective(state, hyper)]
         violations = []
         converged_at = None
         for t in range(MAX_SWEEPS):
-            solver.sweep(state, dataset, hyper, fresh_carry(dataset))
-            trace.append(solver.objective(state, dataset, hyper))
+            solver.sweep(state, hyper, fresh_carry(dataset))
+            trace.append(solver.objective(state, hyper))
             violations.extend(
                 f"seed {seed} sweep {t}: {e}"
                 for e in constraint_errors(state, check_ortho=False)
@@ -276,11 +276,6 @@ def test_coefficient_update_matches_grid_search():
         g = rng.uniform(size=(n, n))
         np.fill_diagonal(g, 0.0)
         graphs.append(g / g.sum(axis=0))
-    state = solver.SolverState(
-        u=[], v=np.empty((n, 2)), s=graphs,
-        r=np.full((l, l), 1.0 / (l - 1)), alpha=np.full(l, 1.0 / l),
-    )
-    np.fill_diagonal(state.r, 0.0)
     r_new = solver.update_r(solver.graph_products(graphs, np.ones((n, 1)))[0])  # Gram only
 
     gram = np.array([[float(np.sum(a * b)) for b in graphs] for a in graphs])
@@ -373,7 +368,7 @@ def _median_sweep_time(n: int, seed: int) -> float:
     times = []
     for _ in range(7):
         t0 = time.perf_counter()
-        solver.sweep(state, dataset, hyper, fresh_carry(dataset))
+        solver.sweep(state, hyper, fresh_carry(dataset))
         times.append(time.perf_counter() - t0)
     return float(np.median(times))
 

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mvufs import graph
+from mvufs import graph, solver
 from mvufs.datamodel import unit_range
 from mvufs.graph import (
     ClusterBlocks,
@@ -506,9 +506,10 @@ class TestUpdateSimilarity:
 
 
 def block_problem(sizes, l, rng, off_block=6, sparse=False):
-    """Sorted cluster indicator V with clusters of `sizes` (zeros allowed),
-    graphs that are block diagonal but for `off_block` shared off-block
-    entries large enough to survive an update, coefficients and weights.
+    """The solver's V (solver.update_v) of sorted clusters of `sizes` (zeros
+    allowed), graphs that are block diagonal but for `off_block` shared
+    off-block entries large enough to survive an update, coefficients and
+    weights.
 
     By default the blocks are full and nearly uniform, the shape of fits with
     missing data: their targets keep every entry, so every block takes
@@ -516,8 +517,7 @@ def block_problem(sizes, l, rng, off_block=6, sparse=False):
     entries, the shape of complete data, and decline the route."""
     labels = np.repeat(np.arange(len(sizes)), sizes)
     n = len(labels)
-    v = 0.01 * rng.uniform(size=(n, len(sizes))) / np.sqrt(n)
-    v[np.arange(n), labels] += 1.0 / np.sqrt(np.asarray(sizes)[labels])
+    v = solver.update_v(labels, len(sizes))
     same = labels[:, None] == labels[None, :]
     first = np.repeat(np.cumsum(sizes) - sizes, sizes)
     neighbour = first + (np.arange(n) - first + 1) % np.repeat(sizes, sizes)
@@ -566,6 +566,16 @@ class TestClusterBounds:
 
     def test_singleton_cluster(self):
         assert cluster_bounds(np.eye(3)[[0, 0, 1, 2, 2]]) is None
+
+    def test_not_a_scaled_indicator(self):
+        v = 0.5 * np.eye(2)[[0, 0, 1, 1]]
+        assert cluster_bounds(v).tolist() == [0, 2, 4]
+        for row, col, value in [(3, 1, 0.25),  # a row unlike its block's first
+                                (0, 1, 0.1),  # a second positive entry
+                                (2, 0, -0.1)]:  # a negative entry
+            bad = v.copy()
+            bad[row, col] = value
+            assert cluster_bounds(bad) is None, (row, col, value)
 
 
 class TestBlockUpdate:
@@ -627,20 +637,21 @@ class TestBlockUpdate:
 
     def test_route_declines_for_one_block_only(self, monkeypatch):
         # Uniform graphs within the blocks give targets that keep every
-        # entry; in column 9, view 0's sources put all mass on row 10, so the
-        # projection drops entries of block 1 and the route declines there.
+        # entry. V's distances are constant on a block, and view 0's source
+        # weights sum to 1 here, so a column is cut only where a weight is
+        # negative: in column 9, view 1 (weight above 1) puts all its mass on
+        # row 10 and view 2 (below 0) spreads it, so the projection drops
+        # entries of block 1 and the route declines there.
         v = block_problem((8, 8, 8), 3, np.random.default_rng(53), off_block=0)[0]
         labels = np.repeat(np.arange(3), 8)
         same = (labels[:, None] == labels[None, :]) & ~np.eye(24, dtype=bool)
         graphs = [same / 7.0 for _ in range(3)]
-        for g in graphs[1:]:
-            g[8:16, 9] = 0.0
-            g[10, 9] = 1.0
-        r = np.full((3, 3), 0.5)
-        np.fill_diagonal(r, 0.0)
+        graphs[1][8:16, 9] = 0.0
+        graphs[1][10, 9] = 1.0
+        r = np.array([[0.0, 0.5, 0.1], [0.9, 0.0, 0.9], [0.1, 0.5, 0.0]])
         routes = record_routes(monkeypatch)
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-        alpha = np.full(3, 1.0 / 3.0)
+        alpha = np.array([0.1, 0.8, 0.1])
         expect = updated(0, graphs, r, alpha, 3.0, v)
         s = update_similarity(0, graphs, r, alpha, 3.0, v, blocks=blocks)
         assert routes == [(True, 0), (False, 0), (True, 0)]  # no candidates: the search
@@ -681,13 +692,11 @@ class TestBlockUpdate:
             assert np.max(np.abs(s - expect)) <= 1e-12
             assert np.any(s[8:, :8] > 0.0)  # off-block entries that no graph listed
 
-    def test_unsettled_bound_runs_dense(self, monkeypatch):
+    def test_unsettled_bound_runs_dense(self):
         rng = np.random.default_rng(49)
         v, graphs, r, alpha = block_problem((7, 9, 6), 3, rng)
         blocks = ClusterBlocks(cluster_bounds(v), 3).at(v)
-        blocks.inner()
         blocks.off_bound[:] = -1e3  # no column settled by the bound
-        monkeypatch.setattr(blocks, "inner", lambda: blocks._inner)
         dense = [g.copy() for g in graphs]
         for k in range(3):
             s = update_similarity(k, graphs, r, alpha, 3.0, v, blocks=blocks)
@@ -697,17 +706,46 @@ class TestBlockUpdate:
             assert np.max(np.abs(s - dense[k])) <= 1e-12
 
     def test_off_bound_is_a_tight_lower_bound(self):
+        # V's distances are one squared norm q per cluster, bitwise: -q_b on
+        # diagonal block b, q_r in row r off it; the bound is the least q of
+        # the other blocks, the exact off-block minimum
         rng = np.random.default_rng(51)
         v = block_problem((5, 9, 2, 6), 2, rng)[0]
         edges = np.array([0, 5, 14, 16, 22])
+        assert np.array_equal(cluster_bounds(v), edges)
         blocks = ClusterBlocks(edges, 2).at(v)
-        blocks.inner()
         h = shifted_sq_dists(v)
+        q = np.sum(v * v, axis=1)[edges[:-1]]
+        least = []
+        for b, (b0, b1) in enumerate(zip(edges[:-1], edges[1:])):
+            off = np.ones(len(v), dtype=bool)
+            off[b0:b1] = False
+            assert np.all(h[b0:b1, b0:b1] == -q[b])
+            assert np.array_equal(h[off, b0:b1], np.repeat(q, np.diff(edges))[off, None]
+                                  * np.ones((1, b1 - b0)))
+            least += [np.delete(q, b).min()] * (b1 - b0)
         exact = np.array([np.min(np.delete(h[:, j], np.arange(b0, b1)))
                           for b0, b1 in zip(edges[:-1], edges[1:]) for j in range(b0, b1)])
-        assert np.all(blocks.off_bound <= exact + 1e-15)
-        # near one-hot V: the bound is nearly the minimum
-        assert np.max(exact - blocks.off_bound) <= 0.02 * np.max(np.abs(exact))
+        assert blocks.off_bound.tobytes() == exact.tobytes() == np.array(least).tobytes()
+
+    def test_near_indicator_runs_dense(self, monkeypatch):
+        # the block path is exact only for a scaled indicator: a V near one
+        # (the solver's former soft indicator) gets no blocks, and a sweep's
+        # S updates are the dense ones
+        rng = np.random.default_rng(55)
+        v, graphs, r, alpha = block_problem((8, 8, 8), 3, rng)
+        labels = np.argmax(v, axis=1)
+        v += 0.01 * rng.uniform(size=v.shape) / np.sqrt(len(v))
+        assert np.array_equal(np.argmax(v, axis=1), labels) and cluster_bounds(v) is None
+        expect = [g.copy() for g in graphs]
+        for k in range(3):
+            update_similarity(k, expect, r, alpha, 3.0, v)
+        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", 0)
+        state = solver.SolverState(u=[], v=v, s=graphs, r=r, alpha=alpha, data_term=np.zeros(3))
+        carry = solver.SweepCarry.start(len(v), 3)
+        solver.sweep(state, solver.Hyperparameters(0.1, 0.1, 3.0, 0.5, 3), carry)
+        assert carry.blocks is None and carry.block_updates == 0
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(state.s, expect))
 
     def test_too_many_off_block_entries_run_dense(self):
         rng = np.random.default_rng(50)

@@ -99,9 +99,10 @@ class TestObjective:
         ds = MultiViewDataset(views, np.ones((n, l), dtype=int))
         s = [np.zeros((n, n)) for _ in range(l)]
         r = np.zeros((l, l))
-        state = SolverState(u=u, v=v, s=s, r=r, alpha=np.full(l, 0.5))
         h = hyper(lam=0.0, beta=0.0, n_clusters=c)
-        assert objective(state, ds, h) == pytest.approx(0.0, abs=1e-20)
+        state = SolverState(u=u, v=v, s=s, r=r, alpha=np.full(l, 0.5),
+                            data_term=solver.data_term(u, v, ds, h))
+        assert objective(state, h) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_frobenius_residual(self):
         rng = np.random.default_rng(1)
@@ -111,30 +112,31 @@ class TestObjective:
         v = rng.uniform(size=(n, c))
         # two identical views with alpha = (1, 0) so only view 0 contributes
         ds = MultiViewDataset((x, x.copy()), np.ones((n, 2), dtype=int))
+        h = hyper(lam=0.0, beta=0.0, n_clusters=c, gamma=2.0)
         state = SolverState(
             u=[u, u.copy()],
             v=v,
             s=[np.zeros((n, n))] * 2,
             r=np.zeros((2, 2)),
             alpha=np.array([1.0, 0.0]),
+            data_term=solver.data_term([u, u], v, ds, h),
         )
-        h = hyper(lam=0.0, beta=0.0, n_clusters=c, gamma=2.0)
         expect = np.linalg.norm(x - u @ v.T) ** 2
-        assert objective(state, ds, h) == pytest.approx(expect, rel=1e-12)
+        assert objective(state, h) == pytest.approx(expect, rel=1e-12)
 
     def test_matches_naive_recomputation(self):
         ds, h, state = make_problem(missing=0.2)
-        got = objective(state, ds, h)
+        got = objective(state, h)
         expect = _naive_objective(state, ds, h)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_reuses_view_losses(self):
         ds, h, state = make_problem(missing=0.2, seed=3)
-        d = cold_sweep(state, ds, h)
+        d = cold_sweep(state, h)
         gram, products = graph_products(state.s, state.v)
-        assert np.allclose(d, view_losses(state, ds, h, gram, products), rtol=1e-13, atol=0.0)
-        assert objective(state, ds, h, d) == objective(state, ds, h)
-        assert objective(state, ds, h) == pytest.approx(
+        assert np.allclose(d, view_losses(state, h, gram, products), rtol=1e-13, atol=0.0)
+        assert objective(state, h, d) == objective(state, h)
+        assert objective(state, h) == pytest.approx(
             _naive_objective(state, ds, h), rel=1e-10
         )
 
@@ -150,11 +152,12 @@ class TestReconstructionTerm:
         ds = MultiViewDataset(tuple(np.zeros((3, n)) for _ in range(l)),
                               np.ones((n, l), dtype=int))
         v = np.zeros((n, 2))
-        state = SolverState(u=[np.zeros((3, 2)) for _ in range(l)], v=v,
-                            s=graphs, r=r, alpha=np.full(l, 1.0 / l))
+        h = hyper(lam=0.0, beta=1.0, n_clusters=2)
+        u = [np.zeros((3, 2)) for _ in range(l)]
+        state = SolverState(u=u, v=v, s=graphs, r=r, alpha=np.full(l, 1.0 / l),
+                            data_term=solver.data_term(u, v, ds, h))
         own, products = graph_products(graphs, v)
-        return view_losses(state, ds, hyper(lam=0.0, beta=1.0, n_clusters=2),
-                           own if gram is None else gram, products)
+        return view_losses(state, h, own if gram is None else gram, products)
 
     @pytest.mark.parametrize("l", [2, 3, 5])
     def test_matches_direct_residual(self, l):
@@ -195,8 +198,8 @@ class TestSweep:
         ds, h, state = make_problem(n=24, l=l, seed=16 + l, missing=missing)
         ref = copy_state(state)
         for _ in range(3):
-            d = cold_sweep(state, ds, h)
-            d_ref = _reference_sweep(ref, ds, h)
+            d = cold_sweep(state, h)
+            d_ref = _reference_sweep(ref, h)
             assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
             for a, b in zip(state.s, ref.s):
                 assert np.max(np.abs(a - b)) <= 1e-12
@@ -209,8 +212,8 @@ class TestSweep:
         ref = copy_state(state)
         carry = SweepCarry.start(ds.n_instances, l)
         for _ in range(4):
-            d = sweep(state, ds, h, carry)
-            d_ref = _reference_sweep(ref, ds, h)
+            d = sweep(state, h, carry)
+            d_ref = _reference_sweep(ref, h)
             assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
             assert np.max(np.abs(state.v - ref.v)) <= 1e-12
             for a, b in zip(state.s, ref.s):
@@ -226,16 +229,16 @@ class TestSweep:
         carry = SweepCarry.start(ds.n_instances, ds.n_views)
         calls = count_dists(monkeypatch)
         for _ in range(3):
-            sweep(state, ds, h, carry)
+            sweep(state, h, carry)
         assert calls == [()]
         dists = carry.dists
         state.v = state.v.copy()
         ref = copy_state(state)
-        d = sweep(state, ds, h, carry)  # stale distances are not used
+        d = sweep(state, h, carry)  # stale distances are not used
         assert calls == [(), ()] and carry.dists is not dists
-        assert np.max(np.abs(d - _reference_sweep(ref, ds, h)) / d) <= 1e-12
+        assert np.max(np.abs(d - _reference_sweep(ref, h)) / d) <= 1e-12
         state.s[1] = state.s[1].copy()
-        sweep(state, ds, h, carry)
+        sweep(state, h, carry)
         assert len(calls) == 3
         assert np.array_equal(dists, graph.shifted_sq_dists(state.v))
 
@@ -247,10 +250,10 @@ class TestSweep:
         ref = copy_state(state)
         carry = SweepCarry.start(ds.n_instances, l)
         assert carry.held == () and carry.dists is None
-        d = sweep(state, ds, h, carry)
+        d = sweep(state, h, carry)
         assert carry.held[0] is state.v and all(a is b for a, b in zip(carry.held[1:], state.s))
         assert np.array_equal(carry.dists, graph.shifted_sq_dists(state.v))
-        d_ref = _reference_sweep(ref, ds, h)
+        d_ref = _reference_sweep(ref, h)
         assert np.max(np.abs(d - d_ref) / d_ref) <= 1e-12
         assert np.max(np.abs(state.v - ref.v)) <= 1e-12
         for a, b in zip(state.s, ref.s):
@@ -300,13 +303,10 @@ class TestGraphProducts:
 
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
     """make_problem with the instances sorted by the initial V's labels: with
-    BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order, and
-    the dataset is put in it and the order taken off, as fit does for its
-    sweeps."""
+    BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order."""
     ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
-    order, state.order = state.order, None
-    assert order is not None
-    return solver._permuted(ds, order), h, state
+    assert state.order is not None
+    return ds, h, state
 
 
 def assert_same_graphs_in_dataset_order(state, ref, tol):
@@ -351,8 +351,8 @@ class TestBlockSweeps:
         carry, ref_carry = (SweepCarry.start(ds.n_instances, l) for _ in range(2))
         listed = 0
         for _ in range(8):
-            d = sweep(state, ds, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            d = sweep(state, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
             if carry.blocks is not None:
                 listed += sum(len(e) for e in carry.blocks.entries if e is not False)
@@ -369,8 +369,8 @@ class TestBlockSweeps:
         carry, ref_carry = (SweepCarry.start(ds.n_instances, l) for _ in range(2))
         routes = record_routes(monkeypatch)
         for _ in range(4):
-            d = sweep(state, ds, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            d = sweep(state, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates == 4 * l
         taken, listed = np.array(routes).T
@@ -384,25 +384,29 @@ class TestBlockSweeps:
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(4):
-            sweep(state, ds, h, carry)
-            dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            sweep(state, h, carry)
+            dense_sweep(monkeypatch, ref, h, ref_carry)
         assert carry.block_updates > 0
         edges = carry.blocks.edges
+        # each V below takes its data term against the data in the start's order
+        ordered = solver._permuted(ds, state.order)
         for st in (state, ref):  # the first instance moves to the last cluster
             st.v = st.v.copy()
             st.v[0] = st.v[-1]
+            st.data_term = solver.data_term(st.u, st.v, ordered, h)
         count = carry.block_updates
-        d = sweep(state, ds, h, carry)
-        d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+        d = sweep(state, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
         assert carry.block_updates == count and carry.blocks is None
         assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         for st in (state, ref):  # back in order, one block edge moved: lists made anew
             st.v = np.roll(st.v, -1, axis=0)
             for k, s in enumerate(st.s):
                 st.s[k] = np.roll(np.roll(s, -1, axis=0), -1, axis=1)
+            st.data_term = solver.data_term(st.u, st.v, ordered, h)
         for _ in range(2):
-            d = sweep(state, ds, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            d = sweep(state, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates > count
         assert not np.array_equal(carry.blocks.edges, edges)
@@ -412,21 +416,21 @@ class TestBlockSweeps:
         ref = copy_state(state)
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(4):
-            sweep(state, ds, h, carry)
-            dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            sweep(state, h, carry)
+            dense_sweep(monkeypatch, ref, h, ref_carry)
         assert carry.block_updates > 0
         dense = np.random.default_rng(0).uniform(size=state.s[1].shape)
         np.fill_diagonal(dense, 0.0)
         for st in (state, ref):  # off the blocks everywhere, unlike the listed graph
             st.s[1] = dense / dense.sum(axis=0)
-        d = sweep(state, ds, h, carry)
-        d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+        d = sweep(state, h, carry)
+        d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
         assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
 
     def test_blocks_follow_the_labels(self):
         carry = SweepCarry.start(6, 2)
         state = SolverState(u=[], v=np.eye(2)[[0, 0, 0, 1, 1, 1]], s=[np.eye(6), np.eye(6)],
-                            r=np.zeros((2, 2)), alpha=np.full(2, 0.5))
+                            r=np.zeros((2, 2)), alpha=np.full(2, 0.5), data_term=np.zeros(2))
         blocks, _ = carry.at(state)
         assert blocks.spans == [(0, 3), (3, 6)] and carry.at(state)[0] is blocks
         blocks.entries = [np.array([4]), False]
@@ -450,14 +454,14 @@ class TestBlockSweeps:
         carry, ref_carry = (SweepCarry.start(ds.n_instances, 3) for _ in range(2))
         for _ in range(2):
             labels = np.argmax(state.v, axis=1)
-            d = sweep(state, ds, h, carry)
-            d_ref = dense_sweep(monkeypatch, ref, ds, h, ref_carry)
+            d = sweep(state, h, carry)
+            d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
             assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         assert carry.block_updates == 0
 
-    def test_loop_on_the_callers_dataset_reproduces_fit(self, monkeypatch):
-        # initialize returns V and the graphs in cluster order; objective and
-        # sweep must put the caller's dataset in it, as fit does
+    def test_loop_on_the_initial_state_reproduces_fit(self, monkeypatch):
+        # initialize returns V and the graphs in cluster order with the data
+        # term formed in it; objective and sweep read the state alone, as in fit
         ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 81))
         ds = simulate_missing(ds, 0.3, seed=82)
         monkeypatch.setattr(solver, "REL_TOL", 0.0)
@@ -465,14 +469,14 @@ class TestBlockSweeps:
         expect = fit(ds, hy)
         state = initialize(ds, hy)
         assert np.any(np.diff(state.order) < 0)
-        trace = [objective(state, ds, hy)]
+        trace = [objective(state, hy)]
         carry = SweepCarry.start(ds.n_instances, ds.n_views)
         for _ in range(hy.max_iter):
-            d = sweep(state, ds, hy, carry)
-            trace.append(objective(state, ds, hy, d))
+            d = sweep(state, hy, carry)
+            trace.append(objective(state, hy, d))
         assert carry.block_updates > 0
-        assert np.max(np.abs(np.array(trace) - expect.trace) / expect.trace) <= 1e-12
-        assert abs(objective(state, ds, hy) - trace[-1]) <= 1e-12 * trace[-1]
+        assert np.array(trace).tobytes() == expect.trace.tobytes()
+        assert abs(objective(state, hy) - trace[-1]) <= 1e-12 * trace[-1]
 
     def test_fit_returns_the_order_it_solved_in(self, monkeypatch):
         ds, _ = generate_synthetic(SyntheticSpec(48, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 77))
@@ -481,7 +485,7 @@ class TestBlockSweeps:
         hy = hyper(max_iter=25, seed=79)
         carries = []
         original = solver.sweep
-        monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[3]) or original(*a))
+        monkeypatch.setattr(solver, "sweep", lambda *a: carries.append(a[2]) or original(*a))
         res = fit(ds, hy)
         start = initialize(ds, hy)
         assert np.any(np.diff(start.order) < 0)  # fit did reorder
@@ -498,16 +502,19 @@ class TestBlockSweeps:
         assert np.max(np.abs(res.state.r - expect.state.r)) <= 1e-10
         assert res.iterations == expect.iterations
 
-    def test_fit_result_works_with_the_callers_dataset(self, monkeypatch):
-        # the result says which order it holds, so objective and a further
-        # sweep put the caller's dataset in it
+    def test_fit_result_continues_with_sweep_and_objective_alone(self, monkeypatch):
+        # the result carries its data term, formed in the order it holds, so
+        # objective and a further sweep need no dataset
         ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 84))
         ds = simulate_missing(ds, 0.3, seed=85)
         hy = hyper(max_iter=8, seed=86)
         res = fit(ds, hy)
         assert res.state.order is not None
-        assert abs(objective(res.state, ds, hy) - res.trace[-1]) <= 1e-12 * res.trace[-1]
-        d = sweep(res.state, ds, hy, SweepCarry.start(ds.n_instances, ds.n_views))
+        got = objective(res.state, hy)
+        assert abs(got - res.trace[-1]) <= 1e-12 * res.trace[-1]
+        ordered = solver._permuted(ds, res.state.order)
+        assert got == pytest.approx(_naive_objective(res.state, ordered, hy), rel=1e-10)
+        d = sweep(res.state, hy, SweepCarry.start(ds.n_instances, ds.n_views))
         assert d.shape == (ds.n_views,) and np.all(np.isfinite(d))
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", graph.BLOCK_MIN_ENTRIES)
         assert 40**2 < graph.BLOCK_MIN_ENTRIES and fit(ds, hy).state.order is None
@@ -531,7 +538,7 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
 
     def counted(*args):
         d = original(*args)
-        counts.append(args[3].block_updates)
+        counts.append(args[2].block_updates)
         return d
 
     monkeypatch.setattr(solver, "sweep", counted)
@@ -571,9 +578,9 @@ def test_listed_candidates_never_decline_the_route(monkeypatch):
     assert len(routes) and not listed.any(), "re-measure the block routes"
 
 
-def cold_sweep(state, ds, h):
+def cold_sweep(state, h):
     """A sweep with a fresh carry: its own graph pass for V, cold projections."""
-    return sweep(state, ds, h, SweepCarry.start(ds.n_instances, ds.n_views))
+    return sweep(state, h, SweepCarry.start(len(state.v), len(state.s)))
 
 
 def gram_of(graphs):
@@ -584,17 +591,17 @@ def gram_of(graphs):
 def copy_state(state):
     return SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
                        s=[s.copy() for s in state.s], r=state.r.copy(),
-                       alpha=state.alpha.copy())
+                       alpha=state.alpha.copy(), data_term=state.data_term.copy())
 
 
-def _reference_sweep(state, ds, h):
+def _reference_sweep(state, h):
     """sweep with the loop S update on the exact distance matrix of V and a
     graph pass of its own for each step that reads one."""
     dist = pairwise_sq_dists(state.v)
-    for k in range(ds.n_views):
+    for k in range(len(state.s)):
         state.s[k] = _loop_update_similarity(k, state.s, state.r, state.alpha, h.gamma, dist)
     state.r = update_r(gram_of(state.s))
-    d = view_losses(state, ds, h, *graph_products(state.s, state.v))
+    d = view_losses(state, h, *graph_products(state.s, state.v))
     state.alpha = update_alpha(d, h.gamma)
     return d
 
@@ -784,8 +791,6 @@ class TestUpdateR:
         # identical graphs: the rank-one Gram of a collapsed consensus
         cases.append([cases[0][0].copy() for _ in range(l)])
         for graphs in cases:
-            state = SolverState(u=[], v=np.empty((n, 2)), s=graphs,
-                                r=np.zeros((l, l)), alpha=np.full(l, 1.0 / l))
             r = update_r(gram_of(graphs))
             check_coefficients(r, tol=1e-12)
             gram = np.array([[np.sum(a * b) for b in graphs] for a in graphs])
@@ -1087,7 +1092,7 @@ def fresh_copy(ds):
 
 
 def state_bytes(state):
-    arrays = [state.v, state.r, state.alpha, *state.u, *state.s]
+    arrays = [state.v, state.r, state.alpha, state.data_term, *state.u, *state.s]
     order = None if state.order is None else state.order.tobytes()
     return [order, *((a.shape, a.tobytes()) for a in arrays)]
 
@@ -1151,33 +1156,44 @@ class TestSharedStart:
         a, b = initialize(ds, h), initialize(ds, h)
         start = ds.starts[(3, 5, 4, True)]
         held = [start.v, start.order, *itertools.chain.from_iterable(start.edges)]
-        mine = [a.v, a.r, a.alpha, a.order, *a.u, *a.s]
-        for x, y in itertools.product(mine, [b.v, b.r, b.alpha, b.order, *b.u, *b.s, *held]):
+        mine = [a.v, a.r, a.alpha, a.data_term, a.order, *a.u, *a.s]
+        theirs = [b.v, b.r, b.alpha, b.data_term, b.order, *b.u, *b.s, *held]
+        for x, y in itertools.product(mine, theirs):
             assert not np.may_share_memory(x, y)
         assert not any(x.flags.writeable for x in held)
 
     def test_fit_gathers_each_view_into_cluster_order_once(self, monkeypatch):
+        # one gather per initialize, for U and the data term, freed on return
         ds = masked_dataset(1000, 95)
-        calls = []
+        orders, watches = [], []
         original = solver._permuted
-        monkeypatch.setattr(solver, "_permuted",
-                            lambda *a: calls.append((a[1], original(*a))) or calls[-1][1])
+
+        def gather(dataset, order):
+            ordered = original(dataset, order)
+            assert ordered.labels is None  # no update reads them
+            for x, view in zip(dataset.views, ordered.views):
+                # the dataset holds the gather itself, in x[:, order]'s layout
+                assert view.strides == x[:, order].strides == (8, 8 * x.shape[0])
+                assert view.base.flags.owndata and view.base.flags.c_contiguous
+                assert not view.flags.writeable and not view.base.flags.writeable
+                assert view.tobytes(order="A") == x[:, order].tobytes(order="A")
+                watches.append(weakref.ref(view.base))
+            orders.append(order)
+            watches.append(weakref.ref(ordered))
+            return ordered
+
+        monkeypatch.setattr(solver, "_permuted", gather)
         h = hyper(n_clusters=4, seed=3, max_iter=2)
         res = fit(ds, h)
         carry = SweepCarry.start(ds.n_instances, ds.n_views)
-        for _ in range(3):  # a caller's loop on the result reads the same copy
-            sweep(res.state, ds, h, carry)
-            objective(res.state, ds, h)
+        for _ in range(3):  # a loop on the result gathers nothing
+            sweep(res.state, h, carry)
+            objective(res.state, h)
         fit(ds, h)
-        ((order, ordered),) = calls  # once per dataset and order
-        assert ordered is ds.starts[(3, 5, 4, True)].ordered
-        assert ordered.labels is None  # no update reads them
-        for x, view in zip(ds.views, ordered.views):
-            # the dataset holds the gather itself, in x[:, order]'s layout
-            assert view.strides == x[:, order].strides == (8, 8 * x.shape[0])
-            assert view.base.flags.owndata and view.base.flags.c_contiguous
-            assert not view.flags.writeable and not view.base.flags.writeable
-            assert view.tobytes(order="A") == x[:, order].tobytes(order="A")
+        assert len(orders) == 2  # one per fit
+        assert all(order is ds.starts[(3, 5, 4, True)].order for order in orders)
+        gc.collect()
+        assert len(watches) == 2 * (ds.n_views + 1) and all(w() is None for w in watches)
 
     def test_start_is_small_and_freed_with_the_dataset(self):
         n = 400
@@ -1238,7 +1254,7 @@ class TestSweepDistances:
     def test_one_product_per_small_sweep(self, monkeypatch):
         ds, h, state = make_problem(n=120, missing=0.3)
         calls = count_dists(monkeypatch)
-        cold_sweep(state, ds, h)
+        cold_sweep(state, h)
         assert calls == [()]  # the whole V, where each of the 3 views formed its own
 
     def test_row_blocks_keep_one_product_per_view_and_block(self, monkeypatch):
@@ -1246,7 +1262,7 @@ class TestSweepDistances:
         ds, h, state = make_problem(n=n, missing=0.3)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)  # the dense path
         calls = count_dists(monkeypatch)
-        cold_sweep(state, ds, h)
+        cold_sweep(state, h)
         rows = graph.BLOCK_ENTRIES // n
         blocks = [(slice(start, start + rows),) for start in range(0, n, rows)]
         assert calls == blocks * ds.n_views
@@ -1257,10 +1273,10 @@ class TestSweepDistances:
         ref = copy_state(state)
         carry, ref_carry = SweepCarry.start(n, ds.n_views), SweepCarry.start(n, ds.n_views)
         for _ in range(4):
-            d = sweep(state, ds, h, carry)
+            d = sweep(state, h, carry)
             with monkeypatch.context() as m:
                 m.setattr(solver, "update_similarity", _per_view_update_similarity)
-                d_ref = sweep(ref, ds, h, ref_carry)
+                d_ref = sweep(ref, h, ref_carry)
             assert d.tobytes() == d_ref.tobytes()
             assert state_bytes(state) == state_bytes(ref)
             for a, b in zip(carry.thresholds, ref_carry.thresholds):
@@ -1300,10 +1316,10 @@ def test_degenerate_inputs_stay_feasible_and_monotone(name, ds):
     h = hyper(knn={"knn 1": 1, "knn one below the sparsest view": sparsest - 1}.get(name, 5))
     state = initialize(ds, h)
     carry = SweepCarry.start(ds.n_instances, ds.n_views)
-    prev = objective(state, ds, h)
+    prev = objective(state, h)
     for _ in range(40):
-        d = sweep(state, ds, h, carry)
-        cur = objective(state, ds, h, d)
+        d = sweep(state, h, carry)
+        cur = objective(state, h, d)
         assert np.isfinite(cur) and cur <= prev * (1.0 + 1e-6), name
         for s in state.s:
             check_similarity(s)
@@ -1322,26 +1338,28 @@ def test_no_u_or_s_step_raises_the_objective(name, ds, monkeypatch):
     sparsest = int(ds.presence.sum(axis=0).min())
     h = hyper(knn={"knn 1": 1, "knn one below the sparsest view": sparsest - 1}.get(name, 5))
     state = initialize(ds, h)
-    start = objective(state, ds, h)
+    assert state.order is None  # the cases are small: the data term reads ds as it is
+    start = objective(state, h)
     rng = np.random.default_rng(9)
-    solved = state.u
+    solved, data = state.u, state.data_term
     for scale in (None, 1e-6, 1e-2):
         state.u = [rng.uniform(0.1, 1.1, size=u.shape) if scale is None
                    else np.maximum(u + scale * rng.normal(size=u.shape), 0.0) for u in solved]
-        assert start <= objective(state, ds, h) * (1.0 + 1e-13), name
-    state.u = solved
+        state.data_term = solver.data_term(state.u, state.v, ds, h)
+        assert start <= objective(state, h) * (1.0 + 1e-13), name
+    state.u, state.data_term = solved, data
     rises = []
     original = solver.update_similarity
 
     def checked(k, graphs, *args):
-        before = objective(state, ds, h)
+        before = objective(state, h)
         original(k, graphs, *args)
-        rises.append(objective(state, ds, h) / before - 1.0)
+        rises.append(objective(state, h) / before - 1.0)
 
     monkeypatch.setattr(solver, "update_similarity", checked)
     carry = SweepCarry.start(ds.n_instances, ds.n_views)
     for _ in range(15):
-        sweep(state, ds, h, carry)
+        sweep(state, h, carry)
     assert len(rises) == 15 * ds.n_views and max(rises) <= 1e-13, (name, max(rises))
     monkeypatch.undo()
     assert_orthonormal(fit(ds, h).state.v)
@@ -1375,4 +1393,4 @@ def test_s_update_failure_names_the_view(monkeypatch):
     monkeypatch.setattr(solver, "update_similarity", failing)
     ds, h, state = make_problem(seed=80)
     with pytest.raises(SolverDivergence, match="the S update of view 0 failed: projection lost"):
-        cold_sweep(state, ds, h)
+        cold_sweep(state, h)
