@@ -28,14 +28,16 @@ for R and the view losses. The weighted-NMF weights are the dataset's own
 a dataset makes and later fits read. A non-finite V, U, S update or view
 loss raises SolverDivergence naming it.
 
-For graphs of at least BLOCK_MIN_ENTRIES entries the instances are sorted
-by V's labels (SolverState.order), and a sweep updates each graph on the
-diagonal blocks of V's clusters plus the few off-block entries the other
-graphs list (graph.ClusterBlocks, kept in SweepCarry), reading V as one
-squared norm per cluster; a per-column bound proves that the dense update
-would give the same graph. A view that fails it, graphs with too many
-off-block entries, and a caller's V that is not a scaled indicator with
-sorted labels and no singleton cluster take the dense update.
+V and the graphs hold the instances sorted by V's labels
+(SolverState.order); the data, U and the data term keep the dataset's
+order. For graphs of at least BLOCK_MIN_ENTRIES entries a sweep updates
+each graph on the diagonal blocks of V's clusters plus the few off-block
+entries the other graphs list (graph.ClusterBlocks, kept in SweepCarry),
+reading V as one squared norm per cluster; a per-column bound proves that
+the dense update would give the same graph. A view that fails it, graphs
+with too many off-block entries, and a caller's V that is not a scaled
+indicator with sorted labels and no singleton cluster take the dense
+update.
 """
 
 from __future__ import annotations
@@ -111,19 +113,18 @@ class Hyperparameters:
 @dataclass
 class SolverState:
     """One point of the alternating solver. V and the graphs hold the
-    dataset's instances in `order` (see initialize); None means the
-    dataset's own order, and a caller that wants it gathers by
-    argsort(order). `data_term` is each view's data term at the state's U
-    and V (see data_term), which no sweep changes: sweep and objective read
-    it instead of the dataset, so every state, a fit's result included,
-    continues with them alone."""
+    dataset's instances in `order` (see initialize); a caller that wants
+    the dataset's order gathers by argsort(order). `data_term` is each
+    view's data term at the state's U and V (see data_term), which no sweep
+    changes: sweep and objective read it instead of the dataset, so every
+    state, a fit's result included, continues with them alone."""
     u: list  # l factor matrices, d_v x c
     v: np.ndarray  # consensus indicator, N x c (see update_v)
     s: list  # l similarity graphs, N x N
     r: np.ndarray  # cross-view coefficients, l x l
     alpha: np.ndarray  # view weights on the simplex
     data_term: np.ndarray  # per view, at u and v
-    order: np.ndarray | None = None
+    order: np.ndarray  # permutation: row i of v holds instance order[i]
 
 
 @dataclass
@@ -370,8 +371,8 @@ def update_r(gram: np.ndarray) -> np.ndarray:
 
 def data_term(u: list, v: np.ndarray, dataset: MultiViewDataset,
               hyper: Hyperparameters) -> np.ndarray:
-    """Per view, ||(X_v - U_v V')W_v||^2 + lam sum_f ||u_f||^p, with the
-    dataset's instances in V's order."""
+    """Per view, ||(X_v - U_v V')W_v||^2 + lam sum_f ||u_f||^p, with V's
+    rows in the dataset's order."""
     d = np.empty(len(u))
     for k, (x, w) in enumerate(zip(dataset.views, dataset.weights)):
         resid = (x - u[k] @ v.T) * w[None, :]
@@ -427,37 +428,33 @@ def update_alpha(d: np.ndarray, gamma: float) -> np.ndarray:
 @dataclass(frozen=True)
 class Start:
     """What `initialize` takes from the dataset, `seed`, `knn` and c alone,
-    all read-only: V, the cluster order of its labels (None below
-    BLOCK_MIN_ENTRIES) and each view's kNN search (graph.KnnEdges), V and
-    the searches in that order: O(N (c + k l)) numbers, no copy of the
-    views."""
+    all read-only: V, the cluster order of its labels and each view's kNN
+    search (graph.KnnEdges), V and the searches in that order: O(N (c + k l))
+    numbers, no copy of the views."""
     v: np.ndarray
-    order: np.ndarray | None
+    order: np.ndarray
     edges: tuple
 
 
 def _start(dataset: MultiViewDataset, hyper: Hyperparameters) -> Start:
     """The dataset's Start for (seed, knn, n_clusters), made on the first
-    call and kept in `dataset.starts` for the fits that follow; the key also
-    holds whether the graphs take the cluster order. k-means leaves no
-    cluster empty, so the order also sorts the argmax labels of V's rows."""
+    call and kept in `dataset.starts` for the fits that follow. k-means
+    leaves no cluster empty, so the order also sorts the argmax labels of
+    V's rows."""
     from .evaluation import kmeans  # resolved per call: perfbench/tracing.py wraps it by name
 
-    sort = dataset.n_instances ** 2 >= BLOCK_MIN_ENTRIES
-    key = (hyper.seed, hyper.knn, hyper.n_clusters, sort)
+    key = (hyper.seed, hyper.knn, hyper.n_clusters)
     start = dataset.starts.get(key)
     if start is None:
         imputed = impute_missing(dataset)
         labels = kmeans(np.vstack(imputed), hyper.n_clusters, [hyper.seed])[0][0]
-        order, presence = None, dataset.presence
-        if sort:
-            order = np.argsort(labels, kind="stable")
-            order.flags.writeable = False
-            labels, presence = labels[order], dataset.presence[order]
-            imputed = [x[:, order] for x in imputed]
-        v = _finite(update_v(labels, hyper.n_clusters), "the V update")
+        order = np.argsort(labels, kind="stable")
+        order.flags.writeable = False
+        v = _finite(update_v(labels[order], hyper.n_clusters), "the V update")
         v.flags.writeable = False
-        edges = tuple(knn_edges(x, presence[:, k], k=hyper.knn) for k, x in enumerate(imputed))
+        presence = dataset.presence[order]
+        edges = tuple(knn_edges(x[:, order], presence[:, k], k=hyper.knn)
+                      for k, x in enumerate(imputed))
         start = dataset.starts[key] = Start(v, order, edges)
     return start
 
@@ -470,11 +467,10 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     hyper.seed, on the concatenated imputed views, and U its block's exact
     minimizer (update_u), which reads V, the data, lam and p alone; no sweep
     changes either, so the state's data term (data_term) is formed here
-    once. Graphs of at least BLOCK_MIN_ENTRIES entries are built with the
-    instances sorted by V's labels (stable), so that the sweeps can work on
-    the labels' blocks: V and the graphs then hold the instances in the
-    state's `order`, and U and the data term read the dataset gathered into
-    it (_permuted), a copy that nothing keeps past this call.
+    once. V and the graphs hold the instances sorted by V's labels (stable),
+    the state's `order`, so that the sweeps can work on the labels' blocks;
+    U and the data term read the dataset as it is, with V gathered back into
+    its order.
 
     V, the order and the kNN searches depend only on the dataset, `seed`,
     `knn` and c, so the first call makes them and later calls read them
@@ -486,16 +482,15 @@ def initialize(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverState
     check_view_count(l)
     start = _start(dataset, hyper)
     v = start.v.copy()
-    ordered = dataset if start.order is None else _permuted(dataset, start.order)
-    u = _finite(update_u(v, ordered, hyper), "the U update")
+    in_dataset_order = v[np.argsort(start.order)]
+    u = _finite(update_u(in_dataset_order, dataset, hyper), "the U update")
     u = np.split(u, np.cumsum(dataset.feature_counts)[:-1])
-    data = data_term(u, v, ordered, hyper)
-    order = None if start.order is None else start.order.copy()
+    data = data_term(u, in_dataset_order, dataset, hyper)
     s = [similarity_from_edges(dataset.n_instances, edges) for edges in start.edges]
     r = np.full((l, l), 1.0 / (l - 1))
     np.fill_diagonal(r, 0.0)
     alpha = np.full(l, 1.0 / l)
-    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha, data_term=data, order=order)
+    return SolverState(u=u, v=v, s=s, r=r, alpha=alpha, data_term=data, order=start.order.copy())
 
 
 def _finite(values: np.ndarray, source: str) -> np.ndarray:
@@ -527,21 +522,11 @@ def sweep(state: SolverState, hyper: Hyperparameters, carry: SweepCarry) -> np.n
     return d
 
 
-def _permuted(dataset: MultiViewDataset, order: np.ndarray) -> MultiViewDataset:
-    """The dataset with its instances in `order`, and no labels. Each view is
-    gathered once: x.T[order], made read-only, so the dataset keeps its
-    transpose, in x[:, order]'s layout (see datamodel._owned)."""
-    gathers = [x.T[order] for x in dataset.views]
-    for g in gathers:
-        g.flags.writeable = False
-    return MultiViewDataset(tuple(g.T for g in gathers), dataset.presence[order])
-
-
 def fit(dataset: MultiViewDataset, hyper: Hyperparameters) -> SolverResult:
     """Run alternating sweeps until the relative objective change drops below
     REL_TOL or max_iter sweeps elapse. The result holds V and the graphs in
-    the instance order the initial state was built in (SolverState.order),
-    as every state does."""
+    the cluster order of V's labels (SolverState.order), as every state
+    does."""
     state = initialize(dataset, hyper)
     trace = [objective(state, hyper)]
     carry = SweepCarry.start(dataset.n_instances, dataset.n_views)

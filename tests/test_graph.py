@@ -741,7 +741,8 @@ class TestBlockUpdate:
         for k in range(3):
             update_similarity(k, expect, r, alpha, 3.0, v)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", 0)
-        state = solver.SolverState(u=[], v=v, s=graphs, r=r, alpha=alpha, data_term=np.zeros(3))
+        state = solver.SolverState(u=[], v=v, s=graphs, r=r, alpha=alpha, data_term=np.zeros(3),
+                                   order=np.arange(len(v)))
         carry = solver.SweepCarry.start(len(v), 3)
         solver.sweep(state, solver.Hyperparameters(0.1, 0.1, 3.0, 0.5, 3), carry)
         assert carry.blocks is None and carry.block_updates == 0

@@ -71,20 +71,35 @@ def test_a_changed_mask_exits_one(tmp_path, capsys, monkeypatch):
     assert "  round 0 config 0 ratio 0.1" in out
 
 
-def test_state_bytes_compare_in_the_datasets_order(monkeypatch):
+def test_a_reordered_sum_is_sized_and_exits_one(tmp_path, capsys, monkeypatch):
+    # the data term's sum in another order: outputs differ in their last bits
+    changed = changed_tree(tmp_path, "solver.py", "np.vdot(resid, resid)",
+                           "np.sum(resid * resid)")
+    monkeypatch.setitem(paired_fits.workloads.WORKLOADS, SHRUNK.name, SHRUNK)
+    assert paired_fits.main([ROOT, changed, "--workload", SHRUNK.name, "--rounds", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "pairs DIFFER, 0 in sweep count" in out
+    line = next(x for x in out.splitlines() if x.startswith("worst relative difference"))
+    sizes = dict(item.split() for item in line.split(": ", 1)[1].split(", "))
+    assert list(sizes) == ["trace", "U", "V", "S", "R", "alpha"]
+    assert 0.0 < float(sizes["trace"]) and max(map(float, sizes.values())) < 1e-12
+
+
+def test_state_bytes_compare_in_the_datasets_order():
     # a fit that held its instances in cluster order against the same
     # result gathered back into the dataset's order
-    monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", 0)
     ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 11))
     ds = simulate_missing(ds, 0.3, seed=12)
     hy = solver.Hyperparameters(lam=0.1, beta=0.1, gamma=3.0, p=0.5, n_clusters=3, max_iter=4,
                                 seed=13)
     held = solver.fit(ds, hy)
     order = held.state.order
-    assert order is not None and np.any(np.diff(order) < 0)
+    assert np.any(np.diff(order) < 0)
     inv = np.argsort(order)
     gathered = dataclasses.replace(held, state=dataclasses.replace(
         held.state, v=held.state.v[inv], s=[s[np.ix_(inv, inv)] for s in held.state.s],
-        order=None))
+        order=np.arange(len(order))))
     assert not np.array_equal(gathered.state.v, held.state.v)
     assert paired_fits.state_bytes(held) == paired_fits.state_bytes(gathered)
+    sizes = paired_fits.relative_differences(held, gathered)
+    assert sizes == dict.fromkeys(["trace", "U", "V", "S", "R", "alpha"], 0.0)

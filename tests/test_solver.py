@@ -101,7 +101,7 @@ class TestObjective:
         r = np.zeros((l, l))
         h = hyper(lam=0.0, beta=0.0, n_clusters=c)
         state = SolverState(u=u, v=v, s=s, r=r, alpha=np.full(l, 0.5),
-                            data_term=solver.data_term(u, v, ds, h))
+                            data_term=solver.data_term(u, v, ds, h), order=np.arange(n))
         assert objective(state, h) == pytest.approx(0.0, abs=1e-20)
 
     def test_reduces_to_frobenius_residual(self):
@@ -120,6 +120,7 @@ class TestObjective:
             r=np.zeros((2, 2)),
             alpha=np.array([1.0, 0.0]),
             data_term=solver.data_term([u, u], v, ds, h),
+            order=np.arange(n),
         )
         expect = np.linalg.norm(x - u @ v.T) ** 2
         assert objective(state, h) == pytest.approx(expect, rel=1e-12)
@@ -127,7 +128,7 @@ class TestObjective:
     def test_matches_naive_recomputation(self):
         ds, h, state = make_problem(missing=0.2)
         got = objective(state, h)
-        expect = _naive_objective(state, ds, h)
+        expect = _naive_objective(in_dataset_order(state), ds, h)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_reuses_view_losses(self):
@@ -137,7 +138,7 @@ class TestObjective:
         assert np.allclose(d, view_losses(state, h, gram, products), rtol=1e-13, atol=0.0)
         assert objective(state, h, d) == objective(state, h)
         assert objective(state, h) == pytest.approx(
-            _naive_objective(state, ds, h), rel=1e-10
+            _naive_objective(in_dataset_order(state), ds, h), rel=1e-10
         )
 
 
@@ -155,7 +156,7 @@ class TestReconstructionTerm:
         h = hyper(lam=0.0, beta=1.0, n_clusters=2)
         u = [np.zeros((3, 2)) for _ in range(l)]
         state = SolverState(u=u, v=v, s=graphs, r=r, alpha=np.full(l, 1.0 / l),
-                            data_term=solver.data_term(u, v, ds, h))
+                            data_term=solver.data_term(u, v, ds, h), order=np.arange(n))
         own, products = graph_products(graphs, v)
         return view_losses(state, h, own if gram is None else gram, products)
 
@@ -302,21 +303,18 @@ class TestGraphProducts:
 
 
 def sorted_problem(n=40, l=3, seed=0, missing=0.3, c=3):
-    """make_problem with the instances sorted by the initial V's labels: with
-    BLOCK_MIN_ENTRIES at 0, initialize builds the state in that order."""
+    """make_problem, whose state holds the instances sorted by V's labels."""
     ds, h, state = make_problem(n=n, l=l, c=c, seed=seed, missing=missing)
-    assert state.order is not None
+    assert np.any(np.diff(state.order) < 0)
     return ds, h, state
 
 
-def assert_same_graphs_in_dataset_order(state, ref, tol):
-    """V and the graphs of `state`, held in its order, against those of `ref`,
-    held in the dataset's."""
-    inv = np.argsort(state.order)
-    assert ref.order is None
-    assert np.max(np.abs(state.v[inv] - ref.v)) <= tol
+def assert_same_graphs(state, ref, tol):
+    """V and the graphs of two states that hold the same order."""
+    assert np.array_equal(state.order, ref.order)
+    assert np.max(np.abs(state.v - ref.v)) <= tol
     for a, b in zip(state.s, ref.s):
-        assert np.max(np.abs(a[np.ix_(inv, inv)] - b)) <= tol
+        assert np.max(np.abs(a - b)) <= tol
 
 
 def dense_sweep(monkeypatch, *args):
@@ -388,22 +386,20 @@ class TestBlockSweeps:
             dense_sweep(monkeypatch, ref, h, ref_carry)
         assert carry.block_updates > 0
         edges = carry.blocks.edges
-        # each V below takes its data term against the data in the start's order
-        ordered = solver._permuted(ds, state.order)
         for st in (state, ref):  # the first instance moves to the last cluster
             st.v = st.v.copy()
             st.v[0] = st.v[-1]
-            st.data_term = solver.data_term(st.u, st.v, ordered, h)
+            st.data_term = data_term_of(st, ds, h)
         count = carry.block_updates
         d = sweep(state, h, carry)
         d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
         assert carry.block_updates == count and carry.blocks is None
         assert_same_sweep(state, carry, d, ref, ref_carry, d_ref)
         for st in (state, ref):  # back in order, one block edge moved: lists made anew
-            st.v = np.roll(st.v, -1, axis=0)
+            st.v, st.order = np.roll(st.v, -1, axis=0), np.roll(st.order, -1)
             for k, s in enumerate(st.s):
                 st.s[k] = np.roll(np.roll(s, -1, axis=0), -1, axis=1)
-            st.data_term = solver.data_term(st.u, st.v, ordered, h)
+            st.data_term = data_term_of(st, ds, h)
         for _ in range(2):
             d = sweep(state, h, carry)
             d_ref = dense_sweep(monkeypatch, ref, h, ref_carry)
@@ -430,7 +426,8 @@ class TestBlockSweeps:
     def test_blocks_follow_the_labels(self):
         carry = SweepCarry.start(6, 2)
         state = SolverState(u=[], v=np.eye(2)[[0, 0, 0, 1, 1, 1]], s=[np.eye(6), np.eye(6)],
-                            r=np.zeros((2, 2)), alpha=np.full(2, 0.5), data_term=np.zeros(2))
+                            r=np.zeros((2, 2)), alpha=np.full(2, 0.5), data_term=np.zeros(2),
+                            order=np.arange(6))
         blocks, _ = carry.at(state)
         assert blocks.spans == [(0, 3), (3, 6)] and carry.at(state)[0] is blocks
         blocks.entries = [np.array([4]), False]
@@ -492,32 +489,28 @@ class TestBlockSweeps:
         assert np.all(np.diff(np.argmax(start.v, axis=1)) >= 0)
         assert np.array_equal(res.state.order, start.order)
         monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
-        expect = fit(ds, hy)
-        assert initialize(ds, hy).order is None
+        expect = fit(ds, hy)  # the dense path, in the same order
         assert carries[0].block_updates > 0 and carries[-1].block_updates == 0
         assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
-        assert_same_graphs_in_dataset_order(res.state, expect.state, 1e-10)
+        assert_same_graphs(res.state, expect.state, 1e-10)
         for a, b in zip(res.state.u, expect.state.u):
             assert np.max(np.abs(a - b)) <= 1e-10
         assert np.max(np.abs(res.state.r - expect.state.r)) <= 1e-10
         assert res.iterations == expect.iterations
 
-    def test_fit_result_continues_with_sweep_and_objective_alone(self, monkeypatch):
-        # the result carries its data term, formed in the order it holds, so
-        # objective and a further sweep need no dataset
+    def test_fit_result_continues_with_sweep_and_objective_alone(self):
+        # the result carries its data term, so objective and a further sweep
+        # need no dataset
         ds, _ = generate_synthetic(SyntheticSpec(40, 3, 3, (6, 6, 6), (2, 2, 2), 0.2, 84))
         ds = simulate_missing(ds, 0.3, seed=85)
         hy = hyper(max_iter=8, seed=86)
         res = fit(ds, hy)
-        assert res.state.order is not None
         got = objective(res.state, hy)
         assert abs(got - res.trace[-1]) <= 1e-12 * res.trace[-1]
-        ordered = solver._permuted(ds, res.state.order)
-        assert got == pytest.approx(_naive_objective(res.state, ordered, hy), rel=1e-10)
+        assert got == pytest.approx(_naive_objective(in_dataset_order(res.state), ds, hy),
+                                    rel=1e-10)
         d = sweep(res.state, hy, SweepCarry.start(ds.n_instances, ds.n_views))
         assert d.shape == (ds.n_views,) and np.all(np.isfinite(d))
-        monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", graph.BLOCK_MIN_ENTRIES)
-        assert 40**2 < graph.BLOCK_MIN_ENTRIES and fit(ds, hy).state.order is None
 
 
 def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
@@ -550,12 +543,11 @@ def test_benchmark_shaped_fit_runs_on_blocks(monkeypatch):
     assert per_sweep[0] == 0 and np.all(per_sweep[2:] == 3), per_sweep
     late = [taken for at, taken in routes if at >= 3]
     assert len(late) == 3 * 4 * (res.iterations - 3) and all(late)
-    assert res.state.order is not None
     monkeypatch.setattr(solver, "BLOCK_MIN_ENTRIES", np.inf)
     expect = fit(ds, hy)
     assert expect.iterations == res.iterations
     assert np.max(np.abs(res.trace - expect.trace) / expect.trace) <= 1e-10
-    assert_same_graphs_in_dataset_order(res.state, expect.state, 1e-10)
+    assert_same_graphs(res.state, expect.state, 1e-10)
 
 
 def test_listed_candidates_never_decline_the_route(monkeypatch):
@@ -591,7 +583,23 @@ def gram_of(graphs):
 def copy_state(state):
     return SolverState(u=[u.copy() for u in state.u], v=state.v.copy(),
                        s=[s.copy() for s in state.s], r=state.r.copy(),
-                       alpha=state.alpha.copy(), data_term=state.data_term.copy())
+                       alpha=state.alpha.copy(), data_term=state.data_term.copy(),
+                       order=state.order.copy())
+
+
+def in_dataset_order(state):
+    """A copy of the state with V and the graphs gathered back into the
+    dataset's order."""
+    inv = np.argsort(state.order)
+    return SolverState(u=state.u, v=state.v[inv], s=[s[np.ix_(inv, inv)] for s in state.s],
+                       r=state.r, alpha=state.alpha, data_term=state.data_term,
+                       order=np.arange(len(inv)))
+
+
+def data_term_of(state, ds, h):
+    """The data term at the state's U and V, with V gathered back into the
+    dataset's order."""
+    return solver.data_term(state.u, state.v[np.argsort(state.order)], ds, h)
 
 
 def _reference_sweep(state, h):
@@ -651,10 +659,12 @@ class TestUpdateU:
         # U's former uniform(0.1, 1.1) start nor one near the solve
         ds, h, state = make_problem(seed=4, missing=0.3)
 
+        v_data = in_dataset_order(state).v
+
         def sub(u):
             total = 0.0
             for v in range(ds.n_views):
-                resid = (ds.views[v] - u[v] @ state.v.T) * ds.weights[v][None, :]
+                resid = (ds.views[v] - u[v] @ v_data.T) * ds.weights[v][None, :]
                 total += np.sum(resid**2) + h.lam * l2p_norm_p(u[v], h.p)
             return total
 
@@ -1092,9 +1102,8 @@ def fresh_copy(ds):
 
 
 def state_bytes(state):
-    arrays = [state.v, state.r, state.alpha, state.data_term, *state.u, *state.s]
-    order = None if state.order is None else state.order.tobytes()
-    return [order, *((a.shape, a.tobytes()) for a in arrays)]
+    arrays = [state.order, state.v, state.r, state.alpha, state.data_term, *state.u, *state.s]
+    return [(a.shape, a.tobytes()) for a in arrays]
 
 
 def fit_bytes(result):
@@ -1127,7 +1136,7 @@ class TestSharedStart:
             h = hyper(n_clusters=4, seed=3, max_iter=max_iter, **cell)
             assert fit_bytes(fit(ds, h)) == fit_bytes(fit(fresh_copy(ds), h))
             assert state_bytes(initialize(ds, h)) == state_bytes(initialize(fresh_copy(ds), h))
-        assert (initialize(ds, h).order is None) == (n ** 2 < solver.BLOCK_MIN_ENTRIES)
+        assert np.array_equal(initialize(ds, h).order, ds.starts[(3, 5, 4)].order)
         # one k-means for ds, two for each cell's fresh copies
         assert len(calls) == 1 + 2 * len(GRID_CELLS)
         assert len(ds.starts) == 1
@@ -1154,46 +1163,13 @@ class TestSharedStart:
         ds = masked_dataset(400, 93)
         h = hyper(n_clusters=4, seed=3)
         a, b = initialize(ds, h), initialize(ds, h)
-        start = ds.starts[(3, 5, 4, True)]
+        start = ds.starts[(3, 5, 4)]
         held = [start.v, start.order, *itertools.chain.from_iterable(start.edges)]
         mine = [a.v, a.r, a.alpha, a.data_term, a.order, *a.u, *a.s]
         theirs = [b.v, b.r, b.alpha, b.data_term, b.order, *b.u, *b.s, *held]
         for x, y in itertools.product(mine, theirs):
             assert not np.may_share_memory(x, y)
         assert not any(x.flags.writeable for x in held)
-
-    def test_fit_gathers_each_view_into_cluster_order_once(self, monkeypatch):
-        # one gather per initialize, for U and the data term, freed on return
-        ds = masked_dataset(1000, 95)
-        orders, watches = [], []
-        original = solver._permuted
-
-        def gather(dataset, order):
-            ordered = original(dataset, order)
-            assert ordered.labels is None  # no update reads them
-            for x, view in zip(dataset.views, ordered.views):
-                # the dataset holds the gather itself, in x[:, order]'s layout
-                assert view.strides == x[:, order].strides == (8, 8 * x.shape[0])
-                assert view.base.flags.owndata and view.base.flags.c_contiguous
-                assert not view.flags.writeable and not view.base.flags.writeable
-                assert view.tobytes(order="A") == x[:, order].tobytes(order="A")
-                watches.append(weakref.ref(view.base))
-            orders.append(order)
-            watches.append(weakref.ref(ordered))
-            return ordered
-
-        monkeypatch.setattr(solver, "_permuted", gather)
-        h = hyper(n_clusters=4, seed=3, max_iter=2)
-        res = fit(ds, h)
-        carry = SweepCarry.start(ds.n_instances, ds.n_views)
-        for _ in range(3):  # a loop on the result gathers nothing
-            sweep(res.state, h, carry)
-            objective(res.state, h)
-        fit(ds, h)
-        assert len(orders) == 2  # one per fit
-        assert all(order is ds.starts[(3, 5, 4, True)].order for order in orders)
-        gc.collect()
-        assert len(watches) == 2 * (ds.n_views + 1) and all(w() is None for w in watches)
 
     def test_start_is_small_and_freed_with_the_dataset(self):
         n = 400
@@ -1208,6 +1184,47 @@ class TestSharedStart:
         gc.collect()
         assert watch() is None  # while the fit's result lives on
         assert result.iterations == 2
+
+
+class TestClusterOrder:
+    """Every fit holds V and the graphs in the cluster order of V's labels,
+    while the data, U and the data term keep the dataset's order."""
+
+    def test_small_fit_holds_sorted_labels(self):
+        ds = masked_dataset(120, 96)
+        assert 120**2 < solver.BLOCK_MIN_ENTRIES  # below the block path
+        h = hyper(n_clusters=4, seed=3, max_iter=3)
+        order = fit(ds, h).state.order
+        assert np.array_equal(np.sort(order), np.arange(120)) and np.any(np.diff(order) < 0)
+        state = initialize(ds, h)
+        assert np.all(np.diff(np.argmax(state.v, axis=1)) >= 0)
+        # gathered back, V is bitwise the indicator of the dataset-order labels
+        v = state.v[np.argsort(state.order)]
+        assert v.tobytes() == update_v(np.argmax(v, axis=1), 4).tobytes()
+
+    @pytest.mark.parametrize("n", [120, 400])
+    def test_objective_of_the_result_is_the_datasets(self, n):
+        ds = masked_dataset(n, 97)
+        h = hyper(n_clusters=4, seed=3, max_iter=3)
+        res = fit(ds, h)
+        got = objective(res.state, h)
+        assert abs(got - res.trace[-1]) <= 1e-12 * res.trace[-1]
+        assert got == pytest.approx(_naive_objective(in_dataset_order(res.state), ds, h),
+                                    rel=1e-10)
+
+    def test_initialize_on_a_cached_start_builds_no_dataset(self, monkeypatch):
+        ds = masked_dataset(400, 98)  # the block path's size
+        h = hyper(n_clusters=4, seed=3, max_iter=2)
+        initialize(ds, h)  # makes the start
+        built = []
+        original = MultiViewDataset.__post_init__
+        monkeypatch.setattr(MultiViewDataset, "__post_init__",
+                            lambda self: built.append(self) or original(self))
+        initialize(ds, h)
+        fit(ds, h)
+        assert built == []
+        MultiViewDataset(ds.views, ds.presence)  # the probe sees a dataset that is built
+        assert len(built) == 1
 
 
 def _per_view_update_similarity(v, graphs, r, alpha, gamma, indicator, thresholds,
@@ -1338,14 +1355,13 @@ def test_no_u_or_s_step_raises_the_objective(name, ds, monkeypatch):
     sparsest = int(ds.presence.sum(axis=0).min())
     h = hyper(knn={"knn 1": 1, "knn one below the sparsest view": sparsest - 1}.get(name, 5))
     state = initialize(ds, h)
-    assert state.order is None  # the cases are small: the data term reads ds as it is
     start = objective(state, h)
     rng = np.random.default_rng(9)
     solved, data = state.u, state.data_term
     for scale in (None, 1e-6, 1e-2):
         state.u = [rng.uniform(0.1, 1.1, size=u.shape) if scale is None
                    else np.maximum(u + scale * rng.normal(size=u.shape), 0.0) for u in solved]
-        state.data_term = solver.data_term(state.u, state.v, ds, h)
+        state.data_term = data_term_of(state, ds, h)
         assert start <= objective(state, h) * (1.0 + 1e-13), name
     state.u, state.data_term = solved, data
     rises = []

@@ -18,11 +18,14 @@ round. BLAS is pinned to one thread when the script starts numpy.
 
 The script prints the change's p50 and p75 fit times over the parent's, the
 quartiles of the per-fit ratios, each tree's mean sweeps per fit, whether
-every pair's objective trace,
-sweep count and final state (U, V, S, R, alpha; V and S in the dataset's
-order) are bitwise equal, and
-whether both trees masked each missing ratio with the same presence mask,
-bit for bit. It exits 1 when a fit fails or any pair or mask differs.
+every pair's objective trace, sweep count and final state (U, V, S, R,
+alpha; V and S in the dataset's order) are bitwise equal, and whether both
+trees masked each missing ratio with the same presence mask, bit for bit.
+When pairs differ, it also prints how many differ in sweep count and, over
+the differing pairs with equal sweep counts, the worst relative difference
+of each of the trace, U, V, S, R and alpha: the largest |parent - change|
+over the parent's largest magnitude. It exits 1 when a fit fails or any
+pair or mask differs.
 """
 
 from __future__ import annotations
@@ -71,18 +74,35 @@ def fit_cells(cfg) -> list:
     return list(itertools.product(cfg.missing_ratios, cfg.lam, cfg.beta, cfg.gamma, cfg.p))
 
 
+def state_arrays(result) -> dict:
+    """A fit's trace and final state, each a list of arrays by name, with V
+    and the graphs gathered back into the dataset's order (SolverState.order)."""
+    state = result.state
+    order = state.order
+    if order is None:  # a tree from before every fit held the cluster order
+        order = np.arange(len(state.v))
+    inv = np.argsort(order)
+    return {"trace": [result.trace], "U": list(state.u), "V": [state.v[inv]],
+            "S": [s[np.ix_(inv, inv)] for s in state.s], "R": [state.r], "alpha": [state.alpha]}
+
+
 def state_bytes(result) -> list:
     """Everything a fit returns, as comparable (shape, dtype, bytes) items,
-    with V and the graphs in the dataset's order whatever order the state
-    holds them in (SolverState.order)."""
-    state = result.state
-    v, graphs = state.v, state.s
-    if state.order is not None:
-        inv = np.argsort(state.order)
-        v, graphs = v[inv], [s[np.ix_(inv, inv)] for s in graphs]
-    arrays = [result.trace, v, state.r, state.alpha, *state.u, *graphs]
+    with V and the graphs in the dataset's order (state_arrays)."""
+    arrays = itertools.chain.from_iterable(state_arrays(result).values())
     return [result.iterations, result.converged,
             *((a.shape, a.dtype.str, a.tobytes()) for a in arrays)]
+
+
+def relative_differences(parent, change) -> dict:
+    """Per name of state_arrays, the largest |parent - change| over the
+    parent's largest magnitude, for two results with equal sweep counts."""
+    sizes, theirs = {}, state_arrays(change)
+    for name, ours in state_arrays(parent).items():
+        diff = max(np.max(np.abs(a - b)) for a, b in zip(ours, theirs[name]))
+        scale = max(np.max(np.abs(a)) for a in ours)
+        sizes[name] = float(diff / scale) if diff else 0.0
+    return sizes
 
 
 def timed_fit(cli, dataset, c: int, cfg, cell):
@@ -91,12 +111,13 @@ def timed_fit(cli, dataset, c: int, cfg, cell):
                                        max_iter=cfg.max_iter, seed=cfg.seed, knn=cfg.knn)
     start = perf_counter()
     result = cli.solver.fit(dataset, hyper)
-    return perf_counter() - start, result.iterations, state_bytes(result)
+    return perf_counter() - start, result
 
 
 def pair(trees, configs, rounds: int):
     """Run every config's fit cells under both trees `rounds` times; returns
-    (times, sweeps, [descriptions of differing pairs], [(description, whether
+    (times, sweeps, [(description, relative_differences or None where the
+    sweep counts differ) of each differing pair], [(description, whether
     equal) of each masked presence mask]); times and sweeps are 2 x fits
     arrays, the parent's row first."""
     times, sweeps = ([], []), ([], [])
@@ -120,13 +141,14 @@ def pair(trees, configs, rounds: int):
                 outs = [None, None]
                 for side in (turn % 2, 1 - turn % 2):
                     cfg, masked, c = loaded[side]
-                    seconds, count, outs[side] = timed_fit(trees[side], masked[cell[0]], c,
-                                                           cfg, cell)
+                    seconds, outs[side] = timed_fit(trees[side], masked[cell[0]], c, cfg, cell)
                     times[side].append(seconds)
-                    sweeps[side].append(count)
+                    sweeps[side].append(outs[side].iterations)
                 turn += 1
-                if outs[0] != outs[1]:
-                    differ.append(f"round {round_} config {index} cell {cell}")
+                if state_bytes(outs[0]) != state_bytes(outs[1]):
+                    same_count = outs[0].iterations == outs[1].iterations
+                    differ.append((f"round {round_} config {index} cell {cell}",
+                                   relative_differences(*outs) if same_count else None))
     return np.array(times), np.array(sweeps), differ, masks
 
 
@@ -141,9 +163,15 @@ def report(times: np.ndarray, sweeps: np.ndarray, differ: list, masks: list) -> 
     print(f"per-fit ratio quartiles: {q1:.3f} {q2:.3f} {q3:.3f}")
     print(f"mean sweeps per fit: parent {sweeps[0].mean():.2f}, change {sweeps[1].mean():.2f}")
     if differ:
-        print(f"states: {len(differ)} of {len(parent)} pairs DIFFER")
-        for line in differ:
+        print(f"states: {len(differ)} of {len(parent)} pairs DIFFER, "
+              f"{np.count_nonzero(sweeps[0] != sweeps[1])} in sweep count")
+        for line, _ in differ:
             print(f"  {line}")
+        sized = [sizes for _, sizes in differ if sizes is not None]
+        if sized:
+            worst = ", ".join(f"{name} {max(s[name] for s in sized):.2g}" for name in sized[0])
+            print(f"worst relative difference over {len(sized)} pairs with equal sweep "
+                  f"counts: {worst}")
     else:
         print("states: every trace and final state bitwise equal")
     masks_differ = [line for line, equal in masks if not equal]
